@@ -12,7 +12,6 @@ hashed path.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,9 +103,12 @@ def block(
 ) -> CandidateSet:
     """Hashed nearest-neighbor blocking over all signatures.
 
-    ``workers`` fans the per-record queries out over a thread pool; the
-    index is immutable during queries and results merge in record
-    order, so any worker count produces identical output.
+    Per signature, one index holds the index side and all query records
+    are looked up in one batched ``LshIndex.search``. A query's hits
+    are capped at ``max_results`` before its own record is dropped from
+    them. A pair found under several signatures keeps its best cosine,
+    the lowest signature on ties. ``workers`` must be at least 1 and is
+    otherwise unused: the search runs in one thread.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -131,43 +133,36 @@ def block(
     else:
         q_sig, q_ok = idx_sig, idx_ok
 
-    S = model.num_signatures
-    max_results = max(1000, int(np.sqrt(len(index_records))))
-    if lsh_params.max_results is not None:
-        max_results = lsh_params.max_results
-    best: dict[tuple[str, str], tuple[int, float]] = {}
-    for s in range(S):
-        items = [
-            (rec.record_id, s, idx_sig[i, s])
-            for i, rec in enumerate(index_records)
-            if idx_ok[i, s]
-        ]
-        if not items:
+    # records by position in the sorted ids, so the smaller position of a
+    # pair is its canonical first id
+    ids = sorted({r.record_id for r in index_records + query_records})
+    position = {rid: i for i, rid in enumerate(ids)}
+    idx_rank = np.array([position[r.record_id] for r in index_records], dtype=np.int64)
+    q_rank = np.array([position[r.record_id] for r in query_records], dtype=np.int64)
+    # (pair code, signature, cosine) of every hit, over all signatures
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    for s in range(model.num_signatures):
+        idx_rows = np.flatnonzero(idx_ok[:, s])
+        q_rows = np.flatnonzero(q_ok[:, s])
+        if not idx_rows.size:
             continue
-        index = LshIndex.build(items, model.table.dim, lsh_params)
-        queries = [
-            (rec.record_id, q_sig[i, s])
-            for i, rec in enumerate(query_records)
-            if q_ok[i, s]
-        ]
-
-        def run_query(entry):
-            rid, vec = entry
-            return rid, index.query(vec, theta, max_results)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_query, queries))
-        else:
-            results = [run_query(q) for q in queries]
-        for query_id, hits in results:
-            for rid, _, cos in hits:
-                if rid == query_id:
-                    continue
-                pair = canonical_pair(query_id, rid)
-                prev = best.get(pair)
-                if prev is None or cos > prev[1]:
-                    best[pair] = (s, cos)
+        index = LshIndex.build(
+            ((index_records[i].record_id, s, idx_sig[i, s]) for i in idx_rows),
+            model.table.dim,
+            lsh_params,
+        )
+        row, entry, cos = index.search(q_sig[q_rows, s], theta)
+        a, b = q_rank[q_rows[row]], idx_rank[idx_rows[entry]]
+        other = a != b
+        pair = np.minimum(a, b) * len(ids) + np.maximum(a, b)
+        found.append((pair[other], np.full(other.sum(), s), cos[other]))
+    pair, sig, cos = (np.concatenate(part) for part in zip(*found))
+    order = np.lexsort((sig, -cos, pair))
+    first = order[np.unique(pair[order], return_index=True)[1]]
+    best = {
+        (ids[p // len(ids)], ids[p % len(ids)]): (s, c)
+        for p, s, c in zip(pair[first].tolist(), sig[first].tolist(), cos[first].tolist())
+    }
     provenance = best if keep_provenance else None
     return CandidateSet(frozenset(best), provenance)
 

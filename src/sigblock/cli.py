@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -116,11 +115,10 @@ def cmd_block(args) -> int:
     theta = args.theta if args.theta is not None else config.theta
     if not 0.0 < theta < 1.0:
         raise ConfigError("theta must lie in (0, 1)")
-    workers = args.workers or os.cpu_count() or 1
-    if workers < 1:
+    if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
     t0 = time.perf_counter()
-    candidates = block(dataset, model, theta, config.lsh_params(), workers=workers)
+    candidates = block(dataset, model, theta, config.lsh_params(), workers=args.workers)
     wall = time.perf_counter() - t0
     write_candidates(candidates, args.out)
     pe = pe_ratio(candidates, dataset) if dataset.n else 0.0
@@ -286,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        help="threads for LSH queries (default: all cores); any value"
-        " produces identical output",
+        default=1,
+        help="kept for compatibility; must be at least 1 and changes nothing:"
+        " queries run in one thread, one batch per signature",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_block)

@@ -10,6 +10,14 @@ winner margin is smallest to its runner-up axis. Candidates are then
 re-ranked by exact cosine, so results are always a subset of a
 brute-force scan at the same threshold.
 
+Queries run in batches (``LshIndex.search``; ``LshIndex.query`` is a
+batch of one). A batch is hashed under all rotations in one matrix
+product; each probe is packed into one int64 key and joined to the
+index by binary search over every table's sorted keys, and the
+(query, entry) candidates are deduplicated, re-ranked and cut per
+query with array operations. Building an index hashes its vectors the
+same way and groups equal keys by sorting.
+
 Vectors are zero-padded to a power-of-two dimension before rotation,
 which leaves cosines unchanged.
 
@@ -31,12 +39,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 UNIT_TOL = 1e-6
+# Vectors are hashed 256 rows per matrix product and queries re-ranked in
+# parts of about 2^13 bucket entries, so temporaries stay a few MB even
+# when one bucket holds a large share of the index.
+_CHUNK_ROWS = 256
+_CHUNK_PAIRS = 1 << 13
 _MAGIC = b"XPLSH1"
 _VERSION = 1
 
@@ -80,18 +94,71 @@ def hash_one(rotation: np.ndarray, v: np.ndarray) -> int:
     return (j + 1) if u[j] >= 0.0 else -(j + 1)
 
 
-def _signed_top2(u: np.ndarray) -> tuple[int, int, float]:
-    """(best, runner-up) signed axes and their score gap for one rotation."""
+def _top2(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best and runner-up signed axes of rotated vectors, and their gap.
+
+    ``u`` holds one rotated vector per row. A signed axis is coded
+    ``2 * index + (coordinate < 0)``; as in ``hash_one``, ties go to the
+    smallest index and a zero coordinate counts as positive. With one
+    coordinate the runner-up is the opposite sign and the gap 2|u|.
+    """
+    r = np.arange(len(u))
     mag = np.abs(u)
-    j1 = int(np.argmax(mag))
-    c1 = (j1 + 1) if u[j1] >= 0.0 else -(j1 + 1)
-    if len(u) == 1:
-        return c1, -c1, 2.0 * mag[j1]
-    mag2 = mag.copy()
-    mag2[j1] = -np.inf
-    j2 = int(np.argmax(mag2))
-    c2 = (j2 + 1) if u[j2] >= 0.0 else -(j2 + 1)
-    return c1, c2, float(mag[j1] - mag[j2])
+    j1 = mag.argmax(axis=1)
+    m1 = mag[r, j1]
+    best = 2 * j1 + (u[r, j1] < 0.0)
+    if u.shape[1] == 1:
+        return best, best ^ 1, 2.0 * m1
+    mag[r, j1] = -np.inf
+    j2 = mag.argmax(axis=1)
+    return best, 2 * j2 + (u[r, j2] < 0.0), m1 - mag[r, j2]
+
+
+def _hash(
+    rotations: np.ndarray, padded: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_top2`` of padded rows under every rotation, each (rows, tables, hashes)."""
+    tables, hashes, dp, _ = rotations.shape
+    u = padded @ rotations.reshape(-1, dp).T
+    shape = (len(padded), tables, hashes)
+    return tuple(a.reshape(shape) for a in _top2(u.reshape(-1, dp)))
+
+
+def _key_shifts(dp: int, hashes: int, tables: int) -> tuple[np.ndarray, int]:
+    """Bit offsets of each hash component and of the table number in a
+    packed 64-bit bucket key."""
+    bits = dp.bit_length()  # axis index and sign of one component
+    if bits * hashes + (tables - 1).bit_length() > 63:
+        raise ValueError(
+            f"{tables} tables of {hashes} hashes of dimension {dp} "
+            "overflow a 64-bit bucket key"
+        )
+    return bits * np.arange(hashes - 1, -1, -1, dtype=np.int64), bits * hashes
+
+
+def _signed(codes: np.ndarray) -> np.ndarray:
+    """Axis codes of ``_top2`` as signed axes +/-1..+/-d."""
+    return ((codes >> 1) + 1) * (1 - 2 * (codes & 1))
+
+
+def _bucket_arrays(
+    tables: list[dict[tuple[int, ...], list[int]]], shifts: np.ndarray, table_shift: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every bucket as (sorted packed keys, starts, sizes, members).
+
+    Bucket ``i`` of the sorted keys holds the entries
+    ``members[starts[i]:starts[i] + sizes[i]]``.
+    """
+    keys = np.array([key for t in tables for key in t], dtype=np.int64)
+    keys = keys.reshape(-1, len(shifts))
+    table = np.repeat(np.arange(len(tables), dtype=np.int64), [len(t) for t in tables])
+    packed = ((2 * (np.abs(keys) - 1) + (keys < 0)) << shifts).sum(axis=1)
+    packed += table << table_shift
+    buckets = [b for t in tables for b in t.values()]
+    sizes = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
+    members = np.fromiter(chain.from_iterable(buckets), dtype=np.int64, count=int(sizes.sum()))
+    order = np.argsort(packed)
+    return packed[order], (np.cumsum(sizes) - sizes)[order], sizes[order], members
 
 
 @dataclass
@@ -182,6 +249,17 @@ class LshIndex:
         self.entries = entries
         self.vectors = vectors  # (n, dim) unit rows
         self.tables = tables
+        self._shifts, table_shift = _key_shifts(
+            self.dim_padded, params.hashes_per_table, params.tables
+        )
+        self._table_keys = np.arange(params.tables, dtype=np.int64) << table_shift
+        self._signatures = np.array([s for _, s in entries], dtype=np.int64)
+        # position of each entry in (record_id, signature) order: the tie-break
+        self._rank = np.empty(len(entries), dtype=np.int64)
+        self._rank[sorted(range(len(entries)), key=entries.__getitem__)] = np.arange(
+            len(entries)
+        )
+        self._buckets = _bucket_arrays(tables, self._shifts, table_shift)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -224,45 +302,121 @@ class LshIndex:
         vectors = (
             np.stack(vec_rows) if vec_rows else np.zeros((0, dim), dtype=np.float64)
         )
-        tables: list[dict[tuple[int, ...], list[int]]] = []
-        if len(entries) == 0:
+        if not entries:
             tables = [dict() for _ in range(params.tables)]
             return cls(dim, params, rotations, entries, vectors, tables)
-        padded = pad_to(vectors, dp)
+        n = len(entries)
+        best = np.concatenate(
+            [
+                _hash(rotations, pad_to(vectors[lo : lo + _CHUNK_ROWS], dp))[0]
+                for lo in range(0, n, _CHUNK_ROWS)
+            ]
+        )
+        shifts, _ = _key_shifts(dp, params.hashes_per_table, params.tables)
+        packed = (best << shifts).sum(axis=-1)
+        signed = _signed(best)
+        tables = []
         for k in range(params.tables):
-            comps = np.empty((len(entries), params.hashes_per_table), dtype=np.int64)
-            for b in range(params.hashes_per_table):
-                u = padded @ rotations[k, b].T
-                j = np.argmax(np.abs(u), axis=1)
-                sign = np.where(u[np.arange(len(u)), j] >= 0.0, 1, -1)
-                comps[:, b] = sign * (j + 1)
-            table: dict[tuple[int, ...], list[int]] = {}
-            for idx in range(len(entries)):
-                key = tuple(int(c) for c in comps[idx])
-                table.setdefault(key, []).append(idx)
-            tables.append(table)
+            order = np.argsort(packed[:, k], kind="stable")
+            run = packed[order, k]
+            starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+            bounds = np.append(starts, n).tolist()
+            members = order.tolist()
+            # buckets in order of their first entry, as inserting the
+            # entries one by one gives
+            groups = np.argsort(order[starts])
+            keys = map(tuple, signed[order[starts[groups]], k].tolist())
+            tables.append(
+                {key: members[bounds[g] : bounds[g + 1]] for key, g in zip(keys, groups.tolist())}
+            )
         return cls(dim, params, rotations, entries, vectors, tables)
 
-    def _probe_keys(self, q_padded: np.ndarray) -> list[list[tuple[int, ...]]]:
-        """Primary bucket key plus multiprobe alternatives, per table."""
-        out: list[list[tuple[int, ...]]] = []
-        for k in range(self.params.tables):
-            best: list[int] = []
-            second: list[int] = []
-            gaps: list[float] = []
-            for b in range(self.params.hashes_per_table):
-                c1, c2, gap = _signed_top2(self.rotations[k, b] @ q_padded)
-                best.append(c1)
-                second.append(c2)
-                gaps.append(gap)
-            keys = [tuple(best)]
-            order = np.argsort(gaps, kind="stable")
-            for b in order[: self.params.multiprobe]:
-                alt = list(best)
-                alt[b] = second[b]
-                keys.append(tuple(alt))
-            out.append(keys)
-        return out
+    def search(
+        self,
+        queries: np.ndarray,
+        theta: float,
+        max_results: int | None = None,
+        signature: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hits of a batch of unit queries as ``(row, entry, cosine)`` arrays.
+
+        ``row`` indexes ``queries`` and ``entry`` indexes ``entries``.
+        Each query's candidates are the union of its probed buckets
+        across all tables, re-ranked by exact cosine, kept at or above
+        ``theta`` and cut to the ``max_results`` best. Hits come grouped
+        by row in input order; within a row the best come first, ties in
+        cosine going to the smaller (record_id, signature). When the
+        index mixes several signatures, pass ``signature`` to restrict
+        hits to one of them.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        if np.any(np.abs(np.linalg.norm(queries, axis=1) - 1.0) > UNIT_TOL):
+            raise ValueError("query vector is not unit norm")
+        if max_results is None:
+            max_results = self.default_max_results
+        keys, starts, sizes, _ = self._buckets
+        hits = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+        for lo in range(0, len(queries) if self.entries else 0, _CHUNK_ROWS):
+            q = queries[lo : lo + _CHUNK_ROWS]
+            probes = self._probes(q).ravel()
+            per_row = len(probes) // len(q)
+            pos = np.searchsorted(keys, probes)
+            pos[pos == len(keys)] = 0
+            size = np.where(keys[pos] == probes, sizes[pos], 0)
+            # re-rank rows in parts of about _CHUNK_PAIRS bucket entries
+            filled = np.cumsum(size.reshape(len(q), per_row).sum(axis=1)) // _CHUNK_PAIRS
+            cuts = [0, *(np.flatnonzero(np.diff(filled)) + 1).tolist(), len(q)]
+            for a, b in zip(cuts, cuts[1:]):
+                part = slice(a * per_row, b * per_row)
+                row, entry, cos = self._rerank(
+                    q[a:b], starts[pos[part]], size[part], theta, max_results, signature
+                )
+                hits.append((row + lo + a, entry, cos))
+        row, entry, cos = (np.concatenate(part) for part in zip(*hits))
+        return row, entry, cos
+
+    def _probes(self, q: np.ndarray) -> np.ndarray:
+        """Packed keys of the buckets each query row probes.
+
+        Shape (rows, tables, 1 + min(multiprobe, hashes_per_table)): per
+        table the row's own bucket, then one bucket per flip of the
+        components with the smallest winner margins to their runner-up
+        axis, smallest margin first.
+        """
+        best, second, gap = _hash(self.rotations, pad_to(q, self.dim_padded))
+        primary = (best << self._shifts).sum(axis=-1) + self._table_keys
+        flips = np.argsort(gap, axis=-1, kind="stable")[..., : self.params.multiprobe]
+        flip = np.take_along_axis((second - best) << self._shifts, flips, -1)
+        return np.concatenate([primary[..., None], primary[..., None] + flip], axis=-1)
+
+    def _rerank(
+        self,
+        q: np.ndarray,
+        start: np.ndarray,
+        size: np.ndarray,
+        theta: float,
+        max_results: int,
+        signature: int | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``search`` hits of the rows ``q``, given the start and size of
+        each probed bucket in ``members``, row by row."""
+        _, _, _, members = self._buckets
+        n = len(self.entries)
+        rows = np.repeat(np.arange(len(size)) // (len(size) // len(q)), size)
+        first = np.repeat(start - (np.cumsum(size) - size), size)
+        pairs = rows * n + members[first + np.arange(len(first))]
+        row, entry = np.divmod(np.unique(pairs), n)
+        # re-rank by exact cosine; a row keeps its max_results best
+        if signature is not None:
+            keep = self._signatures[entry] == signature
+            row, entry = row[keep], entry[keep]
+        cos = np.einsum("ij,ij->i", q[row], self.vectors[entry])
+        keep = cos >= theta
+        row, entry, cos = row[keep], entry[keep], cos[keep]
+        order = np.lexsort((self._rank[entry], -cos, row))
+        row, entry, cos = row[order], entry[order], cos[order]
+        keep = np.arange(len(row)) - np.searchsorted(row, row) < max_results
+        return row[keep], entry[keep], cos[keep]
 
     def query(
         self,
@@ -273,41 +427,13 @@ class LshIndex:
     ) -> list[tuple[str, int, float]]:
         """(record_id, signature_id, cosine) hits with cosine >= theta.
 
-        Candidates are the union of the probed buckets across all
-        tables, re-ranked by exact cosine and truncated to the
-        ``max_results`` best. When the index mixes several signatures,
-        pass ``signature`` to restrict hits to one of them.
+        A batch of one for ``search``: hits come best first, at most
+        ``max_results`` of them.
         """
-        q = np.asarray(q, dtype=np.float64)
-        if abs(np.linalg.norm(q) - 1.0) > UNIT_TOL:
-            raise ValueError("query vector is not unit norm")
-        if max_results is None:
-            max_results = self.default_max_results
-        qp = pad_to(q, self.dim_padded)
-        cand: set[int] = set()
-        for k, keys in enumerate(self._probe_keys(qp)):
-            table = self.tables[k]
-            for key in keys:
-                bucket = table.get(key)
-                if bucket:
-                    cand.update(bucket)
-        if not cand:
-            return []
-        idx = np.fromiter(cand, dtype=np.int64, count=len(cand))
-        idx.sort()
-        if signature is not None:
-            mask = np.array([self.entries[i][1] == signature for i in idx])
-            idx = idx[mask]
-            if idx.size == 0:
-                return []
-        cos = self.vectors[idx] @ q
-        keep = cos >= theta
-        hits = [
-            (self.entries[i][0], self.entries[i][1], float(c))
-            for i, c in zip(idx[keep], cos[keep])
-        ]
-        hits.sort(key=lambda h: (-h[2], h[0], h[1]))
-        return hits[:max_results]
+        _, entry, cos = self.search(
+            np.asarray(q, dtype=np.float64)[None], theta, max_results, signature
+        )
+        return [(*self.entries[e], c) for e, c in zip(entry.tolist(), cos.tolist())]
 
     # -- persistence ---------------------------------------------------
 

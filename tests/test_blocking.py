@@ -17,10 +17,12 @@ from sigblock.data_model import (
     Dataset,
     Record,
     Table,
+    canonical_pair,
     make_bipartite,
 )
 from sigblock.encoder import AttentionalEncoder
-from sigblock.lsh import LshParams
+from sigblock.blocking import _normalized
+from sigblock.lsh import LshIndex, LshParams
 from sigblock.signatures import SignatureModel, SignatureWeights
 from sigblock.text_embedding import EmbeddingTable
 from sigblock.training import TrainingConfig, train
@@ -242,6 +244,77 @@ class TestBlock:
         other = Dataset(("unrelated",), (Table([record("a", "x")]),))
         with pytest.raises(ValueError, match="unrelated"):
             block(other, model, 0.8)
+
+
+def query_loop_block(dataset, model, theta, params):
+    """``block`` as one ``LshIndex.query`` call per record and signature:
+    the reference the batched path must match."""
+    if dataset.is_bipartite:
+        big, small = dataset.tables
+        if len(big) < len(small):
+            big, small = small, big
+        index_records, query_records = list(big), list(small)
+    else:
+        index_records = query_records = list(dataset.all_records())
+    idx_sig, idx_ok = _normalized(*signature_matrix(model, index_records))
+    q_sig, q_ok = _normalized(*signature_matrix(model, query_records))
+    best = {}
+    for s in range(model.num_signatures):
+        items = [
+            (rec.record_id, s, idx_sig[i, s])
+            for i, rec in enumerate(index_records)
+            if idx_ok[i, s]
+        ]
+        if not items:
+            continue
+        index = LshIndex.build(items, model.table.dim, params)
+        for i, rec in enumerate(query_records):
+            if not q_ok[i, s]:
+                continue
+            for rid, _, cos in index.query(q_sig[i, s], theta):
+                if rid == rec.record_id:  # dropped after the cap
+                    continue
+                pair = canonical_pair(rec.record_id, rid)
+                if pair not in best or cos > best[pair][1]:
+                    best[pair] = (s, cos)
+    return best
+
+
+def verbatim_copies(bipartite):
+    """Three verbatim copies per entity: equal vectors tie at the cap."""
+    ds, _ = duplicated_dataset(40, attrs_informative=2, copies=3, seed=4)
+    if not bipartite:
+        return ds
+    records = list(ds.all_records())
+    left = [r for r in records if r.record_id.endswith("-0")]
+    right = [r for r in records if not r.record_id.endswith("-0")]
+    return make_bipartite(
+        Dataset(ds.schema, (Table(left),)), Dataset(ds.schema, (Table(right),))
+    )
+
+
+class TestBatchedEquivalence:
+    @pytest.mark.parametrize("bipartite", [False, True])
+    @pytest.mark.parametrize("max_results", [None, 1, 2])
+    def test_matches_query_loop(self, bipartite, max_results):
+        ds = verbatim_copies(bipartite)
+        model = song_model(ds.schema, [[1.0, 0.0], [0.6, 0.8]], seed=3)
+        params = LshParams(seed=8, max_results=max_results)
+        got = block(ds, model, 0.5, params)
+        want = query_loop_block(ds, model, 0.5, params)
+        assert got.pairs == frozenset(want)
+        for pair, (s, cos) in want.items():
+            assert got.provenance[pair][0] == s
+            assert abs(got.provenance[pair][1] - cos) <= 1e-12
+
+    def test_cap_counts_the_self_hit(self):
+        # each record's best hits are its three tied copies, ordered by id;
+        # with one result allowed, copy 0 keeps only itself and finds nothing
+        ds = verbatim_copies(False)
+        model = song_model(ds.schema, [[1.0, 0.0], [0.6, 0.8]], seed=3)
+        got = block(ds, model, 0.5, LshParams(seed=8, max_results=1))
+        want = {(f"e{e:05d}-0", f"e{e:05d}-{c}") for e in range(40) for c in (1, 2)}
+        assert got.pairs == want
 
 
 class TestPeRatio:

@@ -266,6 +266,18 @@ def test_workers_flag_identical_output(workspace, tmp_path):
     assert filecmp.cmp(one, four, shallow=False)
 
 
+def test_workers_zero_exits_2(workspace, tmp_path):
+    _, config = workspace
+    model = tmp_path / "model.bin"
+    assert main(["train", "--config", str(config), "--out", str(model)]) == 0
+    out = tmp_path / "w0.csv"
+    assert main(
+        ["block", "--config", str(config), "--model", str(model),
+         "--workers", "0", "--out", str(out)]
+    ) == 2
+    assert not out.exists()
+
+
 def test_missing_label_file_exits_2(workspace, tmp_path):
     root, config = workspace
     bad = tmp_path / "bad.ini"

@@ -285,3 +285,211 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
             LshIndex.load(path)
+
+
+# -- the batched hasher and join against per-vector references ------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def ref_signed_top2(u):
+    """(best, runner-up) signed axes and their score gap for one rotation."""
+    mag = np.abs(u)
+    j1 = int(np.argmax(mag))
+    c1 = (j1 + 1) if u[j1] >= 0.0 else -(j1 + 1)
+    if len(u) == 1:
+        return c1, -c1, 2.0 * mag[j1]
+    mag2 = mag.copy()
+    mag2[j1] = -np.inf
+    j2 = int(np.argmax(mag2))
+    c2 = (j2 + 1) if u[j2] >= 0.0 else -(j2 + 1)
+    return c1, c2, float(mag[j1] - mag[j2])
+
+
+def ref_probe_keys(index, q_padded):
+    """Primary bucket key plus multiprobe alternatives, per table."""
+    out = []
+    for k in range(index.params.tables):
+        best, second, gaps = [], [], []
+        for b in range(index.params.hashes_per_table):
+            c1, c2, gap = ref_signed_top2(index.rotations[k, b] @ q_padded)
+            best.append(c1)
+            second.append(c2)
+            gaps.append(gap)
+        keys = [tuple(best)]
+        for b in np.argsort(gaps, kind="stable")[: index.params.multiprobe]:
+            alt = list(best)
+            alt[b] = second[b]
+            keys.append(tuple(alt))
+        out.append(keys)
+    return out
+
+
+def ref_tables(rotations, vectors):
+    """Bucket tables built by inserting the entries one by one."""
+    tables = []
+    padded = pad_to(vectors, rotations.shape[-1])
+    for k in range(rotations.shape[0]):
+        comps = np.empty((len(vectors), rotations.shape[1]), dtype=np.int64)
+        for b in range(rotations.shape[1]):
+            u = padded @ rotations[k, b].T
+            j = np.argmax(np.abs(u), axis=1)
+            comps[:, b] = np.where(u[np.arange(len(u)), j] >= 0.0, 1, -1) * (j + 1)
+        table = {}
+        for idx in range(len(vectors)):
+            table.setdefault(tuple(int(c) for c in comps[idx]), []).append(idx)
+        tables.append(table)
+    return tables
+
+
+def ref_query(index, q, theta, max_results, signature=None):
+    """Union of the reference probes' buckets, re-ranked and cut."""
+    cand = set()
+    for k, keys in enumerate(ref_probe_keys(index, pad_to(q, index.dim_padded))):
+        for key in keys:
+            cand.update(index.tables[k].get(key, ()))
+    idx = [i for i in sorted(cand) if signature in (None, index.entries[i][1])]
+    # per-pair products summed as the batched path sums them, so equal
+    # vectors give equal cosines and ties order the same way
+    cos = np.einsum("ij,ij->i", np.repeat(q[None], len(idx), 0), index.vectors[idx])
+    hits = [(*index.entries[i], float(c)) for i, c in zip(idx, cos) if c >= theta]
+    hits.sort(key=lambda h: (-h[2], h[0], h[1]))
+    return hits[:max_results]
+
+
+def decode_probes(index, probes):
+    """Packed probe keys of one query as signed-axis tuples, per table."""
+    bits = index.dim_padded.bit_length()
+    hashes = index.params.hashes_per_table
+    out = []
+    for k, row in enumerate(probes.tolist()):
+        keys = []
+        for key in row:
+            key -= k << (bits * hashes)
+            codes = [(key >> (bits * (hashes - 1 - b))) & ((1 << bits) - 1) for b in range(hashes)]
+            keys.append(tuple((c >> 1) + 1 if c % 2 == 0 else -((c >> 1) + 1) for c in codes))
+        out.append(keys)
+    return out
+
+
+def signed_permutations(count, dp, rng):
+    """Rotations that move coordinates exactly, so ties survive them."""
+    out = np.zeros((count, dp, dp))
+    for m in range(count):
+        out[m, np.arange(dp), rng.permutation(dp)] = rng.choice([-1.0, 1.0], dp)
+    return out
+
+
+@st.composite
+def tied_index(draw, entries=0):
+    """Index with signed-permutation rotations over small integer vectors,
+    plus integer queries: exact ties between axes, zero coordinates and
+    repeated vectors are common."""
+    dim = draw(st.integers(1, 9))
+    params = LshParams(
+        tables=draw(st.integers(1, 3)),
+        hashes_per_table=draw(st.integers(1, 3)),
+        multiprobe=draw(st.integers(0, 3)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dp = next_pow2(dim)
+    rotations = signed_permutations(params.tables * params.hashes_per_table, dp, rng)
+    rotations = rotations.reshape(params.tables, params.hashes_per_table, dp, dp)
+    ints = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    vectors = np.array(draw(st.lists(ints, min_size=entries, max_size=entries)), dtype=float)
+    vectors = vectors.reshape(entries, dim)
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    queries = np.array(draw(st.lists(ints, min_size=1, max_size=6)), dtype=float)
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    entries_ = [(f"v{i % 7}", i // 7) for i in range(entries)]
+    index = LshIndex(dim, params, rotations, entries_, vectors, ref_tables(rotations, vectors))
+    return index, queries
+
+
+class TestBatchedHasher:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_index())
+    def test_probe_keys_match_reference_with_ties(self, case):
+        index, queries = case
+        probes = index._probes(queries)
+        for q, got in zip(queries, probes):
+            want = ref_probe_keys(index, pad_to(q, index.dim_padded))
+            assert decode_probes(index, got) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_probe_keys_match_reference_random_rotations(self, dim, tables, hashes, mp, seed):
+        rng = np.random.default_rng(seed)
+        params = LshParams(tables=tables, hashes_per_table=hashes, multiprobe=mp, seed=seed)
+        index = LshIndex.build([], dim, params)
+        queries = random_units(5, dim, rng)
+        for q, got in zip(queries, index._probes(queries)):
+            want = ref_probe_keys(index, pad_to(q, index.dim_padded))
+            assert decode_probes(index, got) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_build_tables_match_reference(self, n, dim, tables, hashes, seed, tied):
+        rng = np.random.default_rng(seed)
+        if tied:  # few distinct integer vectors: shared buckets, repeated keys
+            vecs = rng.integers(-1, 2, (n, dim)).astype(float)
+            vecs[~vecs.any(axis=1), 0] = 1.0
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        else:
+            vecs = random_units(n, dim, rng)
+        params = LshParams(tables=tables, hashes_per_table=hashes, seed=seed)
+        index = LshIndex.build([(f"v{i}", 0, vecs[i]) for i in range(n)], dim, params)
+        want = ref_tables(index.rotations, index.vectors)
+        assert [list(t.items()) for t in index.tables] == [list(t.items()) for t in want]
+
+
+class TestBatchedJoin:
+    @settings(max_examples=100, deadline=None)
+    @given(tied_index(entries=30), st.sampled_from([None, 1, 3]), st.sampled_from([None, 0, 2]))
+    def test_search_matches_reference_query(self, case, max_results, signature):
+        index, queries = case
+        theta = 0.3
+        cap = index.default_max_results if max_results is None else max_results
+        row, entry, cos = index.search(queries, theta, max_results, signature)
+        for r, q in enumerate(queries):
+            want = ref_query(index, q, theta, cap, signature)
+            got = [(*index.entries[e], c) for e, c in zip(entry[row == r], cos[row == r])]
+            assert [h[:2] for h in got] == [h[:2] for h in want]
+            assert np.allclose([h[2] for h in got], [h[2] for h in want], rtol=0, atol=1e-12)
+            assert index.query(q, theta, max_results, signature) == got
+
+    def test_batch_over_several_chunks_matches_single_queries(self, rng):
+        vecs = random_units(700, 8, rng)
+        index = LshIndex.build([(f"v{i:03d}", 0, v) for i, v in enumerate(vecs)], 8)
+        row, entry, cos = index.search(vecs, 0.6, max_results=4)
+        assert set(row.tolist()) == set(range(700))  # every row finds itself
+        for r in range(700):
+            got = [(*index.entries[e], c) for e, c in zip(entry[row == r], cos[row == r])]
+            assert index.query(vecs[r], 0.6, max_results=4) == got
+
+    def test_large_bucket_searched_in_parts(self, rng):
+        # every entry in one bucket: the re-rank runs in several parts
+        v = random_units(1, 8, rng)[0]
+        jitter = 1e-4 * random_units(3000, 8, rng)
+        vecs = (v + jitter) / np.linalg.norm(v + jitter, axis=1, keepdims=True)
+        params = LshParams(tables=2, hashes_per_table=1, multiprobe=0)
+        index = LshIndex.build([(f"v{i:04d}", 0, x) for i, x in enumerate(vecs)], 8, params)
+        assert max(len(b) for t in index.tables for b in t.values()) == 3000
+        row, entry, cos = index.search(vecs[:20], 0.9, max_results=5)
+        for r in range(20):
+            want = ref_query(index, vecs[r], 0.9, 5)
+            assert [index.entries[e] for e in entry[row == r]] == [h[:2] for h in want]
