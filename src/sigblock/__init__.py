@@ -19,8 +19,8 @@ from .data_model import (
     tokenize,
 )
 from .text_embedding import EmbeddingTable, load_pretrained, ngrams
-from .encoder import AttentionalEncoder, attention_weights, encode_attribute, seq_encode
-from .signatures import SignatureModel, SignatureWeights, compute_signature, cosine
+from .encoder import AttentionalEncoder
+from .signatures import SignatureModel, SignatureWeights, cosine
 from .training import TrainingConfig, train
 from .lsh import LshIndex, LshParams, LshTheoryParams, rho_exponent
 from .blocking import CandidateSet, block, block_brute_force, pe_ratio
@@ -51,12 +51,9 @@ __all__ = [
     "SynthSpec",
     "Table",
     "TrainingConfig",
-    "attention_weights",
     "block",
     "block_brute_force",
-    "compute_signature",
     "cosine",
-    "encode_attribute",
     "ingest",
     "key_block",
     "load_labels",
@@ -69,7 +66,6 @@ __all__ = [
     "recall",
     "rho_exponent",
     "save_model",
-    "seq_encode",
     "split",
     "synthesize",
     "tokenize",

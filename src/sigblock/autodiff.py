@@ -82,14 +82,15 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -202,12 +203,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # Stable on both tails.
-    data = np.empty_like(a.data)
-    pos = a.data >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    # Stable on both tails: e = exp(-|x|) <= 1 never overflows; x >= 0
+    # takes 1 / (1 + e) and x < 0 takes e / (1 + e).
+    e = np.exp(-np.abs(a.data))
+    data = np.where(a.data >= 0, 1.0, e)
+    data /= 1.0 + e
 
     def backward(g):
         a.accumulate(g * data * (1.0 - data))
@@ -256,17 +256,12 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def mean(a: Tensor) -> Tensor:
-    return scale(tsum(a), 1.0 / a.data.size)
-
-
 def getitem(a: Tensor, key) -> Tensor:
     data = a.data[key]
-    advanced = _is_advanced(key)
 
     def backward(g):
         buf = np.zeros_like(a.data)
-        if advanced:
+        if _is_advanced(key):
             np.add.at(buf, key, g)
         else:
             buf[key] = g
@@ -305,11 +300,11 @@ def scatter_rows(src: Tensor, row_ids: np.ndarray, n_out: int) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
+        hi = 0
+        for t in tensors:
+            lo, hi = hi, hi + t.data.shape[axis]
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
@@ -402,8 +397,3 @@ def backward(loss: Tensor) -> None:
             node._parents = ()
             node._backward = None
             node.grad = None
-
-
-def parameters_zero_grad(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None

@@ -72,7 +72,7 @@ def signature_matrix(
             seqs.append(prep)
         if not rows:
             continue
-        encoded = encode_sequences_tape(
+        encoded, _ = encode_sequences_tape(
             emb_t, enc_t, enc.smoothing_rho, enc.hidden, seqs
         )
         attr_emb[np.array(rows), j] = encoded.data

@@ -7,11 +7,12 @@ vector, softmaxed, and smoothed toward the uniform weight ``1/l`` by a
 coefficient ``rho`` in [0, 1]; the attribute embedding is the weighted
 average of the raw token vectors under those smoothed weights.
 
-Two implementations share the parameter arrays: plain-numpy functions
-for single sequences (inference, introspection) and a batched
-graph-recording path used during training
-(:func:`encode_sequences_tape`). Gate order in the packed LSTM weight
-matrices is input, forget, cell, output.
+One implementation, :func:`encode_sequences_tape`, encodes a batch of
+sequences on the autodiff tape. Training records gradients through it;
+blocking, single-record signatures and attention introspection run the
+same routine on tensors that do not require gradients, so it records
+nothing. Gate order in the packed LSTM weight matrices is input,
+forget, cell, output.
 """
 
 from __future__ import annotations
@@ -25,15 +26,6 @@ from .data_model import AttributeValue
 from .text_embedding import EmbeddingTable
 
 PARAM_NAMES = ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b", "attn")
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass
@@ -70,77 +62,6 @@ class AttentionalEncoder:
             "attn": rng.uniform(-k, k, size=(2 * hidden,)),
         }
         return cls(dim, hidden, smoothing_rho, max_tokens, params)
-
-
-def _lstm_pass(
-    vectors: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, hidden: int
-) -> np.ndarray:
-    """Run one direction over (l, d) inputs; returns (l, hidden) states."""
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    states = np.empty((len(vectors), hidden))
-    for k, v in enumerate(vectors):
-        z = v @ wx + h @ wh + b
-        i = _stable_sigmoid(z[:hidden])
-        f = _stable_sigmoid(z[hidden : 2 * hidden])
-        g = np.tanh(z[2 * hidden : 3 * hidden])
-        o = _stable_sigmoid(z[3 * hidden :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        states[k] = h
-    return states
-
-
-def seq_encode(encoder: AttentionalEncoder, token_vectors: np.ndarray) -> np.ndarray:
-    """Hidden state per position: forward and backward halves concatenated."""
-    vectors = np.asarray(token_vectors, dtype=np.float64)
-    if vectors.ndim != 2 or len(vectors) < 1:
-        raise ValueError("expected a non-empty (l, d) sequence")
-    p = encoder.params
-    fwd = _lstm_pass(vectors, p["wx_f"], p["wh_f"], p["b_f"], encoder.hidden)
-    bwd = _lstm_pass(vectors[::-1], p["wx_b"], p["wh_b"], p["b_b"], encoder.hidden)[::-1]
-    return np.concatenate([fwd, bwd], axis=1)
-
-
-def attention_weights(encoder: AttentionalEncoder, hidden_states: np.ndarray) -> np.ndarray:
-    """Smoothed attention weights; always positive and summing to one."""
-    scores = hidden_states @ encoder.params["attn"]
-    scores = scores - scores.max()
-    e = np.exp(scores)
-    alpha = e / e.sum()
-    l = len(scores)
-    rho = encoder.smoothing_rho
-    return rho * alpha + (1.0 - rho) / l
-
-
-def encode_attribute(
-    encoder: AttentionalEncoder, table: EmbeddingTable, value: AttributeValue
-) -> np.ndarray | None:
-    """Attribute embedding, or None for a missing value."""
-    if value.is_missing:
-        return None
-    tokens = value.tokens[: encoder.max_tokens]
-    vectors = np.stack([table.embed(t) for t in tokens])
-    states = seq_encode(encoder, vectors)
-    beta = attention_weights(encoder, states)
-    return beta @ vectors
-
-
-def token_attention(
-    encoder: AttentionalEncoder, table: EmbeddingTable, value: AttributeValue
-) -> list[tuple[str, float]]:
-    """(token, weight) pairs for introspection; empty for missing values."""
-    if value.is_missing:
-        return []
-    tokens = value.tokens[: encoder.max_tokens]
-    vectors = np.stack([table.embed(t) for t in tokens])
-    beta = attention_weights(encoder, seq_encode(encoder, vectors))
-    return list(zip(tokens, (float(b) for b in beta)))
-
-
-# ---------------------------------------------------------------------------
-# Batched, graph-recording path used by the trainer.
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -195,11 +116,13 @@ def encode_sequences_tape(
     rho: float,
     hidden: int,
     seqs: list[PreparedSequence],
-) -> ad.Tensor:
-    """Encode a batch of sequences on the tape; returns (n_seqs, d).
+) -> tuple[ad.Tensor, list[np.ndarray]]:
+    """Encode a batch of sequences on the tape.
 
-    Sequences are grouped by length so each group runs as dense
-    batched matmuls without masking.
+    Returns the (n_seqs, d) attribute embeddings and, per sequence, its
+    smoothed attention weights (an array of its length). Sequences are
+    grouped by length so each group runs as dense batched matmuls
+    without masking.
     """
     by_len: dict[int, list[int]] = {}
     for idx, s in enumerate(seqs):
@@ -207,6 +130,7 @@ def encode_sequences_tape(
 
     outputs: list[ad.Tensor] = []
     order: list[int] = []
+    weights: list[np.ndarray] = [None] * len(seqs)
     dim = emb.data.shape[1]
     attn_col = ad.reshape(enc["attn"], (2 * hidden, 1))
     for length in sorted(by_len):
@@ -243,6 +167,8 @@ def encode_sequences_tape(
         scores = score_cols[0] if length == 1 else ad.concat(score_cols, axis=1)
         alpha = ad.softmax(scores, axis=1)
         beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
+        for idx, row in zip(members, beta.data):
+            weights[idx] = row
         acc = ad.mul(beta[:, 0:1], v_steps[0])
         for k in range(1, length):
             acc = ad.add(acc, ad.mul(beta[:, k : k + 1], v_steps[k]))
@@ -252,8 +178,27 @@ def encode_sequences_tape(
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[np.array(order, dtype=np.int64)] = np.arange(len(order))
     if np.array_equal(inverse, np.arange(len(order))):
-        return stacked
-    return ad.take_rows(stacked, inverse)
+        return stacked, weights
+    return ad.take_rows(stacked, inverse), weights
+
+
+def token_attention(
+    encoder: AttentionalEncoder, table: EmbeddingTable, value: AttributeValue
+) -> list[tuple[str, float]]:
+    """(token, weight) pairs of the smoothed attention over one value's
+    tokens, read off :func:`encode_sequences_tape` for a batch of one;
+    empty for a missing value."""
+    seq = prepare_sequence(table, value, encoder.max_tokens)
+    if seq is None:
+        return []
+    _, (beta,) = encode_sequences_tape(
+        ad.Tensor(table.rows),
+        encoder_tensors(encoder, requires_grad=False),
+        encoder.smoothing_rho,
+        encoder.hidden,
+        [seq],
+    )
+    return list(zip(value.tokens[: encoder.max_tokens], beta.tolist()))
 
 
 def _lstm_tape(
@@ -269,10 +214,12 @@ def _lstm_tape(
     states: list[ad.Tensor] = []
     for v in v_steps:
         z = ad.add(ad.add(ad.matmul(v, wx), ad.matmul(h, wh)), b)
-        i = ad.sigmoid(z[:, :hidden])
-        f = ad.sigmoid(z[:, hidden : 2 * hidden])
+        # one elementwise sigmoid over all gates; the cell slice is unused
+        gates = ad.sigmoid(z)
+        i = gates[:, :hidden]
+        f = gates[:, hidden : 2 * hidden]
         g = ad.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = ad.sigmoid(z[:, 3 * hidden :])
+        o = gates[:, 3 * hidden :]
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
         h = ad.mul(o, ad.tanh(c))
         states.append(h)

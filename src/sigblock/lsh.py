@@ -59,13 +59,9 @@ def next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR with sign correction."""
-    return random_rotations(dim, 1, rng)[0]
-
-
 def random_rotations(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, dim, dim) stack of independent random orthogonal matrices."""
+    """(count, dim, dim) stack of independent Haar-distributed orthogonal
+    matrices, via QR with sign correction."""
     gauss = rng.standard_normal((count, dim, dim))
     q, r = np.linalg.qr(gauss)
     signs = np.sign(np.einsum("kii->ki", r))
@@ -80,27 +76,13 @@ def pad_to(v: np.ndarray, dim_padded: int) -> np.ndarray:
     return np.pad(v, pad_width)
 
 
-def hash_one(rotation: np.ndarray, v: np.ndarray) -> int:
-    """Signed index of the rotated vector's dominant axis: +/-1..+/-d.
-
-    Ties go to the smallest axis index, positive sign first; the zero
-    vector has no dominant axis and is rejected.
-    """
-    u = rotation @ v
-    mag = np.abs(u)
-    j = int(np.argmax(mag))
-    if mag[j] == 0.0:
-        raise ValueError("cannot hash a zero vector")
-    return (j + 1) if u[j] >= 0.0 else -(j + 1)
-
-
 def _top2(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best and runner-up signed axes of rotated vectors, and their gap.
 
     ``u`` holds one rotated vector per row. A signed axis is coded
-    ``2 * index + (coordinate < 0)``; as in ``hash_one``, ties go to the
-    smallest index and a zero coordinate counts as positive. With one
-    coordinate the runner-up is the opposite sign and the gap 2|u|.
+    ``2 * index + (coordinate < 0)``; ties go to the smallest index and
+    a zero coordinate counts as positive. With one coordinate the
+    runner-up is the opposite sign and the gap 2|u|.
     """
     r = np.arange(len(u))
     mag = np.abs(u)
@@ -122,6 +104,24 @@ def _hash(
     u = padded @ rotations.reshape(-1, dp).T
     shape = (len(padded), tables, hashes)
     return tuple(a.reshape(shape) for a in _top2(u.reshape(-1, dp)))
+
+
+def _stack_vectors(items: list[tuple[str, int, np.ndarray]], dim: int) -> np.ndarray:
+    """The items' vectors as (n, dim) float64 rows; an item of another
+    shape fails with a message naming the first such id."""
+    if not items:
+        return np.zeros((0, dim))
+    rows = [vec for _, _, vec in items]
+    try:
+        vectors = np.array(rows, dtype=np.float64)
+    except ValueError:  # rows of different shapes
+        vectors = None
+    if vectors is None or vectors.shape != (len(rows), dim):
+        for (rid, _, _), vec in zip(items, rows):
+            if np.shape(vec) != (dim,):
+                raise ValueError(f"vector for {rid!r} has shape {np.shape(vec)}, want ({dim},)")
+        vectors = np.array(rows, dtype=np.float64)  # not numbers: numpy's own error
+    return vectors
 
 
 def _key_shifts(dp: int, hashes: int, tables: int) -> tuple[np.ndarray, int]:
@@ -280,28 +280,23 @@ class LshIndex:
         """Index (record_id, signature_id, unit vector) triples."""
         params = params or LshParams()
         params.validate()
-        entries: list[tuple[str, int]] = []
-        seen: set[tuple[str, int]] = set()
-        vec_rows: list[np.ndarray] = []
-        for rid, sig, vec in items:
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (dim,):
-                raise ValueError(f"vector for {rid!r} has shape {vec.shape}, want ({dim},)")
-            if abs(np.linalg.norm(vec) - 1.0) > UNIT_TOL:
-                raise ValueError(f"vector for id {rid!r} is not unit norm")
-            key = (rid, sig)
-            if key in seen:
-                raise ValueError(f"duplicate entry ({rid!r}, {sig})")
-            seen.add(key)
-            entries.append(key)
-            vec_rows.append(vec)
+        items = list(items)
+        entries = [(rid, sig) for rid, sig, _ in items]
+        vectors = _stack_vectors(items, dim)
+        off_unit = np.abs(np.linalg.norm(vectors, axis=1) - 1.0) > UNIT_TOL
+        if off_unit.any():
+            rid = entries[off_unit.argmax()][0]
+            raise ValueError(f"vector for id {rid!r} is not unit norm")
+        if len(set(entries)) != len(entries):
+            seen: set[tuple[str, int]] = set()
+            for rid, sig in entries:
+                if (rid, sig) in seen:
+                    raise ValueError(f"duplicate entry ({rid!r}, {sig})")
+                seen.add((rid, sig))
         dp = next_pow2(dim)
         rng = np.random.Generator(np.random.PCG64(params.seed))
         rotations = random_rotations(dp, params.tables * params.hashes_per_table, rng)
         rotations = rotations.reshape(params.tables, params.hashes_per_table, dp, dp)
-        vectors = (
-            np.stack(vec_rows) if vec_rows else np.zeros((0, dim), dtype=np.float64)
-        )
         if not entries:
             tables = [dict() for _ in range(params.tables)]
             return cls(dim, params, rotations, entries, vectors, tables)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_model import Dataset, Record
-from .encoder import AttentionalEncoder, encode_attribute
+from .encoder import AttentionalEncoder
 from .text_embedding import EmbeddingTable
 
 SUPPORT_EPS = 1e-3
@@ -51,18 +51,6 @@ def prune_support(row: np.ndarray, eps: float = SUPPORT_EPS) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def compute_signature(
-    weights_row: np.ndarray, attribute_embeddings: list[np.ndarray | None]
-) -> np.ndarray | None:
-    """Weighted sum over non-missing attributes; None when nothing applies."""
-    acc: np.ndarray | None = None
-    for w, g in zip(weights_row, attribute_embeddings):
-        if g is None or w == 0.0:
-            continue
-        acc = w * g if acc is None else acc + w * g
-    return acc
-
-
 def cosine(f: np.ndarray | None, g: np.ndarray | None) -> float:
     """Cosine similarity; zero when either side is missing or zero-norm."""
     if f is None or g is None:
@@ -93,18 +81,13 @@ class SignatureModel:
     def num_signatures(self) -> int:
         return self.weights.count
 
-    def attribute_embeddings(self, record: Record) -> list[np.ndarray | None]:
-        return [
-            encode_attribute(enc, self.table, value)
-            for enc, value in zip(self.encoders, record.attributes)
-        ]
-
     def signature_vectors(self, record: Record) -> list[np.ndarray | None]:
-        embeddings = self.attribute_embeddings(record)
-        return [
-            compute_signature(self.weights.matrix[s], embeddings)
-            for s in range(self.weights.count)
-        ]
+        """One record's signature vectors, ``None`` where a signature is
+        absent: a batch of one through ``blocking.signature_matrix``."""
+        from .blocking import signature_matrix  # blocking imports this module
+
+        sig, present = signature_matrix(self, [record])
+        return [v if ok else None for v, ok in zip(sig[0], present[0])]
 
     def tuple_similarity(self, x: Record, y: Record) -> float:
         """Maximum cosine over aligned signature pairs."""

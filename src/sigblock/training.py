@@ -350,7 +350,7 @@ class SignatureTrainer:
             if not rows:
                 continue
             seqs = [self.prepared(rec_idx[k], j) for k in rows]
-            encoded = encode_sequences_tape(
+            encoded, _ = encode_sequences_tape(
                 self.emb_t,
                 self.enc_t[j],
                 self.encoders[j].smoothing_rho,

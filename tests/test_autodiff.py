@@ -1,5 +1,7 @@
 """Finite-difference checks for every tape operation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,29 @@ def test_matmul_tanh_sigmoid():
         return ad.tsum(ad.sigmoid(ad.tanh(ad.matmul(ts[0], ts[1]))))
 
     check_op(build, [(3, 4), (4, 2)])
+
+
+def test_sigmoid_matches_masked_reference_bitwise():
+    def masked(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(0)
+    arrays = [
+        np.array([1000.0, -1000.0, 0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300]),
+        rng.standard_normal(5000) * 40.0,
+        rng.standard_normal((7, 5)),
+    ]
+    for x in arrays:
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = ad.sigmoid(ad.Tensor(x)).data
+        want = masked(x)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_exp_log_sqrt():

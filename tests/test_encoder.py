@@ -1,4 +1,5 @@
-"""Sequence encoder, attention weights, and attribute embeddings."""
+"""The batched attribute encoder: attention weights, attribute
+embeddings, and agreement with a per-sequence numpy oracle."""
 
 import math
 
@@ -9,12 +10,10 @@ from sigblock import autodiff as ad
 from sigblock.data_model import AttributeValue
 from sigblock.encoder import (
     AttentionalEncoder,
-    attention_weights,
-    encode_attribute,
     encode_sequences_tape,
     encoder_tensors,
     prepare_sequence,
-    seq_encode,
+    token_attention,
 )
 from sigblock.text_embedding import EmbeddingTable
 
@@ -26,101 +25,185 @@ def make_encoder(dim=6, hidden=4, rho=1.0, seed=0):
     return AttentionalEncoder.initialize(dim, hidden, rho, rng)
 
 
+def encode(enc, table, values):
+    """Embeddings (n, d) and per-value attention weights of one batch."""
+    seqs = [prepare_sequence(table, v, enc.max_tokens) for v in values]
+    out, weights = encode_sequences_tape(
+        ad.Tensor(table.rows), encoder_tensors(enc, False), enc.smoothing_rho, enc.hidden, seqs
+    )
+    return out.data, weights
+
+
+def embed(enc, table, value):
+    """One value's embedding, encoded as a batch of one."""
+    return encode(enc, table, [value])[0][0]
+
+
+def token_vectors(table, value, max_tokens=64):
+    return np.stack([table.embed(t) for t in value.tokens[:max_tokens]])
+
+
+def oracle(enc, vectors):
+    """Per-sequence numpy BiLSTM with smoothed attention over (l, d)
+    token vectors; returns (embedding, attention weights)."""
+    p, hid = enc.params, enc.hidden
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def run(xs, wx, wh, b):
+        h = c = np.zeros(hid)
+        states = []
+        for x in xs:
+            z = x @ wx + h @ wh + b
+            i, f, o = sigmoid(z[:hid]), sigmoid(z[hid : 2 * hid]), sigmoid(z[3 * hid :])
+            c = f * c + i * np.tanh(z[2 * hid : 3 * hid])
+            h = o * np.tanh(c)
+            states.append(h)
+        return np.array(states)
+
+    fwd = run(vectors, p["wx_f"], p["wh_f"], p["b_f"])
+    bwd = run(vectors[::-1], p["wx_b"], p["wh_b"], p["b_b"])[::-1]
+    scores = np.hstack([fwd, bwd]) @ p["attn"]
+    alpha = np.exp(scores - scores.max())
+    alpha /= alpha.sum()
+    rho = enc.smoothing_rho
+    beta = rho * alpha + (1.0 - rho) / len(vectors)
+    return beta @ vectors, beta
+
+
+def words(n, prefix="tok"):
+    return AttributeValue(tuple(f"{prefix}{i}" for i in range(n)))
+
+
 class TestSeqEncode:
-    def test_single_position(self, rng):
-        enc = make_encoder()
-        states = seq_encode(enc, rng.standard_normal((1, 6)))
-        assert states.shape == (1, 8)
+    def test_single_position(self):
+        enc = make_encoder(rho=0.5, seed=1)
+        table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
+        value = AttributeValue(("dylan",))
+        out, (beta,) = encode(enc, table, [value])
+        assert out.shape == (1, 6) and beta.shape == (1,)
+        want, _ = oracle(enc, token_vectors(table, value))
+        np.testing.assert_allclose(out[0], want, atol=1e-12)
 
     def test_zero_inputs_zero_biases_give_zero_states(self):
-        enc = make_encoder()
+        # Zero states score every position alike, so even rho = 1 gives
+        # uniform attention and a zero embedding.
+        enc = make_encoder(rho=1.0, seed=3)
         for name in ("b_f", "b_b"):
             enc.params[name][:] = 0.0
-        states = seq_encode(enc, np.zeros((4, 6)))
-        np.testing.assert_allclose(states, np.zeros((4, 8)), atol=1e-15)
+        enc.params["attn"][:] = 5.0
+        table = EmbeddingTable(dim=6, bucket_count=32, seed=0, rows=np.zeros((32, 6)))
+        out, (beta,) = encode(enc, table, [words(4)])
+        np.testing.assert_allclose(beta, np.full(4, 0.25), atol=1e-15)
+        np.testing.assert_allclose(out, np.zeros((1, 6)), atol=1e-15)
 
-    def test_reversal_swaps_halves_with_tied_weights(self, rng):
-        enc = make_encoder(seed=5)
-        enc.params["wx_b"] = enc.params["wx_f"].copy()
-        enc.params["wh_b"] = enc.params["wh_f"].copy()
-        enc.params["b_b"] = enc.params["b_f"].copy()
-        vectors = rng.standard_normal((5, 6))
-        h = seq_encode(enc, vectors)
-        h_rev = seq_encode(enc, vectors[::-1])
-        hidden = enc.hidden
-        swapped = np.concatenate(
-            [h[::-1][:, hidden:], h[::-1][:, :hidden]], axis=1
-        )
-        np.testing.assert_allclose(h_rev, swapped, atol=1e-12)
+    def test_reversal_swaps_halves_with_tied_weights(self):
+        # With the backward direction tied to the forward one, reversing
+        # the tokens swaps and reverses the hidden-state halves; under a
+        # symmetric attention vector the weights reverse and the
+        # embedding stays the same.
+        enc = make_encoder(rho=0.8, seed=5)
+        for name in ("wx", "wh", "b"):
+            enc.params[f"{name}_b"] = enc.params[f"{name}_f"].copy()
+        hid = enc.hidden
+        enc.params["attn"][hid:] = enc.params["attn"][:hid]
+        table = EmbeddingTable(dim=6, bucket_count=64, seed=0)
+        value = AttributeValue(("blowin'", "in", "the", "wind", "again"))
+        reversed_value = AttributeValue(value.tokens[::-1])
+        out, (beta, beta_rev) = encode(enc, table, [value, reversed_value])
+        np.testing.assert_allclose(beta_rev, beta[::-1], atol=1e-12)
+        np.testing.assert_allclose(out[1], out[0], atol=1e-12)
 
 
 class TestAttentionWeights:
-    def test_rho_zero_is_uniform(self, rng):
+    def test_rho_zero_is_uniform(self):
         enc = make_encoder(rho=0.0)
-        beta = attention_weights(enc, rng.standard_normal((4, 8)))
+        table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
+        _, (beta,) = encode(enc, table, [words(4)])
         np.testing.assert_allclose(beta, np.full(4, 0.25), atol=1e-15)
 
-    def test_singleton_is_one(self, rng):
+    def test_singleton_is_one(self):
         enc = make_encoder(rho=0.7)
-        beta = attention_weights(enc, rng.standard_normal((1, 8)))
+        table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
+        _, (beta,) = encode(enc, table, [words(1)])
         np.testing.assert_allclose(beta, [1.0], atol=1e-15)
 
     def test_hand_softmax(self):
-        enc = make_encoder(rho=1.0)
-        enc.params["attn"][:] = 0.0
-        enc.params["attn"][0] = 1.0
-        states = np.zeros((2, 8))
-        states[1, 0] = math.log(3.0)  # scores (0, ln 3)
-        beta = attention_weights(enc, states)
+        # Saturated gates (input and output 1, forget 0) and a cell gate
+        # reading the token make the forward state tanh(tanh(x)); the
+        # backward direction reads nothing and stays zero. Tokens 0 and 1
+        # then score 0 and ln 3.
+        enc = make_encoder(dim=1, hidden=1, rho=1.0)
+        for name in ("wx_f", "wh_f", "wx_b", "wh_b"):
+            enc.params[name][...] = 0.0
+        for b in ("b_f", "b_b"):
+            enc.params[b][:] = [40.0, -40.0, 0.0, 40.0]
+        enc.params["wx_f"][0, 2] = 1.0
+        enc.params["attn"][:] = [math.log(3.0) / math.tanh(math.tanh(1.0)), 0.0]
+        table = EmbeddingTable(
+            dim=1, bucket_count=4, seed=0,
+            pretrained={"a": np.array([0.0]), "b": np.array([1.0])},
+        )
+        _, (beta,) = encode(enc, table, [AttributeValue(("a", "b"))])
         np.testing.assert_allclose(beta, [0.25, 0.75], atol=1e-12)
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("length", [1, 2, 7])
-    def test_sums_to_one_and_positive(self, rng, rho, length):
-        enc = make_encoder(rho=rho)
-        beta = attention_weights(enc, rng.standard_normal((length, 8)) * 5)
-        assert abs(beta.sum() - 1.0) < 1e-6
-        assert (beta > 0).all()
+    def test_sums_to_one_and_positive(self, rho, length):
+        enc = make_encoder(rho=rho, seed=length)
+        enc.params["attn"] *= 25.0  # peaked scores
+        table = EmbeddingTable(dim=6, bucket_count=64, seed=1)
+        _, weights = encode(enc, table, [words(length), words(length, "w"), words(3)])
+        for beta in weights:
+            assert abs(beta.sum() - 1.0) < 1e-6
+            assert (beta > 0).all()
+
+    def test_token_attention_reads_batched_weights(self):
+        enc = make_encoder(rho=0.6, seed=2)
+        enc.max_tokens = 3
+        table = EmbeddingTable(dim=6, bucket_count=64, seed=0)
+        value = AttributeValue(("me", "and", "mrs.", "jones"))
+        pairs = token_attention(enc, table, value)
+        assert [t for t, _ in pairs] == ["me", "and", "mrs."]
+        _, (beta,) = encode(enc, table, [value])
+        assert [w for _, w in pairs] == beta.tolist()
+        assert token_attention(enc, table, AttributeValue(())) == []
 
 
 class TestEncodeAttribute:
     def test_missing_gives_none(self):
         enc = make_encoder()
         table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
-        assert encode_attribute(enc, table, AttributeValue(())) is None
+        assert prepare_sequence(table, AttributeValue(()), enc.max_tokens) is None
 
     def test_rho_zero_equals_token_mean(self):
         enc = make_encoder(rho=0.0)
         table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
         value = AttributeValue(("blowin'", "in", "the", "wind"))
-        got = encode_attribute(enc, table, value)
-        vectors = np.stack([table.embed(t) for t in value.tokens])
-        np.testing.assert_allclose(got, vectors.mean(axis=0), atol=1e-12)
+        got = embed(enc, table, value)
+        np.testing.assert_allclose(got, token_vectors(table, value).mean(axis=0), atol=1e-12)
 
     def test_single_token_passthrough(self):
         enc = make_encoder(rho=0.9)
         table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
-        got = encode_attribute(enc, table, AttributeValue(("dylan",)))
+        got = embed(enc, table, AttributeValue(("dylan",)))
         np.testing.assert_allclose(got, table.embed("dylan"), atol=1e-12)
 
     def test_truncation_cap(self):
         enc = make_encoder()
         enc.max_tokens = 3
         table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
-        long = AttributeValue(tuple(f"tok{i}" for i in range(10)))
-        short = AttributeValue(tuple(f"tok{i}" for i in range(3)))
-        np.testing.assert_allclose(
-            encode_attribute(enc, table, long),
-            encode_attribute(enc, table, short),
-            atol=1e-15,
-        )
+        out, weights = encode(enc, table, [words(10), words(3)])
+        assert [len(b) for b in weights] == [3, 3]
+        np.testing.assert_allclose(out[0], out[1], atol=1e-15)
 
     def test_hash_relabel_symmetry(self):
         # Permuting buckets together with the matching rows is invisible.
         enc = make_encoder(rho=0.8, seed=2)
         table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
         value = AttributeValue(("me", "and", "mrs.", "jones"))
-        base = encode_attribute(enc, table, value)
+        base = embed(enc, table, value)
         perm = np.random.default_rng(1).permutation(32)
         inv = np.argsort(perm)
         permuted = EmbeddingTable(
@@ -129,29 +212,31 @@ class TestEncodeAttribute:
 
         ids = {t: perm[table.bucket_ids(t)] for t in value.tokens}
         permuted._bucket_cache.update({t: np.asarray(v) for t, v in ids.items()})
-        got = encode_attribute(enc, permuted, value)
+        got = embed(enc, permuted, value)
         np.testing.assert_allclose(got, base, atol=1e-12)
 
 
 class TestTapeConsistency:
-    def test_batched_matches_single(self, rng):
+    def test_batched_matches_single(self):
+        # A mixed-length batch, repeats included, against the numpy oracle
+        # run on each value alone.
         table = EmbeddingTable(dim=6, bucket_count=64, seed=1)
-        enc = make_encoder(rho=0.6, seed=3)
+        enc = make_encoder(seed=3)
         values = [
             AttributeValue(("me", "and", "mrs.", "jones")),
             AttributeValue(("dylan",)),
             AttributeValue(("call", "me")),
             AttributeValue(("blowin'", "in", "the", "wind")),
             AttributeValue(("call", "me")),
+            words(9),
         ]
-        seqs = [prepare_sequence(table, v, enc.max_tokens) for v in values]
-        emb_t = ad.Tensor(table.rows)
-        out = encode_sequences_tape(
-            emb_t, encoder_tensors(enc, False), enc.smoothing_rho, enc.hidden, seqs
-        )
-        for k, v in enumerate(values):
-            single = encode_attribute(enc, table, v)
-            np.testing.assert_allclose(out.data[k], single, atol=1e-10)
+        for rho in (0.0, 0.6, 1.0):
+            enc.smoothing_rho = rho
+            out, weights = encode(enc, table, values)
+            for k, v in enumerate(values):
+                want, want_beta = oracle(enc, token_vectors(table, v))
+                np.testing.assert_allclose(out[k], want, atol=1e-12)
+                np.testing.assert_allclose(weights[k], want_beta, atol=1e-12)
 
     def test_pretrained_tokens_enter_as_constants(self):
         table = EmbeddingTable(
@@ -161,14 +246,14 @@ class TestTapeConsistency:
             pretrained={"jones": np.array([1.0, 2.0, 3.0, 4.0])},
         )
         enc = make_encoder(dim=4, hidden=3, rho=0.0)
-        value = AttributeValue(("jones",))
-        single = encode_attribute(enc, table, value)
-        np.testing.assert_allclose(single, [1.0, 2.0, 3.0, 4.0], atol=1e-12)
-        seqs = [prepare_sequence(table, value, enc.max_tokens)]
-        out = encode_sequences_tape(
-            ad.Tensor(table.rows), encoder_tensors(enc, False), 0.0, enc.hidden, seqs
+        np.testing.assert_allclose(
+            embed(enc, table, AttributeValue(("jones",))), [1.0, 2.0, 3.0, 4.0], atol=1e-12
         )
-        np.testing.assert_allclose(out.data[0], single, atol=1e-12)
+        # mixed with hashed tokens, against the oracle
+        enc.smoothing_rho = 0.7
+        value = AttributeValue(("mrs.", "jones", "remix"))
+        want, _ = oracle(enc, token_vectors(table, value))
+        np.testing.assert_allclose(embed(enc, table, value), want, atol=1e-12)
 
 
 class TestEncoderGradients:
@@ -186,7 +271,7 @@ class TestEncoderGradients:
         seqs = [prepare_sequence(table, value, enc.max_tokens)]
 
         def forward() -> ad.Tensor:
-            out = encode_sequences_tape(emb_t, enc_t, enc.smoothing_rho, enc.hidden, seqs)
+            out, _ = encode_sequences_tape(emb_t, enc_t, enc.smoothing_rho, enc.hidden, seqs)
             return ad.tsum(ad.mul(out, ad.Tensor(probe.reshape(1, -1))))
 
         loss = forward()

@@ -9,12 +9,13 @@ from sigblock.lsh import (
     LshIndex,
     LshParams,
     LshTheoryParams,
+    _hash,
+    _signed,
+    _top2,
     approx_factor,
     cosine_to_euclidean,
-    hash_one,
     next_pow2,
     pad_to,
-    random_rotation,
     random_rotations,
     rho_exponent,
 )
@@ -30,33 +31,44 @@ def random_units(n, d, rng):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def signed_axes(rotations, vectors):
+    """Signed dominant axis (+/-1..+/-d) of each vector under each rotation,
+    shaped (vectors, rotations)."""
+    best, _, _ = _hash(rotations[:, None], vectors)
+    return _signed(best)[:, :, 0]
+
+
 class TestHashOne:
+    """One cross-polytope hash: the signed axis nearest a rotated vector."""
+
     def test_identity_fixed_point(self):
         e3 = np.zeros(4)
         e3[2] = 1.0
-        assert hash_one(np.eye(4), e3) == 3
+        assert signed_axes(np.eye(4)[None], e3[None]).tolist() == [[3]]
 
     def test_negative_axis(self):
         v = np.zeros(4)
         v[0] = -1.0
-        assert hash_one(np.eye(4), v) == -1
+        assert signed_axes(np.eye(4)[None], v[None]).tolist() == [[-1]]
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            hash_one(np.eye(4), np.zeros(4))
+        with pytest.raises(ValueError, match="'z' is not unit norm"):
+            LshIndex.build([("z", 0, np.zeros(4))], dim=4)
 
     def test_tie_breaks_smallest_index_positive_first(self):
-        v = unit([1.0, 1.0, 0.0])
-        assert hash_one(np.eye(3), v) == 1
-        v = unit([0.0, -1.0, 1.0])  # equal magnitude, index 1 first
-        assert hash_one(np.eye(3), v) == -2
+        vs = np.stack([unit([1.0, 1.0, 0.0]), unit([0.0, -1.0, 1.0]), unit([0.0, 1.0, -1.0])])
+        assert signed_axes(np.eye(3)[None], vs).tolist() == [[1], [-2], [2]]
+        # the runner-up is the next axis in the same order
+        _, second, gap = _top2(vs)
+        assert _signed(second).tolist() == [2, 3, -3]
+        assert gap.tolist() == [0.0, 0.0, 0.0]
 
     def test_identical_always_collide_antipodal_never(self, rng):
-        for _ in range(200):
-            rot = random_rotation(8, rng)
-            v = random_units(1, 8, rng)[0]
-            assert hash_one(rot, v) == hash_one(rot, v)
-            assert hash_one(rot, v) == -hash_one(rot, -v)
+        rots = random_rotations(8, 200, rng)
+        vs = random_units(50, 8, rng)
+        axes = signed_axes(rots, vs)
+        assert (signed_axes(rots, vs.copy()) == axes).all()
+        assert (signed_axes(rots, -vs) == -axes).all()
 
 
 class TestRotations:
@@ -147,6 +159,22 @@ class TestIndex:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             LshIndex.build([("a", 0, np.ones(8))], dim=8)
+
+    def test_wrong_shape_rejected(self, rng):
+        v = random_units(1, 8, rng)[0]
+        with pytest.raises(ValueError, match=r"'b' has shape \(7,\), want \(8,\)"):
+            LshIndex.build([("a", 0, v), ("b", 0, v[:7]), ("c", 0, v[:6])], dim=8)
+        with pytest.raises(ValueError, match=r"'a' has shape \(1, 8\), want \(8,\)"):
+            LshIndex.build([("a", 0, v[None]), ("b", 0, v[None])], dim=8)
+
+    def test_first_offending_id_named(self, rng):
+        v = random_units(1, 8, rng)[0]
+        with pytest.raises(ValueError, match="'b' is not unit norm"):
+            LshIndex.build([("a", 0, v), ("b", 0, 2 * v), ("c", 0, 3 * v)], dim=8)
+        with pytest.raises(ValueError, match=r"duplicate entry \('b', 1\)"):
+            LshIndex.build(
+                [("a", 0, v), ("b", 1, v), ("a", 1, v), ("b", 1, v), ("a", 0, v)], dim=8
+            )
 
     def test_total_stored_entries(self, rng):
         n = 500

@@ -3,37 +3,97 @@
 import numpy as np
 import pytest
 
+from sigblock import autodiff as ad
+from sigblock.blocking import signature_matrix
 from sigblock.data_model import AttributeValue, Record
-from sigblock.encoder import AttentionalEncoder
+from sigblock.encoder import (
+    AttentionalEncoder,
+    encode_sequences_tape,
+    encoder_tensors,
+    prepare_sequence,
+)
 from sigblock.signatures import (
     SignatureModel,
     SignatureWeights,
-    compute_signature,
     cosine,
     prune_support,
 )
 from sigblock.text_embedding import EmbeddingTable
 
 
+def attribute_embedding(model, j, value):
+    enc = model.encoders[j]
+    out, _ = encode_sequences_tape(
+        ad.Tensor(model.table.rows),
+        encoder_tensors(enc, False),
+        enc.smoothing_rho,
+        enc.hidden,
+        [prepare_sequence(model.table, value, enc.max_tokens)],
+    )
+    return out.data[0]
+
+
 class TestComputeSignature:
+    """Signature vectors are weighted sums of the present attribute
+    embeddings, absent when every supporting attribute is missing."""
+
     def test_all_missing_gives_none(self):
-        assert compute_signature(np.array([0.6, 0.8]), [None, None]) is None
+        model = tiny_model(["title", "album"], [[0.6, 0.8]], rho=0.5)
+        x = record("a", "", "")
+        assert model.signature_vectors(x) == [None]
+        sig, present = signature_matrix(model, [x])
+        assert not present.any()
+        assert not sig.any()
 
     def test_one_hot_passthrough(self):
-        g1 = np.array([1.0, 2.0])
-        got = compute_signature(np.array([1.0, 0.0]), [g1, None])
-        np.testing.assert_allclose(got, g1)
+        model = tiny_model(["title", "album"], [[1.0, 0.0]], rho=0.5)
+        x = record("a", "me and mrs. jones", "")
+        (got,) = model.signature_vectors(x)
+        want = attribute_embedding(model, 0, x.attributes[0])
+        np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_weighted_combination(self):
-        got = compute_signature(
-            np.array([0.6, 0.8, 0.0]),
-            [np.array([1.0, 0.0]), np.array([0.0, 1.0]), None],
+        model = tiny_model(
+            ["title", "album", "year"],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0]],
+            rho=0.5,
         )
-        np.testing.assert_allclose(got, [0.6, 0.8])
+        for x in (
+            record("a", "me and mrs. jones", "call me irresponsible", ""),
+            record("b", "me and mrs. jones", "call me irresponsible", "2007"),
+        ):
+            sig, present = signature_matrix(model, [x])
+            assert present.all()
+            np.testing.assert_allclose(
+                sig[0, 2], 0.6 * sig[0, 0] + 0.8 * sig[0, 1], atol=1e-15
+            )
 
     def test_zero_weight_on_only_present_attribute_is_missing(self):
-        got = compute_signature(np.array([0.0, 1.0]), [np.array([1.0, 1.0]), None])
-        assert got is None
+        model = tiny_model(["title", "album"], [[0.0, 1.0]], rho=0.5)
+        assert model.signature_vectors(record("a", "me and mrs. jones", "")) == [None]
+
+
+class TestSignatureVectors:
+    def test_alone_matches_mixed_batch(self):
+        # A record encoded alone (a batch of one) against the same record
+        # in a batch of other lengths and missing patterns.
+        model = tiny_model(
+            ["title", "album"], [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], rho=0.7
+        )
+        records = [
+            record("a", "me and mrs. jones", "call me irresponsible"),
+            record("b", "dylan", ""),
+            record("c", "", "blowin in the wind live"),
+            record("d", "", ""),
+            record("e", "me and mrs. jones remix edit", "it's time"),
+        ]
+        sig, present = signature_matrix(model, records)
+        for i, x in enumerate(records):
+            alone = model.signature_vectors(x)
+            assert [v is not None for v in alone] == present[i].tolist()
+            for s, v in enumerate(alone):
+                if v is not None:
+                    np.testing.assert_allclose(v, sig[i, s], rtol=0, atol=1e-15)
 
 
 class TestCosine:
