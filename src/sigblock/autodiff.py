@@ -43,6 +43,19 @@ class Tensor:
         else:
             self.grad += g
 
+    def accumulate_rows(self, rows: np.ndarray, g: np.ndarray) -> None:
+        """Add ``g[k]`` to gradient row ``rows[k]``; ``rows`` are unique.
+
+        The other rows are left alone, so once the zero gradient exists a
+        call costs time in the rows it touches only. A dense update would
+        add 0.0 to them, which changes no value except a -0.0 into 0.0.
+        """
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+            self.grad[rows] = g
+        else:
+            self.grad[rows] += g
+
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -260,10 +273,13 @@ def getitem(a: Tensor, key) -> Tensor:
     data = a.data[key]
 
     def backward(g):
-        buf = np.zeros_like(a.data)
         if _is_advanced(key):
-            np.add.at(buf, key, g)
+            # flat position of every element of a[key], in its C order
+            where = np.arange(a.data.size).reshape(a.data.shape)[key]
+            buf = _scatter_sum(where.reshape(-1), g.reshape(-1), a.data.size)
+            buf = buf.reshape(a.data.shape)
         else:
+            buf = np.zeros_like(a.data)
             buf[key] = g
         a.accumulate(buf)
 
@@ -275,22 +291,34 @@ def _is_advanced(key) -> bool:
     return any(isinstance(p, np.ndarray) or isinstance(p, (list,)) for p in parts)
 
 
+def _scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``values[i]`` summed into an (n, ...) zero array at ``index[i]``.
+
+    One flattened ``np.bincount``, which adds in input order starting from
+    zero, so every sum is bitwise the one an element-by-element loop
+    gives. ``index`` holds non-negative row numbers below ``n``.
+    """
+    width = int(np.prod(values.shape[1:], dtype=np.int64))
+    flat = np.asarray(index, dtype=np.int64)
+    if width != 1:
+        flat = (flat[:, None] * width + np.arange(width)).reshape(-1)
+    out = np.bincount(flat, weights=values.reshape(-1), minlength=n * width)
+    return out.reshape((n,) + values.shape[1:])
+
+
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows by integer index; rows may repeat."""
+    """Gather rows by non-negative integer index; rows may repeat."""
     data = a.data[idx]
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        a.accumulate(buf)
+        a.accumulate(_scatter_sum(idx, g, a.data.shape[0]))
 
     return _node(data, (a,), backward)
 
 
 def scatter_rows(src: Tensor, row_ids: np.ndarray, n_out: int) -> Tensor:
     """Sum rows of ``src`` into an (n_out, d) result at positions ``row_ids``."""
-    data = np.zeros((n_out, src.data.shape[1]))
-    np.add.at(data, row_ids, src.data)
+    data = _scatter_sum(row_ids, src.data, n_out)
 
     def backward(g):
         src.accumulate(g[row_ids])
@@ -350,21 +378,45 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
 def embedding_bag(table: Tensor, indices: np.ndarray, offsets: np.ndarray) -> Tensor:
     """Sum of table rows per bag, like a sparse (bags x buckets) matmul.
 
-    Bag ``b`` sums ``table[indices[offsets[b]:offsets[b+1]]]``; an empty
-    bag yields a zero row.
+    Bag ``b`` sums ``table[indices[offsets[b]:offsets[b+1]]]``, from zero
+    and in index order; an empty bag yields a zero row. The backward pass
+    touches only the gradient rows of the ids that occur.
     """
     n_bags = len(offsets) - 1
     counts = np.diff(offsets)
-    bag_ids = np.repeat(np.arange(n_bags), counts)
-    data = np.zeros((n_bags, table.data.shape[1]))
-    np.add.at(data, bag_ids, table.data[indices])
+    data = _bag_sum(table.data, indices, offsets[:-1], counts)
 
     def backward(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, indices, g[bag_ids])
-        table.accumulate(buf)
+        rows, inverse = np.unique(indices, return_inverse=True)
+        bag_ids = np.repeat(np.arange(n_bags), counts)
+        table.accumulate_rows(rows, _scatter_sum(inverse, g[bag_ids], len(rows)))
 
     return _node(data, (table,), backward)
+
+
+def _bag_sum(
+    rows: np.ndarray, indices: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Per bag, the sum of ``rows[indices[start:start + count]]``.
+
+    The bags are sorted longest first, so the bags holding a k-th id form
+    a prefix; step k adds those rows into that prefix. Every bag sums from
+    zero in index order, as an element-by-element loop would, and no step
+    holds more than one row per bag.
+    """
+    out = np.zeros((len(counts), rows.shape[1]))
+    if not len(indices):
+        return out
+    order = np.argsort(-counts, kind="stable")
+    starts = starts[order]
+    longest = int(counts[order[0]])
+    # live[k]: how many bags hold more than k ids
+    live = np.searchsorted(-counts[order], -np.arange(longest), side="left")
+    for k, n in enumerate(live.tolist()):
+        out[:n] += rows[indices[starts[:n] + k]]
+    data = np.empty_like(out)
+    data[order] = out
+    return data
 
 
 def backward(loss: Tensor) -> None:

@@ -68,16 +68,23 @@ class AttentionalEncoder:
 class PreparedSequence:
     """A token sequence resolved to embedding-table bucket ids.
 
-    Tokens covered by a pretrained map contribute a constant vector in
-    ``const`` and an empty bucket array; hashed tokens do the opposite.
+    ``ids`` holds the bucket ids of all tokens back to back, and
+    ``sizes[k]`` says how many of them belong to token k. Tokens covered
+    by a pretrained map contribute a constant vector in ``const`` and no
+    ids; hashed tokens do the opposite.
     """
 
-    bucket_ids: list[np.ndarray]
+    ids: np.ndarray
+    sizes: np.ndarray
     const: np.ndarray | None  # (l, d) pretrained contributions, or None
 
     @property
     def length(self) -> int:
-        return len(self.bucket_ids)
+        return len(self.sizes)
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False  # shared by every prepared sequence
 
 
 def prepare_sequence(
@@ -88,17 +95,17 @@ def prepare_sequence(
     tokens = value.tokens[:max_tokens]
     ids: list[np.ndarray] = []
     const: np.ndarray | None = None
-    empty = np.empty(0, dtype=np.int64)
     for k, tok in enumerate(tokens):
         vec = table.pretrained.get(tok) if table.pretrained else None
         if vec is not None:
             if const is None:
                 const = np.zeros((len(tokens), table.dim))
             const[k] = vec
-            ids.append(empty)
+            ids.append(_NO_IDS)
         else:
             ids.append(table.bucket_ids(tok))
-    return PreparedSequence(ids, const)
+    sizes = np.array([len(a) for a in ids], dtype=np.int64)
+    return PreparedSequence(np.concatenate(ids) if ids else _NO_IDS, sizes, const)
 
 
 def encoder_tensors(encoder: AttentionalEncoder, requires_grad: bool) -> dict[str, ad.Tensor]:
@@ -137,22 +144,18 @@ def encode_sequences_tape(
         members = by_len[length]
         order.extend(members)
         n = len(members)
-        id_arrays: list[np.ndarray] = []
-        const = np.zeros((n, length, dim))
-        has_const = False
-        for row, idx in enumerate(members):
-            s = seqs[idx]
-            id_arrays.extend(s.bucket_ids)
-            if s.const is not None:
-                const[row] = s.const
-                has_const = True
-        indices = (
-            np.concatenate(id_arrays) if id_arrays else np.empty(0, dtype=np.int64)
-        )
+        group = [seqs[idx] for idx in members]
+        indices = np.concatenate([s.ids for s in group])
         offsets = np.zeros(n * length + 1, dtype=np.int64)
-        np.cumsum([len(a) for a in id_arrays], out=offsets[1:])
+        np.cumsum(np.concatenate([s.sizes for s in group]), out=offsets[1:])
         flat = ad.embedding_bag(emb, indices, offsets)
-        if has_const:
+        const = None
+        for row, s in enumerate(group):
+            if s.const is not None:
+                if const is None:
+                    const = np.zeros((n, length, dim))
+                const[row] = s.const
+        if const is not None:
             flat = ad.add(flat, const.reshape(n * length, dim))
         v3 = ad.reshape(flat, (n, length, dim))
         v_steps = [v3[:, k, :] for k in range(length)]

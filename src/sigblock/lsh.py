@@ -283,7 +283,8 @@ class LshIndex:
         items = list(items)
         entries = [(rid, sig) for rid, sig, _ in items]
         vectors = _stack_vectors(items, dim)
-        off_unit = np.abs(np.linalg.norm(vectors, axis=1) - 1.0) > UNIT_TOL
+        # written so that a NaN norm fails too
+        off_unit = ~(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= UNIT_TOL)
         if off_unit.any():
             rid = entries[off_unit.argmax()][0]
             raise ValueError(f"vector for id {rid!r} is not unit norm")
@@ -345,7 +346,7 @@ class LshIndex:
         hits to one of them.
         """
         queries = np.asarray(queries, dtype=np.float64)
-        if np.any(np.abs(np.linalg.norm(queries, axis=1) - 1.0) > UNIT_TOL):
+        if not np.all(np.abs(np.linalg.norm(queries, axis=1) - 1.0) <= UNIT_TOL):
             raise ValueError("query vector is not unit norm")
         if max_results is None:
             max_results = self.default_max_results

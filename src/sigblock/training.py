@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data_model import Dataset, LabelSet, Record
+from .data_model import AttributeValue, Dataset, LabelSet, Record
 from .encoder import (
     AttentionalEncoder,
     PreparedSequence,
@@ -231,22 +231,66 @@ class SignatureTrainer:
         self.rng_batch = np.random.Generator(np.random.PCG64(s_batch))
         self.rng_neg = np.random.Generator(np.random.PCG64(s_neg))
 
-        self.emb_t = ad.Tensor(self.table.rows, requires_grad=self.table.trainable)
+        self._prepare_all()
+        self.emb_t = ad.Tensor(
+            self.table.rows[self.reachable], requires_grad=self.table.trainable
+        )
         self.enc_t = [encoder_tensors(e, requires_grad=True) for e in self.encoders]
-        # (record, attribute) -> PreparedSequence, filled lazily
-        self._prepared: dict[tuple[int, int], PreparedSequence] = {}
 
-    def prepared(self, rec_idx: int, attr: int) -> PreparedSequence:
-        key = (rec_idx, attr)
-        got = self._prepared.get(key)
-        if got is None:
-            got = prepare_sequence(
-                self.table,
-                self.records[rec_idx].attributes[attr],
-                self.config.max_tokens,
+    def _prepare_all(self) -> None:
+        """Prepare every present (record, attribute) value once.
+
+        Each distinct token is prepared (hashed) once, as a value of one
+        token. The bucket ids of all values then sit back to back in one
+        array (CSR: each value is a slice), renumbered to positions in
+        ``self.reachable``, the sorted table rows some value names. The
+        trainer optimises those rows as the compact ``emb_t``; no other
+        row can ever get a gradient.
+        """
+        number: dict[str, int] = {}  # distinct token -> its index in `single`
+        keys: list[tuple[int, int]] = []
+        lengths: list[int] = []
+        tokens: list[int] = []  # token numbers of all values back to back
+        for r, record in enumerate(self.records):
+            for j, value in enumerate(record.attributes):
+                if value.is_missing:
+                    continue
+                kept = value.tokens[: self.config.max_tokens]
+                keys.append((r, j))
+                lengths.append(len(kept))
+                tokens.extend([number.setdefault(t, len(number)) for t in kept])
+        single = [prepare_sequence(self.table, AttributeValue((t,)), 1) for t in number]
+        own_ids = [s.ids for s in single]
+        self.reachable, local = np.unique(
+            np.concatenate(own_ids) if own_ids else np.empty(0, np.int64),
+            return_inverse=True,
+        )
+        own_sizes = np.array([len(a) for a in own_ids], dtype=np.int64)
+        own_local = np.split(local, np.cumsum(own_sizes)[:-1])
+        flat = np.concatenate([own_local[t] for t in tokens] or [np.empty(0, np.int64)])
+        sizes = own_sizes[np.array(tokens, dtype=np.int64)]
+        ends = [0] + np.cumsum(sizes).tolist()  # token k's ids: flat[ends[k]:ends[k+1]]
+
+        # (record, attribute) -> its sequence; absent for a missing value
+        self._prepared: dict[tuple[int, int], PreparedSequence] = {}
+        hi = 0
+        for key, length in zip(keys, lengths):
+            lo, hi = hi, hi + length
+            const = None
+            if self.table.pretrained:
+                consts = [single[t].const for t in tokens[lo:hi]]
+                if any(c is not None for c in consts):
+                    const = np.zeros((length, self.table.dim))
+                    for k, c in enumerate(consts):
+                        if c is not None:
+                            const[k] = c[0]
+            self._prepared[key] = PreparedSequence(
+                flat[ends[lo] : ends[hi]], sizes[lo:hi], const
             )
-            self._prepared[key] = got
-        return got
+
+    def prepared(self, rec_idx: int, attr: int) -> PreparedSequence | None:
+        """The value's sequence, its ids numbered as rows of ``emb_t``."""
+        return self._prepared.get((rec_idx, attr))
 
     def applicable(self, rec_idx: int, active: np.ndarray) -> bool:
         """True when some positively weighted attribute is present."""
@@ -423,6 +467,7 @@ class SignatureTrainer:
             if not usable:
                 break
         weights = SignatureWeights(np.stack(rows))
+        self.table.rows[self.reachable] = self.emb_t.data
         return SignatureModel(
             schema=tuple(self.dataset.schema),
             table=self.table,

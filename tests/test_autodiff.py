@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigblock import autodiff as ad
 
@@ -148,6 +150,108 @@ def test_embedding_bag_empty_bag_is_zero():
     bags = ad.embedding_bag(table, np.array([1, 2]), np.array([0, 0, 2]))
     assert np.array_equal(bags.data[0], np.zeros(3))
     assert np.array_equal(bags.data[1], np.full(3, 2.0))
+
+
+# Oracles for the exact scatters: np.add.at adds one element at a time,
+# in input order, starting from zero.
+
+
+def add_at_bag_sum(rows, indices, offsets):
+    counts = np.diff(offsets)
+    out = np.zeros((len(counts), rows.shape[1]))
+    np.add.at(out, np.repeat(np.arange(len(counts)), counts), rows[indices])
+    return out
+
+
+def add_at_bag_grad(shape, indices, offsets, g):
+    counts = np.diff(offsets)
+    out = np.zeros(shape)
+    np.add.at(out, indices, g[np.repeat(np.arange(len(counts)), counts)])
+    return out
+
+
+def wide_values(rng, shape):
+    """Values over 16 decades, so that summation order shows in the bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+bags = st.tuples(
+    st.integers(1, 6),  # table rows: few, so ids repeat
+    st.lists(st.integers(0, 7), min_size=0, max_size=8),  # bag lengths
+    st.integers(0, 2**32 - 1),
+)
+
+
+@given(bags)
+@settings(max_examples=200, deadline=None)
+def test_embedding_bag_forward_is_add_at_bitwise(case):
+    n_rows, lengths, seed = case
+    rng = np.random.default_rng(seed)
+    rows = wide_values(rng, (n_rows, 3))
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    indices = rng.integers(0, n_rows, offsets[-1])
+    got = ad.embedding_bag(ad.Tensor(rows), indices, offsets).data
+    want = add_at_bag_sum(rows, indices, offsets)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(bags, bags)
+@settings(max_examples=200, deadline=None)
+def test_embedding_bag_backward_is_add_at_bitwise(case, second):
+    # Two bag sums over one table, so the gradient is set once and then
+    # accumulated into.
+    n_rows, lengths, seed = case
+    rng = np.random.default_rng(seed)
+    table = ad.Tensor(wide_values(rng, (n_rows, 3)), requires_grad=True)
+    want = np.zeros((n_rows, 3))
+    loss = None
+    for lens in (lengths, second[1]):
+        offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+        indices = rng.integers(0, n_rows, offsets[-1])
+        g = wide_values(rng, (len(lens), 3))
+        part = ad.tsum(ad.mul(ad.embedding_bag(table, indices, offsets), ad.Tensor(g)))
+        loss = part if loss is None else ad.add(loss, part)
+        want = want + add_at_bag_grad(want.shape, indices, offsets, g)
+    ad.backward(loss)
+    got = table.grad if table.grad is not None else np.zeros_like(want)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 12),
+    st.sampled_from([(), (3,), (2, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_scatter_sum_is_add_at_bitwise(n, count, tail, seed):
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, n, count)
+    values = wide_values(rng, (count,) + tail)
+    want = np.zeros((n,) + tail)
+    np.add.at(want, index, values)
+    got = ad._scatter_sum(index, values, n)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+    # the ops routed through it: scatter_rows forward, take_rows and
+    # advanced getitem backward
+    if tail == (3,):
+        assert ad.scatter_rows(ad.Tensor(values), index, n).data.tobytes() == want.tobytes()
+    src = ad.Tensor(wide_values(rng, (n, 3)), requires_grad=True)
+    g = wide_values(rng, (count, 3))
+    ad.backward(ad.tsum(ad.mul(ad.take_rows(src, index), ad.Tensor(g))))
+    want = np.zeros((n, 3))
+    np.add.at(want, index, g)
+    assert src.grad.tobytes() == want.tobytes()
+    src.grad = None
+    cols = rng.integers(0, 3, count)
+    ad.backward(ad.tsum(ad.mul(src[index, cols], ad.Tensor(g[:, 0]))))
+    want = np.zeros((n, 3))
+    np.add.at(want, (index, cols), g[:, 0])
+    assert src.grad.tobytes() == want.tobytes()
 
 
 def test_grad_accumulates_over_reuse():

@@ -176,6 +176,25 @@ class TestIndex:
                 [("a", 0, v), ("b", 1, v), ("a", 1, v), ("b", 1, v), ("a", 0, v)], dim=8
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, rng, bad):
+        vs = random_units(3, 8, rng)
+        vs[1, 4] = bad
+        with pytest.raises(ValueError, match="'b' is not unit norm"):
+            LshIndex.build([("a", 0, vs[0]), ("b", 0, vs[1]), ("c", 0, vs[2])], dim=8)
+        with pytest.raises(ValueError, match="'n' is not unit norm"):
+            LshIndex.build([("n", 0, np.full(8, bad))], dim=8)
+
+    def test_nan_query_rejected(self, rng):
+        vs = random_units(4, 8, rng)
+        index = LshIndex.build([(f"v{i}", 0, vs[i]) for i in range(3)], dim=8)
+        bad = vs[3].copy()
+        bad[0] = np.nan
+        with pytest.raises(ValueError, match="query vector is not unit norm"):
+            index.search(np.stack([vs[3], bad]), theta=0.5)
+        with pytest.raises(ValueError, match="query vector is not unit norm"):
+            index.query(np.full(8, np.nan), theta=0.5)
+
     def test_total_stored_entries(self, rng):
         n = 500
         vecs = random_units(n, 16, rng)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sigblock import autodiff as ad
 from sigblock.data_model import AttributeValue, Dataset, LabelSet, Record, Table
+from sigblock.text_embedding import EmbeddingTable
 from sigblock.training import (
     Adam,
     SignatureTrainer,
@@ -238,13 +239,11 @@ class TestBatchLoss:
         ds, labels = two_attr_dataset(seed=3)
         cfg = small_config(iterations=1, max_signatures=1)
         model = train(ds, labels, cfg)
-        tr = SignatureTrainer(ds, labels, cfg)
         # sync trainer parameters with the trained model
-        tr.table.rows[...] = model.table.rows
+        tr = SignatureTrainer(ds, labels, cfg, table=model.table)
         for enc, trained in zip(tr.encoders, model.encoders):
             for name in enc.params:
                 enc.params[name][...] = trained.params[name]
-        tr._prepared.clear()
         w = ad.Tensor(model.weights.matrix[0].copy(), requires_grad=True)
         pairs_idx = tr.pairs[:3]
         negs = [
@@ -369,7 +368,91 @@ class TestTrain:
             train(ds, labels, small_config(batch_size=100))
 
 
+def gappy_dataset(seed=0):
+    """Two attributes, one value in five missing, so some of every value's
+    rows stay unreachable."""
+    ds, labels = two_attr_dataset(seed=seed)
+    rng = np.random.default_rng(seed)
+    records = [
+        Record(
+            r.record_id,
+            tuple(AttributeValue(()) if rng.random() < 0.2 else v for v in r.attributes),
+        )
+        for r in ds.all_records()
+    ]
+    return Dataset(ds.schema, (Table(records),)), labels
+
+
+class TestCompactTable:
+    """The trainer optimises only the table rows some value can reach."""
+
+    @pytest.mark.parametrize("max_tokens", [2, 64])
+    def test_reachable_is_union_of_present_bucket_ids(self, max_tokens):
+        ds, labels = gappy_dataset(seed=11)
+        tr = SignatureTrainer(
+            ds, labels, small_config(max_tokens=max_tokens, bucket_count=2**12)
+        )
+        want: set[int] = set()
+        for r in ds.all_records():
+            for v in r.attributes:
+                for t in v.tokens[:max_tokens]:
+                    want.update(tr.table.bucket_ids(t).tolist())
+        assert tr.reachable.tolist() == sorted(want)
+        assert len(want) < tr.table.bucket_count
+        assert tr.emb_t.data.tobytes() == tr.table.rows[tr.reachable].tobytes()
+
+    def test_pretrained_tokens_reach_no_rows(self):
+        ds, labels = gappy_dataset(seed=12)
+        token = next(r.attributes[0].tokens[0] for r in ds.all_records() if r.attributes[0].tokens)
+        plain = SignatureTrainer(ds, labels, small_config())
+        table = EmbeddingTable(
+            dim=12, bucket_count=256, seed=plain.table.seed, trainable=False,
+            pretrained={token: np.ones(12)},
+        )
+        tr = SignatureTrainer(ds, labels, small_config(), table=table)
+        want: set[int] = set()
+        for r in ds.all_records():
+            for v in r.attributes:
+                want.update(
+                    i for t in v.tokens if t != token for i in table.bucket_ids(t).tolist()
+                )
+        assert tr.reachable.tolist() == sorted(want)
+        seq = next(
+            tr.prepared(k, 0) for k, r in enumerate(tr.records)
+            if r.attributes[0].tokens[:1] == (token,)
+        )
+        assert seq.sizes[0] == 0
+        assert seq.const[0].tolist() == [1.0] * 12
+
+    def test_unreachable_rows_unchanged_by_train(self):
+        ds, labels = gappy_dataset(seed=13)
+        tr = SignatureTrainer(ds, labels, small_config(iterations=5, bucket_count=2**12))
+        before = tr.table.rows.copy()
+        model = tr.train()
+        assert model.table is tr.table
+        outside = np.setdiff1d(np.arange(tr.table.bucket_count), tr.reachable)
+        assert outside.size > 0
+        assert model.table.rows[outside].tobytes() == before[outside].tobytes()
+        # the trained rows were written back
+        assert model.table.rows[tr.reachable].tobytes() == tr.emb_t.data.tobytes()
+        assert not np.array_equal(model.table.rows[tr.reachable], before[tr.reachable])
+
+
 class TestAdam:
+    def test_zero_grad_and_moments_leave_data_bitwise(self):
+        # Why a dense step over the compact table is exact: a row with no
+        # gradient and zero moments moves by lr * 0 / (0 + eps) = 0.
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((5, 4)) * 10.0 ** rng.uniform(-8, 8, (5, 4))
+        data[0, 0] = -0.0
+        x = ad.Tensor(data.copy(), requires_grad=True)
+        opt = Adam([x], lr=0.1)
+        for _ in range(3):
+            x.grad = np.zeros_like(x.data)
+            opt.step()
+            assert x.data.tobytes() == data.tobytes()
+        assert not opt.m[0].any() and not opt.v[0].any()
+
     def test_descends_quadratic(self):
         x = ad.Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = Adam([x], lr=0.1)
