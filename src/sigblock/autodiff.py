@@ -8,7 +8,11 @@ requires gradients. Only the operations needed by the training pipeline
 are implemented; all of them support float64 data exclusively.
 
 Graph recording is skipped entirely when no input requires gradients, so
-the same functions double as the inference path at near-numpy speed.
+the same functions double as the inference path. Each call still costs
+its numpy work plus about a microsecond of Python, which dominates on
+small inputs such as a single record; so the LSTM, the longest chain of
+small steps, is one hand-written op (:func:`lstm_sequence`) rather than
+a dozen nodes per timestep.
 """
 
 from __future__ import annotations
@@ -206,46 +210,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(g):
-        a.accumulate(g * (1.0 - data * data))
-
-    return _node(data, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # Stable on both tails: e = exp(-|x|) <= 1 never overflows; x >= 0
-    # takes 1 / (1 + e) and x < 0 takes e / (1 + e).
-    e = np.exp(-np.abs(a.data))
-    data = np.where(a.data >= 0, 1.0, e)
-    data /= 1.0 + e
-
-    def backward(g):
-        a.accumulate(g * data * (1.0 - data))
-
-    return _node(data, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        a.accumulate(g * data)
-
-    return _node(data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def backward(g):
-        a.accumulate(g / a.data)
-
-    return _node(data, (a,), backward)
-
-
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
 
@@ -399,17 +363,25 @@ def _bag_sum(
 ) -> np.ndarray:
     """Per bag, the sum of ``rows[indices[start:start + count]]``.
 
-    The bags are sorted longest first, so the bags holding a k-th id form
-    a prefix; step k adds those rows into that prefix. Every bag sums from
-    zero in index order, as an element-by-element loop would, and no step
-    holds more than one row per bag.
+    Every bag sums from zero in index order, as an element-by-element loop
+    would. The loop runs over the shorter axis. With fewer bags than the
+    longest bag has ids, each bag takes the last row of a ``cumsum`` over
+    its rows, which adds in order from the first row; ``+ 0.0`` then turns
+    an all -0.0 sum into the 0.0 a sum from zero gives. Otherwise the bags
+    are sorted longest first, so the bags holding a k-th id form a prefix,
+    and step k adds those rows into that prefix.
     """
     out = np.zeros((len(counts), rows.shape[1]))
     if not len(indices):
         return out
+    longest = int(counts.max())
+    if len(counts) < longest:
+        for b, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
+            if count:
+                out[b] = rows[indices[start : start + count]].cumsum(axis=0)[-1] + 0.0
+        return out
     order = np.argsort(-counts, kind="stable")
     starts = starts[order]
-    longest = int(counts[order[0]])
     # live[k]: how many bags hold more than k ids
     live = np.searchsorted(-counts[order], -np.arange(longest), side="left")
     for k, n in enumerate(live.tolist()):
@@ -417,6 +389,108 @@ def _bag_sum(
     data = np.empty_like(out)
     data[order] = out
     return data
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, stable on both tails.
+
+    ``e = exp(-|x|) <= 1`` never overflows; x >= 0 takes 1 / (1 + e) and
+    x < 0 takes e / (1 + e).
+    """
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
+
+
+def lstm_sequence(
+    x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False
+) -> Tensor:
+    """One LSTM direction over a batch of equal-length sequences.
+
+    ``x`` is (n, L, d); the result is (n, L, H), the hidden state at every
+    position. The gate blocks of ``wx`` (d, 4H), ``wh`` (H, 4H) and ``b``
+    (4H,) are input, forget, cell and output, in that order. The state
+    starts at zero and reads positions 0 to L - 1, or L - 1 to 0 when
+    ``reverse``. Per step::
+
+        z = (x_t @ wx + h @ wh) + b
+        c = f * c + i * g        i, f, o = sigmoid(z blocks), g = tanh(z block)
+        h = o * tanh(c)
+
+    One tape node stands for the whole sequence. It keeps the gates and
+    cell states of every step only when an input requires gradients; its
+    backward is backpropagation through time, with the weight and input
+    gradients of all steps taken in one matmul each.
+    """
+    n, length, dim = x.data.shape
+    hidden = wh.data.shape[0]
+    h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
+    steps = range(length - 1, -1, -1) if reverse else range(length)
+    track = x.requires_grad or wx.requires_grad or wh.requires_grad or b.requires_grad
+    # hs[k + 1] is the hidden state after step k, hs[0] the zero start
+    hs = np.zeros((length + 1, n, hidden))
+    if track:
+        gates = np.empty((length, n, 4 * hidden))  # i, f, g, o per step
+        cells = np.zeros((length + 1, n, hidden))  # cells[k] enters step k
+        tanh_c = np.empty((length, n, hidden))
+    h = hs[0]
+    c = np.zeros((n, hidden))
+    for k, t in enumerate(steps):
+        z = (x.data[:, t, :] @ wx.data + h @ wh.data) + b.data
+        s = _sigmoid(z)
+        g = np.tanh(z[:, h2:h3])
+        c = s[:, h1:h2] * c + s[:, :h1] * g
+        tc = np.tanh(c)
+        h = np.multiply(s[:, h3:], tc, out=hs[k + 1])
+        if track:
+            s[:, h2:h3] = g
+            gates[k] = s
+            cells[k + 1] = c
+            tanh_c[k] = tc
+    data = (hs[:0:-1] if reverse else hs[1:]).transpose(1, 0, 2)
+
+    def backward(gout):
+        g_steps = gout.transpose(1, 0, 2)
+        if reverse:
+            g_steps = g_steps[::-1]
+        # derivative of each gate's activation at its pre-activation
+        dact = gates * (1.0 - gates)
+        dact[:, :, h2:h3] = 1.0 - gates[:, :, h2:h3] ** 2
+        dz = np.empty((length, n, 4 * hidden))
+        dh = np.zeros((n, hidden))
+        dc = np.zeros((n, hidden))
+        wh_t = wh.data.T
+        for k in range(length - 1, -1, -1):
+            gk = gates[k]
+            dh = dh + g_steps[k]
+            dc = dc + dh * gk[:, h3:] * (1.0 - tanh_c[k] ** 2)
+            dzk = dz[k]
+            dzk[:, :h1] = dc * gk[:, h2:h3]
+            dzk[:, h1:h2] = dc * cells[k]
+            dzk[:, h2:h3] = dc * gk[:, :h1]
+            dzk[:, h3:] = dh * tanh_c[k]
+            dzk *= dact[k]
+            if k:
+                dc = dc * gk[:, h1:h2]
+                dh = dzk @ wh_t
+        flat = dz.reshape(length * n, 4 * hidden)
+        if wx.requires_grad:
+            xs = x.data.transpose(1, 0, 2)
+            if reverse:
+                xs = xs[::-1]
+            wx.accumulate(xs.reshape(length * n, dim).T @ flat)
+        if wh.requires_grad:
+            wh.accumulate(hs[:-1].reshape(length * n, hidden).T @ flat)
+        if b.requires_grad:
+            b.accumulate(flat.sum(axis=0))
+        if x.requires_grad:
+            dx = (flat @ wx.data.T).reshape(length, n, dim)
+            if reverse:
+                dx = dx[::-1]
+            x.accumulate(dx.transpose(1, 0, 2))
+
+    return _node(data, (x, wx, wh, b), backward)
 
 
 def backward(loss: Tensor) -> None:

@@ -8,7 +8,9 @@ coefficient ``rho`` in [0, 1]; the attribute embedding is the weighted
 average of the raw token vectors under those smoothed weights.
 
 One implementation, :func:`encode_sequences_tape`, encodes a batch of
-sequences on the autodiff tape. Training records gradients through it;
+sequences on the autodiff tape. Each LSTM direction is a single tape op,
+:func:`autodiff.lstm_sequence`, with a hand-written backward pass
+(backpropagation through time). Training records gradients through it;
 blocking, single-record signatures and attention introspection run the
 same routine on tensors that do not require gradients, so it records
 nothing. Gate order in the packed LSTM weight matrices is input,
@@ -158,13 +160,12 @@ def encode_sequences_tape(
         if const is not None:
             flat = ad.add(flat, const.reshape(n * length, dim))
         v3 = ad.reshape(flat, (n, length, dim))
-        v_steps = [v3[:, k, :] for k in range(length)]
 
-        h_f = _lstm_tape(v_steps, enc["wx_f"], enc["wh_f"], enc["b_f"], hidden, n)
-        h_b = _lstm_tape(v_steps[::-1], enc["wx_b"], enc["wh_b"], enc["b_b"], hidden, n)[::-1]
+        h_f = ad.lstm_sequence(v3, enc["wx_f"], enc["wh_f"], enc["b_f"])
+        h_b = ad.lstm_sequence(v3, enc["wx_b"], enc["wh_b"], enc["b_b"], reverse=True)
 
         score_cols = [
-            ad.matmul(ad.concat([h_f[k], h_b[k]], axis=1), attn_col)
+            ad.matmul(ad.concat([h_f[:, k, :], h_b[:, k, :]], axis=1), attn_col)
             for k in range(length)
         ]
         scores = score_cols[0] if length == 1 else ad.concat(score_cols, axis=1)
@@ -172,9 +173,8 @@ def encode_sequences_tape(
         beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
         for idx, row in zip(members, beta.data):
             weights[idx] = row
-        acc = ad.mul(beta[:, 0:1], v_steps[0])
-        for k in range(1, length):
-            acc = ad.add(acc, ad.mul(beta[:, k : k + 1], v_steps[k]))
+        # sums over positions in order, as a running sum would
+        acc = ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1)
         outputs.append(acc)
 
     stacked = outputs[0] if len(outputs) == 1 else ad.concat(outputs, axis=0)
@@ -203,27 +203,3 @@ def token_attention(
     )
     return list(zip(value.tokens[: encoder.max_tokens], beta.tolist()))
 
-
-def _lstm_tape(
-    v_steps: list[ad.Tensor],
-    wx: ad.Tensor,
-    wh: ad.Tensor,
-    b: ad.Tensor,
-    hidden: int,
-    batch: int,
-) -> list[ad.Tensor]:
-    h = ad.Tensor(np.zeros((batch, hidden)))
-    c = ad.Tensor(np.zeros((batch, hidden)))
-    states: list[ad.Tensor] = []
-    for v in v_steps:
-        z = ad.add(ad.add(ad.matmul(v, wx), ad.matmul(h, wh)), b)
-        # one elementwise sigmoid over all gates; the cell slice is unused
-        gates = ad.sigmoid(z)
-        i = gates[:, :hidden]
-        f = gates[:, hidden : 2 * hidden]
-        g = ad.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = gates[:, 3 * hidden :]
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        states.append(h)
-    return states

@@ -20,12 +20,15 @@ load followed by save. All floats are little-endian 32-bit. Layout::
     u32    JSON length, UTF-8 JSON training-config snapshot
            (keys sorted)
 
-A version or magic mismatch fails loudly; nothing is reinterpreted.
+A version or magic mismatch fails loudly; nothing is reinterpreted. A
+file cut short, malformed text or trailing bytes raise ``ValueError``
+naming the path, the byte offset and the field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -45,11 +48,6 @@ def _write_str(fh, s: str) -> None:
     raw = s.encode("utf-8")
     fh.write(struct.pack("<H", len(raw)))
     fh.write(raw)
-
-
-def _read_str(fh) -> str:
-    (n,) = struct.unpack("<H", fh.read(2))
-    return fh.read(n).decode("utf-8")
 
 
 def _param_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -102,59 +100,98 @@ def save_model(model: SignatureModel, path: str | Path) -> None:
         fh.write(blob)
 
 
-def _read_f32(fh, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape))
-    return (
-        np.frombuffer(fh.read(4 * count), dtype="<f4")
-        .astype(np.float64)
-        .reshape(shape)
-    )
+class _Reader:
+    """Bounded reads over the bytes of one file.
+
+    Every read names the field it reads. Running past the end, malformed
+    text and bytes left over raise ``ValueError`` naming the path, the
+    byte offset where the field starts and the field, on one line.
+    """
+
+    def __init__(self, data: bytes, path: str | Path):
+        self.data = memoryview(data)
+        self.path = path
+        self.pos = 0
+
+    def fail(self, what: str, field: str, pos: int | None = None) -> ValueError:
+        at = self.pos if pos is None else pos
+        return ValueError(f"{self.path}: {what} at byte {at} while reading {field}")
+
+    def take(self, n: int, field: str) -> memoryview:
+        left = len(self.data) - self.pos
+        if n > left:
+            raise self.fail(f"truncated ({n} bytes needed, {left} left)", field)
+        raw = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return raw
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def text(self, field: str) -> str:
+        (n,) = self.unpack("<H", f"{field} length")
+        start = self.pos
+        try:
+            return str(self.take(n, field), "utf-8")
+        except UnicodeDecodeError:
+            raise self.fail("invalid UTF-8", field, start) from None
+
+    def f32(self, shape: tuple[int, ...], field: str) -> np.ndarray:
+        raw = self.take(4 * math.prod(shape), field)
+        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+
+    def finish(self) -> None:
+        extra = len(self.data) - self.pos
+        if extra:
+            raise ValueError(f"{self.path}: {extra} trailing bytes at byte {self.pos}")
 
 
 def load_model(path: str | Path) -> SignatureModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a model file (magic {magic!r})")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != _VERSION:
-            raise ValueError(
-                f"{path}: unsupported model version {version} (want {_VERSION})"
-            )
-        (m,) = struct.unpack("<I", fh.read(4))
-        schema = tuple(_read_str(fh) for _ in range(m))
-        dim, buckets, nmin, nmax = struct.unpack("<IIHH", fh.read(12))
-        seed, trainable = struct.unpack("<QB", fh.read(9))
-        rows = _read_f32(fh, (buckets, dim))
-        (n_pre,) = struct.unpack("<I", fh.read(4))
-        pretrained: dict[str, np.ndarray] = {}
-        for _ in range(n_pre):
-            token = _read_str(fh)
-            pretrained[token] = _read_f32(fh, (dim,))
-        table = EmbeddingTable(
-            dim=dim,
-            bucket_count=buckets,
-            ngram_range=(nmin, nmax),
-            seed=seed,
-            trainable=bool(trainable),
-            pretrained=pretrained,
-            rows=rows,
-        )
-        hidden, max_tokens, cell = struct.unpack("<IIB", fh.read(9))
-        if cell not in _CELL_NAMES:
-            raise ValueError(f"{path}: unknown sequence cell kind {cell}")
-        shapes = _param_shapes(dim, hidden)
-        encoders = []
-        for _ in range(m):
-            (rho,) = struct.unpack("<f", fh.read(4))
-            params = {p: _read_f32(fh, shapes[p]) for p in PARAM_NAMES}
-            encoders.append(
-                AttentionalEncoder(dim, hidden, float(rho), max_tokens, params)
-            )
-        (S,) = struct.unpack("<I", fh.read(4))
-        W = _read_f32(fh, (S, m))
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        snapshot = json.loads(fh.read(blob_len).decode("utf-8"))
+    r = _Reader(Path(path).read_bytes(), path)
+    magic = bytes(r.take(6, "magic"))
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: not a model file (magic {magic!r})")
+    (version,) = r.unpack("<H", "version")
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported model version {version} (want {_VERSION})")
+    (m,) = r.unpack("<I", "attribute count")
+    schema = tuple(r.text(f"attribute {a} name") for a in range(m))
+    dim, buckets, nmin, nmax = r.unpack("<IIHH", "table shape")
+    seed, trainable = r.unpack("<QB", "table seed")
+    rows = r.f32((buckets, dim), "embedding rows")
+    (n_pre,) = r.unpack("<I", "pretrained count")
+    pretrained: dict[str, np.ndarray] = {}
+    for k in range(n_pre):
+        token = r.text(f"pretrained token {k}")
+        pretrained[token] = r.f32((dim,), f"pretrained vector {k}")
+    table = EmbeddingTable(
+        dim=dim,
+        bucket_count=buckets,
+        ngram_range=(nmin, nmax),
+        seed=seed,
+        trainable=bool(trainable),
+        pretrained=pretrained,
+        rows=rows,
+    )
+    hidden, max_tokens, cell = r.unpack("<IIB", "encoder shape")
+    if cell not in _CELL_NAMES:
+        raise ValueError(f"{path}: unknown sequence cell kind {cell}")
+    shapes = _param_shapes(dim, hidden)
+    encoders = []
+    for a in range(m):
+        (rho,) = r.unpack("<f", f"encoder {a} rho")
+        params = {p: r.f32(shapes[p], f"encoder {a} {p}") for p in PARAM_NAMES}
+        encoders.append(AttentionalEncoder(dim, hidden, float(rho), max_tokens, params))
+    (S,) = r.unpack("<I", "signature count")
+    W = r.f32((S, m), "signature weights")
+    (n_blob,) = r.unpack("<I", "config snapshot length")
+    pos = r.pos
+    blob = bytes(r.take(n_blob, "config snapshot"))
+    try:
+        snapshot = json.loads(blob)
+    except ValueError:  # bad UTF-8 or bad JSON
+        raise r.fail("invalid JSON", "config snapshot", pos) from None
+    r.finish()
     return SignatureModel(
         schema=schema,
         table=table,
