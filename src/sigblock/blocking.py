@@ -19,7 +19,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .data_model import Dataset, Record, canonical_pair
-from .encoder import encode_sequences_tape, encoder_tensors, prepare_sequence
+from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by name
+    embed_vocabulary,
+    encode_sequences_tape,
+    encoder_tensors,
+    prepare_sequence,
+    prepare_values,
+)
 from .lsh import LshIndex, LshParams
 from .signatures import SignatureModel
 
@@ -48,35 +54,33 @@ def signature_matrix(
     """Signature vectors for many records at once.
 
     Returns ``(vectors, present)`` with shapes (n, S, d) and (n, S);
-    rows of absent signatures are zero. Uses the batched encoder path
-    without gradient recording.
+    rows of absent signatures are zero. All values of all attributes
+    form one vocabulary-level batch whose token vectors are summed once;
+    each attribute's present values then run through the batched
+    encoder without gradient recording.
     """
     n = len(records)
     m = len(model.schema)
-    dim = model.table.dim
     weights = model.weights.matrix
-    S = weights.shape[0]
-    emb_t = ad.Tensor(model.table.rows)
-    attr_emb = np.zeros((n, m, dim))
-    present = np.zeros((n, m), dtype=bool)
-    for j in range(m):
-        enc = model.encoders[j]
-        enc_t = encoder_tensors(enc, requires_grad=False)
-        rows: list[int] = []
-        seqs = []
-        for i, rec in enumerate(records):
-            prep = prepare_sequence(model.table, rec.attributes[j], enc.max_tokens)
-            if prep is None:
-                continue
-            rows.append(i)
-            seqs.append(prep)
-        if not rows:
+    batch = prepare_values(
+        model.table, [rec.attributes for rec in records], [e.max_tokens for e in model.encoders]
+    )
+    present = batch.lengths.reshape(n, m) > 0
+    vectors = embed_vocabulary(ad.Tensor(model.table.rows), batch)
+    attr_emb = np.zeros((n, m, model.table.dim))
+    for j, enc in enumerate(model.encoders):
+        rows = np.flatnonzero(present[:, j])
+        if not rows.size:
             continue
         encoded, _ = encode_sequences_tape(
-            emb_t, enc_t, enc.smoothing_rho, enc.hidden, seqs
+            vectors,
+            encoder_tensors(enc, requires_grad=False),
+            enc.smoothing_rho,
+            enc.hidden,
+            batch,
+            rows * m + j,
         )
-        attr_emb[np.array(rows), j] = encoded.data
-        present[np.array(rows), j] = True
+        attr_emb[rows, j] = encoded.data
 
     sig = np.einsum("sj,njd->nsd", weights, attr_emb * present[:, :, None])
     sig_present = (present[:, None, :] & (weights > 0)[None, :, :]).any(axis=2)
@@ -239,16 +243,35 @@ def write_candidates(
 
 
 def read_candidates(path: str | Path) -> CandidateSet:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["id_a", "id_b"]:
-        raise ValueError(f"{path}: expected candidate CSV with id_a,id_b header")
-    has_prov = len(rows[0]) >= 4
+    """Read a candidate CSV as :func:`write_candidates` writes it.
+
+    A row with fewer fields than the header names (two, or four with
+    provenance), or whose ``signature_id`` or ``cosine`` is no number,
+    raises ``ValueError`` naming the path and the line.
+    """
     pairs: set[tuple[str, str]] = set()
     provenance: dict[tuple[str, str], tuple[int, float]] = {}
-    for row in rows[1:]:
-        pair = canonical_pair(row[0], row[1])
-        pairs.add(pair)
-        if has_prov and len(row) >= 4:
-            provenance[pair] = (int(row[2]), float(row[3]))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header[:2] != ["id_a", "id_b"]:
+            raise ValueError(f"{path}: expected candidate CSV with id_a,id_b header")
+        has_prov = len(header) >= 4
+        fields = 4 if has_prov else 2
+        for row in reader:
+            if len(row) < fields:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {','.join(header[:fields])},"
+                    f" got {len(row)} field(s)"
+                )
+            pair = canonical_pair(row[0], row[1])
+            pairs.add(pair)
+            if has_prov:
+                try:
+                    provenance[pair] = (int(row[2]), float(row[3]))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: signature_id and cosine must be"
+                        f" numbers, got {row[2]!r} and {row[3]!r}"
+                    ) from None
     return CandidateSet(frozenset(pairs), provenance if has_prov else None)

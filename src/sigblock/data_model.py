@@ -17,7 +17,10 @@ external tokenizer package:
 5. split on whitespace.
 
 The rules are idempotent on their own space-joined output, which is
-what makes export/re-ingest round trips exact.
+what makes export/re-ingest round trips exact. Rules 2-4 each run only
+when the string holds their trigger character (one of rule 2's
+characters, an apostrophe, a period); a pattern that cannot match
+would leave the string unchanged, so skipping it changes no token.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ class Record:
     attributes: tuple[AttributeValue, ...]
 
 
+_ISOLATE_CHARS = frozenset('[](){},;:!?"')
 _ISOLATE = re.compile(r'([\[\](){},;:!?"])')
 _NT = re.compile(r"(\w)(n't)(?!\w)")
 _APOS = re.compile(r"(\w)('(?:s|m|re|ve|ll|d))(?!\w)")
@@ -74,12 +78,18 @@ _FINAL_PERIOD = re.compile(r"(?<=[^\s.])(\.+)\s*$")
 
 
 def tokenize(raw: str) -> AttributeValue:
-    """Lowercase and split a raw cell; empty input becomes the missing value."""
+    """Lowercase and split a raw cell; empty input becomes the missing value.
+
+    Rules 2-4 run only on a string holding their trigger character.
+    """
     s = raw.lower()
-    s = _ISOLATE.sub(r" \1 ", s)
-    s = _NT.sub(r"\1 \2", s)
-    s = _APOS.sub(r"\1 \2", s)
-    s = _FINAL_PERIOD.sub(r" \1", s)
+    if not _ISOLATE_CHARS.isdisjoint(s):
+        s = _ISOLATE.sub(r" \1 ", s)
+    if "'" in s:
+        s = _NT.sub(r"\1 \2", s)
+        s = _APOS.sub(r"\1 \2", s)
+    if "." in s:
+        s = _FINAL_PERIOD.sub(r" \1", s)
     return AttributeValue(tuple(s.split()))
 
 

@@ -7,19 +7,24 @@ vector, softmaxed, and smoothed toward the uniform weight ``1/l`` by a
 coefficient ``rho`` in [0, 1]; the attribute embedding is the weighted
 average of the raw token vectors under those smoothed weights.
 
-One implementation, :func:`encode_sequences_tape`, encodes a batch of
-sequences on the autodiff tape. Each LSTM direction is a single tape op,
-:func:`autodiff.lstm_sequence`, with a hand-written backward pass
-(backpropagation through time). Training records gradients through it;
-blocking, single-record signatures and attention introspection run the
-same routine on tensors that do not require gradients, so it records
-nothing. Gate order in the packed LSTM weight matrices is input,
+Text enters at vocabulary level. :func:`prepare_values` turns a batch of
+values into a :class:`PreparedBatch`: the distinct tokens with their
+bucket ids (each token hashed once) plus each value's token numbers.
+:func:`embed_vocabulary` sums each distinct token's rows once, and
+:func:`encode_sequences_tape` gathers one row per token occurrence and
+encodes the values on the autodiff tape. Each LSTM direction is a single
+tape op, :func:`autodiff.lstm_sequence`, with a hand-written backward
+pass (backpropagation through time). Training records gradients through
+it; blocking, single-record signatures and attention introspection run
+the same routines on tensors that do not require gradients, so they
+record nothing. Gate order in the packed LSTM weight matrices is input,
 forget, cell, output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -67,47 +72,128 @@ class AttentionalEncoder:
 
 
 @dataclass
-class PreparedSequence:
-    """A token sequence resolved to embedding-table bucket ids.
+class PreparedBatch:
+    """Values resolved to embedding-table bucket ids at vocabulary level.
 
-    ``ids`` holds the bucket ids of all tokens back to back, and
-    ``sizes[k]`` says how many of them belong to token k. Tokens covered
-    by a pretrained map contribute a constant vector in ``const`` and no
-    ids; hashed tokens do the opposite.
+    The distinct tokens of the batch form its vocabulary, numbered in
+    first-seen order. ``ids`` holds their bucket ids back to back, token
+    t owning ``ids[offsets[t]:offsets[t + 1]]`` (CSR). A token covered by
+    a pretrained map owns no ids; its vector is row t of ``const``,
+    which is None when no token is pretrained. ``tokens`` holds the
+    vocabulary number of every kept token of every value back to back,
+    value v owning ``tokens[bounds[v]:bounds[v + 1]]``; a missing value
+    owns none.
     """
 
     ids: np.ndarray
-    sizes: np.ndarray
-    const: np.ndarray | None  # (l, d) pretrained contributions, or None
+    offsets: np.ndarray
+    const: np.ndarray | None  # (vocabulary, d) pretrained vectors, or None
+    tokens: np.ndarray
+    bounds: np.ndarray
 
     @property
-    def length(self) -> int:
-        return len(self.sizes)
+    def sizes(self) -> np.ndarray:
+        """How many ids each vocabulary token owns."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """How many tokens each value kept."""
+        return self.bounds[1:] - self.bounds[:-1]
+
+    def select(self, values: np.ndarray) -> "PreparedBatch":
+        """The values numbered ``values`` (an int array) as a batch of
+        their own, over the part of the vocabulary they use."""
+        starts = self.bounds[values]
+        bounds = _offsets(self.bounds[values + 1] - starts)
+        used, tokens = _first_seen(self.tokens[_ranges(starts, bounds)].tolist())
+        used = np.array(used, dtype=np.int64)
+        starts = self.offsets[used]
+        offsets = _offsets(self.offsets[used + 1] - starts)
+        return PreparedBatch(
+            self.ids[_ranges(starts, offsets)],
+            offsets,
+            None if self.const is None else self.const[used],
+            tokens,
+            bounds,
+        )
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of runs of the given lengths: run k is
+    ``[offsets[k], offsets[k + 1])``."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    counts.cumsum(out=offsets[1:])
+    return offsets
+
+
+def _ranges(starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``arange(starts[k], starts[k] + offsets[k + 1] - offsets[k])`` for
+    every k, back to back."""
+    return (starts - offsets[:-1]).repeat(offsets[1:] - offsets[:-1]) + np.arange(offsets[-1])
+
+
+def _first_seen(items: list) -> tuple[list, np.ndarray]:
+    """The distinct items in first-seen order, and each item's number
+    in that order."""
+    distinct = list(dict.fromkeys(items))
+    number = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(number.__getitem__, items), np.int64, len(items))
 
 
 _NO_IDS = np.empty(0, dtype=np.int64)
-_NO_IDS.flags.writeable = False  # shared by every prepared sequence
+_NO_IDS.flags.writeable = False  # shared by every pretrained token
+
+
+def prepare_values(
+    table: EmbeddingTable,
+    rows: Sequence[Sequence[AttributeValue]],
+    max_tokens: Sequence[int],
+) -> PreparedBatch:
+    """Resolve a table of values to one vocabulary-level batch.
+
+    ``rows[r][j]`` becomes value ``r * len(max_tokens) + j`` and keeps
+    its first ``max_tokens[j]`` tokens. Each distinct token is looked up
+    once: its pretrained vector if mapped, else its bucket ids through
+    :meth:`EmbeddingTable.bucket_ids`.
+    """
+    caps = list(max_tokens)
+    if min(caps, default=1) < 1:
+        raise ValueError(f"max_tokens must be positive, got {caps}")
+    kept: list[str] = []
+    lengths: list[int] = []
+    for row in rows:
+        if len(row) != len(caps):
+            raise ValueError(f"a row has {len(row)} values, expected {len(caps)}")
+        for value, cap in zip(row, caps):
+            tokens = value.tokens[:cap]
+            lengths.append(len(tokens))
+            kept.extend(tokens)
+    vocab, numbers = _first_seen(kept)
+    pretrained = table.pretrained
+    ids = [_NO_IDS if t in pretrained else table.bucket_ids(t) for t in vocab]
+    const = None
+    if pretrained and not pretrained.keys().isdisjoint(vocab):
+        const = np.zeros((len(vocab), table.dim))
+        for k, t in enumerate(vocab):
+            if t in pretrained:
+                const[k] = pretrained[t]
+    return PreparedBatch(
+        np.concatenate(ids) if ids else _NO_IDS,
+        _offsets(np.fromiter(map(len, ids), np.int64, len(ids))),
+        const,
+        numbers,
+        _offsets(np.array(lengths, dtype=np.int64)),
+    )
 
 
 def prepare_sequence(
     table: EmbeddingTable, value: AttributeValue, max_tokens: int
-) -> PreparedSequence | None:
+) -> PreparedBatch | None:
+    """One value as a batch of one; None for a missing value."""
     if value.is_missing:
         return None
-    tokens = value.tokens[:max_tokens]
-    ids: list[np.ndarray] = []
-    const: np.ndarray | None = None
-    for k, tok in enumerate(tokens):
-        vec = table.pretrained.get(tok) if table.pretrained else None
-        if vec is not None:
-            if const is None:
-                const = np.zeros((len(tokens), table.dim))
-            const[k] = vec
-            ids.append(_NO_IDS)
-        else:
-            ids.append(table.bucket_ids(tok))
-    sizes = np.array([len(a) for a in ids], dtype=np.int64)
-    return PreparedSequence(np.concatenate(ids) if ids else _NO_IDS, sizes, const)
+    return prepare_values(table, [(value,)], [max_tokens])
 
 
 def encoder_tensors(encoder: AttentionalEncoder, requires_grad: bool) -> dict[str, ad.Tensor]:
@@ -119,47 +205,54 @@ def encoder_tensors(encoder: AttentionalEncoder, requires_grad: bool) -> dict[st
     return out
 
 
+def embed_vocabulary(emb: ad.Tensor, batch: PreparedBatch) -> ad.Tensor:
+    """The (vocabulary, d) token vectors of a batch, on the tape.
+
+    Each distinct token's bucket rows are summed once, by one
+    ``embedding_bag`` over the vocabulary, from zero and in id order;
+    pretrained tokens then add their constant vectors.
+    """
+    vectors = ad.embedding_bag(emb, batch.ids, batch.offsets)
+    if batch.const is not None:
+        vectors = ad.add(vectors, batch.const)
+    return vectors
+
+
 def encode_sequences_tape(
-    emb: ad.Tensor,
+    vectors: ad.Tensor,
     enc: dict[str, ad.Tensor],
     rho: float,
     hidden: int,
-    seqs: list[PreparedSequence],
+    batch: PreparedBatch,
+    values: np.ndarray,
 ) -> tuple[ad.Tensor, list[np.ndarray]]:
-    """Encode a batch of sequences on the tape.
+    """Encode the values numbered ``values`` of a batch on the tape; none
+    may be missing.
 
-    Returns the (n_seqs, d) attribute embeddings and, per sequence, its
-    smoothed attention weights (an array of its length). Sequences are
-    grouped by length so each group runs as dense batched matmuls
-    without masking.
+    ``vectors`` holds the batch's token vectors (:func:`embed_vocabulary`);
+    every position of a value takes its token's row. Returns the
+    (len(values), d) attribute embeddings and, per value, its smoothed
+    attention weights (an array of its length). Values are grouped by
+    length so each group runs as dense batched matmuls without masking.
     """
+    starts = batch.bounds[values]
     by_len: dict[int, list[int]] = {}
-    for idx, s in enumerate(seqs):
-        by_len.setdefault(s.length, []).append(idx)
+    for idx, length in enumerate((batch.bounds[values + 1] - starts).tolist()):
+        by_len.setdefault(length, []).append(idx)
+    if 0 in by_len:
+        raise ValueError("cannot encode a missing value")
 
     outputs: list[ad.Tensor] = []
     order: list[int] = []
-    weights: list[np.ndarray] = [None] * len(seqs)
-    dim = emb.data.shape[1]
+    weights: list[np.ndarray] = [None] * len(values)
+    dim = vectors.data.shape[1]
     attn_col = ad.reshape(enc["attn"], (2 * hidden, 1))
     for length in sorted(by_len):
         members = by_len[length]
         order.extend(members)
         n = len(members)
-        group = [seqs[idx] for idx in members]
-        indices = np.concatenate([s.ids for s in group])
-        offsets = np.zeros(n * length + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([s.sizes for s in group]), out=offsets[1:])
-        flat = ad.embedding_bag(emb, indices, offsets)
-        const = None
-        for row, s in enumerate(group):
-            if s.const is not None:
-                if const is None:
-                    const = np.zeros((n, length, dim))
-                const[row] = s.const
-        if const is not None:
-            flat = ad.add(flat, const.reshape(n * length, dim))
-        v3 = ad.reshape(flat, (n, length, dim))
+        positions = (starts[members][:, None] + np.arange(length)).reshape(-1)
+        v3 = ad.reshape(ad.take_rows(vectors, batch.tokens[positions]), (n, length, dim))
 
         h_f = ad.lstm_sequence(v3, enc["wx_f"], enc["wh_f"], enc["b_f"])
         h_b = ad.lstm_sequence(v3, enc["wx_b"], enc["wh_b"], enc["b_b"], reverse=True)
@@ -191,15 +284,16 @@ def token_attention(
     """(token, weight) pairs of the smoothed attention over one value's
     tokens, read off :func:`encode_sequences_tape` for a batch of one;
     empty for a missing value."""
-    seq = prepare_sequence(table, value, encoder.max_tokens)
-    if seq is None:
+    batch = prepare_sequence(table, value, encoder.max_tokens)
+    if batch is None:
         return []
     _, (beta,) = encode_sequences_tape(
-        ad.Tensor(table.rows),
+        embed_vocabulary(ad.Tensor(table.rows), batch),
         encoder_tensors(encoder, requires_grad=False),
         encoder.smoothing_rho,
         encoder.hidden,
-        [seq],
+        batch,
+        np.zeros(1, dtype=np.int64),
     )
     return list(zip(value.tokens[: encoder.max_tokens], beta.tolist()))
 

@@ -9,6 +9,10 @@ sentinel, and near-identical spellings share most of their rows.
 Optionally a table can carry pretrained word vectors loaded from a text
 file; mapped tokens return their pretrained vector unchanged while
 unseen tokens fall back to the hashed n-gram sum.
+
+The encoder reaches the table per distinct token of a batch
+(``encoder.prepare_values``): :meth:`EmbeddingTable.bucket_ids` hashes
+each token once and caches its ids on the table.
 """
 
 from __future__ import annotations
@@ -115,8 +119,10 @@ def load_pretrained(
     """Load ``token v1 .. vd`` lines into a frozen table with hashed fallback.
 
     The dimension is fixed by the first line; a line with a different
-    float count raises with its line number. Out-of-vocabulary tokens
-    still embed through the (untrained, frozen) hashed rows.
+    float count, or with an entry that is no finite number (``nan`` and
+    ``inf`` parse as floats), raises with its line number.
+    Out-of-vocabulary tokens still embed through the (untrained, frozen)
+    hashed rows.
     """
     path = Path(path)
     pretrained: dict[str, np.ndarray] = {}
@@ -133,6 +139,8 @@ def load_pretrained(
                 vec = np.array([float(x) for x in parts[1:] if x != ""], dtype=np.float64)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric vector entry") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite vector entry")
             if dim is None:
                 dim = len(vec)
                 if dim == 0:

@@ -21,19 +21,21 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .data_model import AttributeValue, Dataset, LabelSet, Record
-from .encoder import (
+from .data_model import Dataset, LabelSet, Record
+from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by name
     AttentionalEncoder,
-    PreparedSequence,
+    PreparedBatch,
+    embed_vocabulary,
     encode_sequences_tape,
     encoder_tensors,
     prepare_sequence,
+    prepare_values,
 )
 from .signatures import SignatureModel, SignatureWeights, cosine, prune_support
 from .text_embedding import EmbeddingTable
@@ -201,10 +203,6 @@ class SignatureTrainer:
             (self.index_of[a], self.index_of[b]) for a, b in labels.sorted_pairs()
         ]
         self.m = len(dataset.schema)
-        self.presence = np.array(
-            [[not v.is_missing for v in r.attributes] for r in self.records],
-            dtype=bool,
-        )
 
         seq = np.random.SeedSequence(config.seed)
         s_table, s_enc, s_batch, s_neg = seq.spawn(4)
@@ -231,66 +229,27 @@ class SignatureTrainer:
         self.rng_batch = np.random.Generator(np.random.PCG64(s_batch))
         self.rng_neg = np.random.Generator(np.random.PCG64(s_neg))
 
-        self._prepare_all()
+        # every value of every record at vocabulary level, its bucket ids
+        # renumbered to positions in `reachable`, the sorted table rows
+        # some value names: the trainer optimises those rows as the
+        # compact `emb_t`, since no other row can ever get a gradient
+        batch = prepare_values(
+            table, [r.attributes for r in self.records], [e.max_tokens for e in self.encoders]
+        )
+        self.reachable, local = np.unique(batch.ids, return_inverse=True)
+        self.prepared_values = replace(batch, ids=local)
+        self.presence = batch.lengths.reshape(self.n, self.m) > 0
         self.emb_t = ad.Tensor(
             self.table.rows[self.reachable], requires_grad=self.table.trainable
         )
         self.enc_t = [encoder_tensors(e, requires_grad=True) for e in self.encoders]
 
-    def _prepare_all(self) -> None:
-        """Prepare every present (record, attribute) value once.
-
-        Each distinct token is prepared (hashed) once, as a value of one
-        token. The bucket ids of all values then sit back to back in one
-        array (CSR: each value is a slice), renumbered to positions in
-        ``self.reachable``, the sorted table rows some value names. The
-        trainer optimises those rows as the compact ``emb_t``; no other
-        row can ever get a gradient.
-        """
-        number: dict[str, int] = {}  # distinct token -> its index in `single`
-        keys: list[tuple[int, int]] = []
-        lengths: list[int] = []
-        tokens: list[int] = []  # token numbers of all values back to back
-        for r, record in enumerate(self.records):
-            for j, value in enumerate(record.attributes):
-                if value.is_missing:
-                    continue
-                kept = value.tokens[: self.config.max_tokens]
-                keys.append((r, j))
-                lengths.append(len(kept))
-                tokens.extend([number.setdefault(t, len(number)) for t in kept])
-        single = [prepare_sequence(self.table, AttributeValue((t,)), 1) for t in number]
-        own_ids = [s.ids for s in single]
-        self.reachable, local = np.unique(
-            np.concatenate(own_ids) if own_ids else np.empty(0, np.int64),
-            return_inverse=True,
-        )
-        own_sizes = np.array([len(a) for a in own_ids], dtype=np.int64)
-        own_local = np.split(local, np.cumsum(own_sizes)[:-1])
-        flat = np.concatenate([own_local[t] for t in tokens] or [np.empty(0, np.int64)])
-        sizes = own_sizes[np.array(tokens, dtype=np.int64)]
-        ends = [0] + np.cumsum(sizes).tolist()  # token k's ids: flat[ends[k]:ends[k+1]]
-
-        # (record, attribute) -> its sequence; absent for a missing value
-        self._prepared: dict[tuple[int, int], PreparedSequence] = {}
-        hi = 0
-        for key, length in zip(keys, lengths):
-            lo, hi = hi, hi + length
-            const = None
-            if self.table.pretrained:
-                consts = [single[t].const for t in tokens[lo:hi]]
-                if any(c is not None for c in consts):
-                    const = np.zeros((length, self.table.dim))
-                    for k, c in enumerate(consts):
-                        if c is not None:
-                            const[k] = c[0]
-            self._prepared[key] = PreparedSequence(
-                flat[ends[lo] : ends[hi]], sizes[lo:hi], const
-            )
-
-    def prepared(self, rec_idx: int, attr: int) -> PreparedSequence | None:
-        """The value's sequence, its ids numbered as rows of ``emb_t``."""
-        return self._prepared.get((rec_idx, attr))
+    def prepared(self, rec_idx: int, attr: int) -> PreparedBatch | None:
+        """The value as a batch of one, its ids numbered as rows of
+        ``emb_t``; None for a missing value."""
+        if not self.presence[rec_idx, attr]:
+            return None
+        return self.prepared_values.select(np.array([rec_idx * self.m + attr]))
 
     def applicable(self, rec_idx: int, active: np.ndarray) -> bool:
         """True when some positively weighted attribute is present."""
@@ -387,22 +346,26 @@ class SignatureTrainer:
         self, w_t: ad.Tensor, usable: Sequence[int], rec_idx: list[int]
     ) -> ad.Tensor:
         """Signature vectors (len(rec_idx), d) under the current weights."""
-        n_out = len(rec_idx)
+        records = np.array(rec_idx, dtype=np.int64)
+        usable = sorted(usable)
+        # the records' usable values as one batch, value k * len(usable) + u
+        step = self.prepared_values.select((records[:, None] * self.m + usable).reshape(-1))
+        vectors = embed_vocabulary(self.emb_t, step)
         total: ad.Tensor | None = None
-        for j in sorted(usable):
-            rows = [k for k, r in enumerate(rec_idx) if self.presence[r, j]]
-            if not rows:
+        for u, j in enumerate(usable):
+            rows = np.flatnonzero(self.presence[records, j])
+            if not rows.size:
                 continue
-            seqs = [self.prepared(rec_idx[k], j) for k in rows]
             encoded, _ = encode_sequences_tape(
-                self.emb_t,
+                vectors,
                 self.enc_t[j],
                 self.encoders[j].smoothing_rho,
                 self.config.hidden_size,
-                seqs,
+                step,
+                rows * len(usable) + u,
             )
             weighted = ad.mul(encoded, ad.reshape(w_t[j], (1, 1)))
-            part = ad.scatter_rows(weighted, np.array(rows, dtype=np.int64), n_out)
+            part = ad.scatter_rows(weighted, rows, len(rec_idx))
             total = part if total is None else ad.add(total, part)
         if total is None:
             raise ValueError("no applicable attribute among the requested records")

@@ -1,8 +1,11 @@
 """End-to-end candidate generation against the exact oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
+from sigblock import autodiff as ad
 from sigblock.blocking import (
     CandidateSet,
     block,
@@ -20,8 +23,13 @@ from sigblock.data_model import (
     canonical_pair,
     make_bipartite,
 )
-from sigblock.encoder import AttentionalEncoder
 from sigblock.blocking import _normalized
+from sigblock.encoder import (
+    AttentionalEncoder,
+    PreparedBatch,
+    encode_sequences_tape,
+    encoder_tensors,
+)
 from sigblock.lsh import LshIndex, LshParams
 from sigblock.signatures import SignatureModel, SignatureWeights
 from sigblock.text_embedding import EmbeddingTable
@@ -356,3 +364,120 @@ class TestCandidateIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "id_a,id_b"
         assert lines[1:] == sorted(lines[1:])
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("a,b,0,0.9\nlonely\n", 3),
+            # a pair without provenance would break write_candidates later
+            ("a,b,0,0.9\nc,d\n", 3),
+            ("a,b,0,0.9\n\nc,d,1,0.8\n", 3),
+            ("a,b,zero,0.9\n", 2),
+            ("a,b,0,0.9\nc,d,1,high\n", 3),
+        ],
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, body, line):
+        path = tmp_path / "cands.csv"
+        path.write_text("id_a,id_b,signature_id,cosine\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
+            read_candidates(path)
+
+
+def oracle_signature_matrix(model, records):
+    """signature_matrix computed value by value, every token occurrence
+    embedded on its own: a pretrained vector added to zero, or its bucket
+    rows summed from zero in id order."""
+    n, m, dim = len(records), len(model.schema), model.table.dim
+    attr_emb = np.zeros((n, m, dim))
+    present = np.zeros((n, m), dtype=bool)
+    for i, rec in enumerate(records):
+        for j, (value, enc) in enumerate(zip(rec.attributes, model.encoders)):
+            kept = value.tokens[: enc.max_tokens]
+            if not kept:
+                continue
+            vectors = []
+            for t in kept:
+                vec = np.zeros(dim)
+                if t in model.table.pretrained:
+                    vec = vec + model.table.pretrained[t]
+                else:
+                    for row in model.table.bucket_ids(t):
+                        vec = vec + model.table.rows[row]
+                vectors.append(vec)
+            # one value whose vocabulary is its token occurrences
+            alone = PreparedBatch(
+                np.zeros(0, dtype=np.int64),
+                np.zeros(len(kept) + 1, dtype=np.int64),
+                None,
+                np.arange(len(kept)),
+                np.array([0, len(kept)]),
+            )
+            out, _ = encode_sequences_tape(
+                ad.Tensor(np.stack(vectors)),
+                encoder_tensors(enc, False),
+                enc.smoothing_rho,
+                enc.hidden,
+                alone,
+                np.zeros(1, dtype=np.int64),
+            )
+            attr_emb[i, j] = out.data[0]
+            present[i, j] = True
+    weights = model.weights.matrix
+    sig = np.einsum("sj,njd->nsd", weights, attr_emb * present[:, :, None])
+    sig_present = (present[:, None, :] & (weights > 0)[None, :, :]).any(axis=2)
+    return sig, sig_present
+
+
+class TestVocabularyFrontEnd:
+    """One vocabulary across the attributes of a batch gives the values
+    that encoding each value alone gives, bit for bit."""
+
+    def mixed_model(self):
+        rng = np.random.default_rng(5)
+        dim = 6
+        table = EmbeddingTable(
+            dim=dim,
+            bucket_count=64,
+            seed=3,
+            pretrained={"jones": rng.standard_normal(dim), "mrs.": rng.standard_normal(dim)},
+        )
+        encoders = [
+            AttentionalEncoder.initialize(dim, 3, rho, rng, max_tokens=cap)
+            for rho, cap in ((1.0, 2), (0.4, 5))
+        ]
+        weights = SignatureWeights(np.array([[1.0, 0.0], [0.6, 0.8]]))
+        return SignatureModel(("title", "artist"), table, encoders, weights)
+
+    def test_mixed_batch_matches_batches_of_one_and_oracle(self):
+        model = self.mixed_model()
+        records = [
+            # pretrained and hashed tokens in one value, a repeat cut at 2
+            record("r0", "me jones me mrs.", "jones dylan jones"),
+            # "jones" again, in the attribute cut at 5 and past the cut
+            record("r1", "", "me and mrs. jones remix jones"),
+            record("r2", "dylan", ""),
+            record("r3", "", ""),
+            record("r4", "jones jones", "jones"),
+        ]
+        sig, ok = signature_matrix(model, records)
+        ones = [signature_matrix(model, [r]) for r in records]
+        assert sig.tobytes() == np.concatenate([s for s, _ in ones]).tobytes()
+        assert ok.tobytes() == np.concatenate([o for _, o in ones]).tobytes()
+        want_sig, want_ok = oracle_signature_matrix(model, records)
+        assert sig.tobytes() == want_sig.tobytes()
+        assert ok.tobytes() == want_ok.tobytes()
+        assert ok.tolist() == [
+            [True, True], [False, True], [True, True], [False, False], [True, True]
+        ]
+
+    def test_all_missing_batch(self):
+        model = self.mixed_model()
+        records = [record("a", "", ""), record("b", "", "")]
+        sig, ok = signature_matrix(model, records)
+        assert not ok.any() and not sig.any()
+        want_sig, want_ok = oracle_signature_matrix(model, records)
+        assert sig.tobytes() == want_sig.tobytes()
+        assert ok.tobytes() == want_ok.tobytes()
+        empty_sig, empty_ok = signature_matrix(model, [])
+        assert empty_sig.shape == (0, 2, 6) and empty_ok.shape == (0, 2)
+

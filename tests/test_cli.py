@@ -202,6 +202,20 @@ def test_eval_recall_hand_computed(workspace, tmp_path):
     assert float(rows["full"][4]) == 1.0
 
 
+@pytest.mark.parametrize("row", ["lonely", "a,b,zero,0.9"])
+def test_eval_malformed_candidates_exits_1(workspace, tmp_path, capsys, row):
+    _, config = workspace
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"id_a,id_b,signature_id,cosine\n{row}\n", encoding="utf-8")
+    rc = main(
+        ["eval", "--config", str(config), "--candidates", f"bad={bad}",
+         "--out", str(tmp_path / "metrics.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
+
+
 def test_eval_repeats_make_metric_rows(workspace, tmp_path):
     _, config = workspace
     model = tmp_path / "model.bin"

@@ -1,5 +1,7 @@
 """Tokenizer rules, ingestion, round trips, and label handling."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,16 @@ from sigblock.data_model import (
     tokenize,
     write_labels,
 )
+
+
+def four_pass_tokens(raw: str) -> tuple[str, ...]:
+    """The tokenizer rules as four unconditional ``re.sub`` passes."""
+    s = raw.lower()
+    s = re.sub(r'([\[\](){},;:!?"])', r" \1 ", s)
+    s = re.sub(r"(\w)(n't)(?!\w)", r"\1 \2", s)
+    s = re.sub(r"(\w)('(?:s|m|re|ve|ll|d))(?!\w)", r"\1 \2", s)
+    s = re.sub(r"(?<=[^\s.])(\.+)\s*$", r" \1", s)
+    return tuple(s.split())
 
 
 class TestTokenize:
@@ -60,6 +72,21 @@ class TestTokenize:
         tokens = tokenize(raw).tokens
         assert all(t and not any(c.isspace() for c in t) for t in tokens)
         assert tokenize(" ".join(tokens)).tokens == tokens
+
+    @given(
+        st.lists(
+            st.sampled_from(list('[](){},;:!?"\'.') + ["n't", "'s", "'ll", "N'T", "'S"])
+            | st.sampled_from([" ", "  ", "\t", "\n", "\u00a0"])
+            | st.text(alphabet="abcXYZ\u00e9\u00c9\u00df\u0130\u03a3\u00e7", min_size=1,
+                      max_size=4),
+            max_size=20,
+        ).map("".join)
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_four_pass_reference(self, raw):
+        # tokenize skips a rule whose trigger character is absent; the
+        # reference always runs all four
+        assert tokenize(raw).tokens == four_pass_tokens(raw)
 
 
 class TestIngest:

@@ -10,9 +10,11 @@ from sigblock import autodiff as ad
 from sigblock.data_model import AttributeValue
 from sigblock.encoder import (
     AttentionalEncoder,
+    embed_vocabulary,
     encode_sequences_tape,
     encoder_tensors,
     prepare_sequence,
+    prepare_values,
     token_attention,
 )
 from sigblock.text_embedding import EmbeddingTable
@@ -27,9 +29,14 @@ def make_encoder(dim=6, hidden=4, rho=1.0, seed=0):
 
 def encode(enc, table, values):
     """Embeddings (n, d) and per-value attention weights of one batch."""
-    seqs = [prepare_sequence(table, v, enc.max_tokens) for v in values]
+    batch = prepare_values(table, [(v,) for v in values], [enc.max_tokens])
     out, weights = encode_sequences_tape(
-        ad.Tensor(table.rows), encoder_tensors(enc, False), enc.smoothing_rho, enc.hidden, seqs
+        embed_vocabulary(ad.Tensor(table.rows), batch),
+        encoder_tensors(enc, False),
+        enc.smoothing_rho,
+        enc.hidden,
+        batch,
+        np.arange(len(values)),
     )
     return out.data, weights
 
@@ -177,6 +184,28 @@ class TestEncodeAttribute:
         table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
         assert prepare_sequence(table, AttributeValue(()), enc.max_tokens) is None
 
+    def test_missing_value_cannot_be_encoded(self):
+        enc = make_encoder()
+        table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
+        batch = prepare_values(table, [(AttributeValue(("dylan",)),), (AttributeValue(()),)], [4])
+        with pytest.raises(ValueError, match="missing value"):
+            encode_sequences_tape(
+                embed_vocabulary(ad.Tensor(table.rows), batch),
+                encoder_tensors(enc, False),
+                enc.smoothing_rho,
+                enc.hidden,
+                batch,
+                np.arange(2),
+            )
+
+    def test_prepare_values_rejects_bad_shapes(self):
+        table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
+        value = AttributeValue(("dylan",))
+        with pytest.raises(ValueError, match="max_tokens must be positive"):
+            prepare_values(table, [(value, value)], [3, 0])
+        with pytest.raises(ValueError, match="a row has 1 values, expected 2"):
+            prepare_values(table, [(value, value), (value,)], [3, 3])
+
     def test_rho_zero_equals_token_mean(self):
         enc = make_encoder(rho=0.0)
         table = EmbeddingTable(dim=6, bucket_count=32, seed=0)
@@ -268,10 +297,17 @@ class TestEncoderGradients:
 
         emb_t = ad.Tensor(table.rows, requires_grad=True)
         enc_t = encoder_tensors(enc, requires_grad=True)
-        seqs = [prepare_sequence(table, value, enc.max_tokens)]
+        batch = prepare_sequence(table, value, enc.max_tokens)
 
         def forward() -> ad.Tensor:
-            out, _ = encode_sequences_tape(emb_t, enc_t, enc.smoothing_rho, enc.hidden, seqs)
+            out, _ = encode_sequences_tape(
+                embed_vocabulary(emb_t, batch),
+                enc_t,
+                enc.smoothing_rho,
+                enc.hidden,
+                batch,
+                np.zeros(1, dtype=np.int64),
+            )
             return ad.tsum(ad.mul(out, ad.Tensor(probe.reshape(1, -1))))
 
         loss = forward()

@@ -8,6 +8,7 @@ from sigblock.blocking import signature_matrix
 from sigblock.data_model import AttributeValue, Record
 from sigblock.encoder import (
     AttentionalEncoder,
+    embed_vocabulary,
     encode_sequences_tape,
     encoder_tensors,
     prepare_sequence,
@@ -23,12 +24,14 @@ from sigblock.text_embedding import EmbeddingTable
 
 def attribute_embedding(model, j, value):
     enc = model.encoders[j]
+    batch = prepare_sequence(model.table, value, enc.max_tokens)
     out, _ = encode_sequences_tape(
-        ad.Tensor(model.table.rows),
+        embed_vocabulary(ad.Tensor(model.table.rows), batch),
         encoder_tensors(enc, False),
         enc.smoothing_rho,
         enc.hidden,
-        [prepare_sequence(model.table, value, enc.max_tokens)],
+        batch,
+        np.zeros(1, dtype=np.int64),
     )
     return out.data[0]
 

@@ -1,5 +1,7 @@
 """Hashed n-gram embeddings and pretrained vector loading."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -124,4 +126,13 @@ class TestPretrained:
         f = tmp_path / "vec.txt"
         f.write_text("a 1 2 3\nb 1 2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            load_pretrained(f)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_reports_line(self, tmp_path, entry):
+        # float() parses these, so without a check the token would load as a
+        # NaN or inf vector and silently drop every record that holds it
+        f = tmp_path / "vec.txt"
+        f.write_text(f"good 1 2\nbad {entry} 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(f))}: line 2: non-finite"):
             load_pretrained(f)
