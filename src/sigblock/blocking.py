@@ -103,21 +103,19 @@ def block(
     theta: float,
     lsh_params: LshParams | None = None,
     keep_provenance: bool = True,
-    workers: int = 1,
 ) -> CandidateSet:
     """Hashed nearest-neighbor blocking over all signatures.
 
     Per signature, one index holds the index side and all query records
-    are looked up in one batched ``LshIndex.search``. A query's hits
-    are capped at ``max_results`` before its own record is dropped from
-    them. A pair found under several signatures keeps its best cosine,
-    the lowest signature on ties. ``workers`` must be at least 1 and is
-    otherwise unused: the search runs in one thread.
+    are looked up in one batched ``LshIndex.search``; on a single table
+    the queries are the indexed rows, so ``LshIndex.search_self`` probes
+    from the hashes the build computed. A query's hits are capped at
+    ``max_results`` before its own record is dropped from them. A pair
+    found under several signatures keeps its best cosine, the lowest
+    signature on ties.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     model.validate_schema(dataset)
     lsh_params = lsh_params or LshParams()
 
@@ -155,7 +153,10 @@ def block(
             model.table.dim,
             lsh_params,
         )
-        row, entry, cos = index.search(q_sig[q_rows, s], theta)
+        if dataset.is_bipartite:
+            row, entry, cos = index.search(q_sig[q_rows, s], theta)
+        else:  # q_rows is idx_rows
+            row, entry, cos = index.search_self(theta)
         a, b = q_rank[q_rows[row]], idx_rank[idx_rows[entry]]
         other = a != b
         pair = np.minimum(a, b) * len(ids) + np.maximum(a, b)

@@ -118,7 +118,7 @@ def cmd_block(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
     t0 = time.perf_counter()
-    candidates = block(dataset, model, theta, config.lsh_params(), workers=args.workers)
+    candidates = block(dataset, model, theta, config.lsh_params())
     wall = time.perf_counter() - t0
     write_candidates(candidates, args.out)
     pe = pe_ratio(candidates, dataset) if dataset.n else 0.0

@@ -10,13 +10,14 @@ winner margin is smallest to its runner-up axis. Candidates are then
 re-ranked by exact cosine, so results are always a subset of a
 brute-force scan at the same threshold.
 
-Queries run in batches (``LshIndex.search``; ``LshIndex.query`` is a
-batch of one). A batch is hashed under all rotations in one matrix
-product; each probe is packed into one int64 key and joined to the
-index by binary search over every table's sorted keys, and the
-(query, entry) candidates are deduplicated, re-ranked and cut per
-query with array operations. Building an index hashes its vectors the
-same way and groups equal keys by sorting.
+An index keeps its tables as sorted arrays only: one stable argsort
+of every (entry, table) key, packed with its table number into an
+int64, gives the bucket keys, sizes and members (ascending per bucket);
+``LshIndex.tables`` derives the per-table dicts from them. Queries run
+in batches (``search``; ``query`` is a batch of one), hashed under all
+rotations in one matrix product, joined to the keys by binary search,
+then deduplicated, re-ranked and cut with array operations. ``build``
+keeps its hashes, so a self-join (``search_self``) needs no second pass.
 
 Vectors are zero-padded to a power-of-two dimension before rotation,
 which leaves cosines unchanged.
@@ -33,17 +34,24 @@ Index file layout (all integers little-endian)::
            dim x f32 unit vector
     per table: u32 n_buckets, then per bucket: hashes_per_table x i32
            key components, u32 count, count x u32 entry indices
+
+Files go through ``codec``: ``save`` checks every field before the
+path is opened, and ``load`` raises ``ValueError`` naming the path, the
+byte offset and the field for a file cut short or overlong, a
+non-finite float, a header the layout rules out, or tables other than
+the partition ``save`` writes (buckets by first entry, members ascending
+and below n_entries, keys distinct, components in +/-1..+/-dim_padded).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+from .codec import Reader, Writer
 
 UNIT_TOL = 1e-6
 # Vectors are hashed 256 rows per matrix product and queries re-ranked in
@@ -53,6 +61,8 @@ _CHUNK_ROWS = 256
 _CHUNK_PAIRS = 1 << 13
 _MAGIC = b"XPLSH1"
 _VERSION = 1
+_HEADER = "dim dim_padded tables hashes_per_table multiprobe seed n_entries max_results"
+_HEADER_FORMATS = "IIIIIQII"
 
 
 def next_pow2(n: int) -> int:
@@ -141,24 +151,36 @@ def _signed(codes: np.ndarray) -> np.ndarray:
     return ((codes >> 1) + 1) * (1 - 2 * (codes & 1))
 
 
-def _bucket_arrays(
-    tables: list[dict[tuple[int, ...], list[int]]], shifts: np.ndarray, table_shift: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every bucket as (sorted packed keys, starts, sizes, members).
+def _read_table(r: Reader, k: int, n: int, hashes: int, dp: int) -> np.ndarray:
+    """Table ``k`` of an index file as each entry's axis codes, (n, hashes).
 
-    Bucket ``i`` of the sorted keys holds the entries
-    ``members[starts[i]:starts[i] + sizes[i]]``.
+    Only the key components are checked here. Whether the buckets are
+    the partition ``save`` writes is left to the caller, which compares
+    the table with the index's own (members at or above ``n`` skipped).
     """
-    keys = np.array([key for t in tables for key in t], dtype=np.int64)
-    keys = keys.reshape(-1, len(shifts))
-    table = np.repeat(np.arange(len(tables), dtype=np.int64), [len(t) for t in tables])
-    packed = ((2 * (np.abs(keys) - 1) + (keys < 0)) << shifts).sum(axis=1)
-    packed += table << table_shift
-    buckets = [b for t in tables for b in t.values()]
-    sizes = np.fromiter(map(len, buckets), dtype=np.int64, count=len(buckets))
-    members = np.fromiter(chain.from_iterable(buckets), dtype=np.int64, count=int(sizes.sum()))
-    order = np.argsort(packed)
-    return packed[order], (np.cumsum(sizes) - sizes)[order], sizes[order], members
+    (count,) = r.unpack("<I", f"table {k} bucket count")
+    words = r.array("<u4", count * (hashes + 1) + n, f"table {k} buckets")
+    listed, end, at, heads = words.tolist(), len(words), 0, []
+    for _ in range(count):
+        if at + hashes >= end:
+            break
+        heads.append(at)
+        at += hashes + 1 + listed[at + hashes]
+    if len(heads) < count or at != end:
+        where = r.last + 4 * min(at, end)
+        raise r.fail(f"bucket sizes do not add up to {n}", f"table {k} buckets", where)
+    heads = np.array(heads, dtype=np.int64)
+    signed = words[heads[:, None] + np.arange(hashes)].view("<i4").astype(np.int64)
+    bad = (signed == 0) | (np.abs(signed) > dp)
+    if bad.any():
+        b, j = divmod(int(bad.argmax()), hashes)
+        what = f"key component {signed[b, j]} outside +/-1..+/-{dp}"
+        raise r.fail(what, f"table {k} bucket {b} key", r.last + 4 * int(heads[b] + j))
+    members = np.delete(words, heads[:, None] + np.arange(hashes + 1)).astype(np.int64)
+    fill = np.repeat(2 * (np.abs(signed) - 1) + (signed < 0), words[heads + hashes], axis=0)
+    codes = np.zeros((n, hashes), dtype=np.int64)
+    codes[members[members < n]] = fill[members < n]
+    return codes
 
 
 @dataclass
@@ -231,7 +253,12 @@ def approx_factor(theta: float, theta_prime: float) -> float:
 
 
 class LshIndex:
-    """Immutable multi-table index over unit vectors tagged (id, signature)."""
+    """Immutable multi-table index over unit vectors tagged (id, signature).
+
+    ``codes`` (entries, tables, hashes_per_table) holds every entry's
+    bucket keys as ``_top2`` axis codes. ``hashes``, when given, is the
+    ``_hash`` of ``vectors`` (``codes`` its first array) for ``search_self``.
+    """
 
     def __init__(
         self,
@@ -240,7 +267,8 @@ class LshIndex:
         rotations: np.ndarray,
         entries: list[tuple[str, int]],
         vectors: np.ndarray,
-        tables: list[dict[tuple[int, ...], list[int]]],
+        codes: np.ndarray,
+        hashes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         self.dim = dim
         self.dim_padded = rotations.shape[-1]
@@ -248,18 +276,28 @@ class LshIndex:
         self.rotations = rotations  # (tables, hashes_per_table, dp, dp)
         self.entries = entries
         self.vectors = vectors  # (n, dim) unit rows
-        self.tables = tables
-        self._shifts, table_shift = _key_shifts(
+        self._hashes = hashes
+        self._tables: list[dict[tuple[int, ...], list[int]]] | None = None
+        self._shifts, self._table_shift = _key_shifts(
             self.dim_padded, params.hashes_per_table, params.tables
         )
-        self._table_keys = np.arange(params.tables, dtype=np.int64) << table_shift
+        self._table_keys = np.arange(params.tables, dtype=np.int64) << self._table_shift
         self._signatures = np.array([s for _, s in entries], dtype=np.int64)
         # position of each entry in (record_id, signature) order: the tie-break
         self._rank = np.empty(len(entries), dtype=np.int64)
         self._rank[sorted(range(len(entries)), key=entries.__getitem__)] = np.arange(
             len(entries)
         )
-        self._buckets = _bucket_arrays(tables, self._shifts, table_shift)
+        # (entry, table) keys table-major, so the stable sort keeps members
+        # ascending; bucket i has key _keys[i] and the entries
+        # _members[_starts[i]:_starts[i] + _sizes[i]]
+        packed = ((codes << self._shifts).sum(axis=-1) + self._table_keys).T.ravel()
+        order = np.argsort(packed, kind="stable")
+        run = packed[order]
+        self._starts = np.flatnonzero(np.diff(run, prepend=-1))
+        self._keys = run[self._starts]
+        self._sizes = np.diff(np.append(self._starts, len(run)))
+        self._members = np.tile(np.arange(len(entries)), params.tables)[order]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -269,6 +307,28 @@ class LshIndex:
         if self.params.max_results is not None:
             return self.params.max_results
         return max(1000, int(np.sqrt(len(self.entries)))) if self.entries else 1000
+
+    @property
+    def tables(self) -> list[dict[tuple[int, ...], list[int]]]:
+        """Per table, signed-axis key -> ascending entry indices, buckets
+        in order of their first entry as the file lists them; built from
+        the arrays on first use."""
+        if self._tables is None:
+            order, table, keys = self._file_buckets()
+            members = self._members.tolist()
+            bounds = zip(self._starts[order].tolist(), self._sizes[order].tolist())
+            self._tables = [{} for _ in range(self.params.tables)]
+            for k, key, (a, size) in zip(table.tolist(), keys.tolist(), bounds):
+                self._tables[k][tuple(key)] = members[a : a + size]
+        return self._tables
+
+    def _file_buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bucket numbers in file order (table by table, each table's
+        buckets by first entry), their tables and signed-axis keys."""
+        table = self._keys >> self._table_shift
+        order = np.lexsort((self._members[self._starts], table))
+        mask = (1 << self.dim_padded.bit_length()) - 1
+        return order, table[order], _signed((self._keys[order, None] >> self._shifts) & mask)
 
     @classmethod
     def build(
@@ -298,34 +358,13 @@ class LshIndex:
         rng = np.random.Generator(np.random.PCG64(params.seed))
         rotations = random_rotations(dp, params.tables * params.hashes_per_table, rng)
         rotations = rotations.reshape(params.tables, params.hashes_per_table, dp, dp)
-        if not entries:
-            tables = [dict() for _ in range(params.tables)]
-            return cls(dim, params, rotations, entries, vectors, tables)
-        n = len(entries)
-        best = np.concatenate(
-            [
-                _hash(rotations, pad_to(vectors[lo : lo + _CHUNK_ROWS], dp))[0]
-                for lo in range(0, n, _CHUNK_ROWS)
-            ]
-        )
-        shifts, _ = _key_shifts(dp, params.hashes_per_table, params.tables)
-        packed = (best << shifts).sum(axis=-1)
-        signed = _signed(best)
-        tables = []
-        for k in range(params.tables):
-            order = np.argsort(packed[:, k], kind="stable")
-            run = packed[order, k]
-            starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
-            bounds = np.append(starts, n).tolist()
-            members = order.tolist()
-            # buckets in order of their first entry, as inserting the
-            # entries one by one gives
-            groups = np.argsort(order[starts])
-            keys = map(tuple, signed[order[starts[groups]], k].tolist())
-            tables.append(
-                {key: members[bounds[g] : bounds[g + 1]] for key, g in zip(keys, groups.tolist())}
-            )
-        return cls(dim, params, rotations, entries, vectors, tables)
+        # in the chunks that search hashes queries in; one empty chunk if none
+        chunks = [
+            _hash(rotations, pad_to(vectors[lo : lo + _CHUNK_ROWS], dp))
+            for lo in range(0, max(len(entries), 1), _CHUNK_ROWS)
+        ]
+        hashes = tuple(np.concatenate(parts) for parts in zip(*chunks))
+        return cls(dim, params, rotations, entries, vectors, hashes[0], hashes)
 
     def search(
         self,
@@ -348,38 +387,52 @@ class LshIndex:
         queries = np.asarray(queries, dtype=np.float64)
         if not np.all(np.abs(np.linalg.norm(queries, axis=1) - 1.0) <= UNIT_TOL):
             raise ValueError("query vector is not unit norm")
+        return self._search(queries, None, theta, max_results, signature)
+
+    def search_self(
+        self, theta: float, max_results: int | None = None, signature: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``search`` with the indexed vectors as the queries (row i is
+        entry i), probing from the hashes ``build`` kept when it has them."""
+        return self._search(self.vectors, self._hashes, theta, max_results, signature)
+
+    def _search(self, queries, hashes, theta, max_results, signature):
+        """``search`` of unit ``queries`` whose ``_hash`` is ``hashes``
+        (computed here when None)."""
         if max_results is None:
             max_results = self.default_max_results
-        keys, starts, sizes, _ = self._buckets
         hits = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
         for lo in range(0, len(queries) if self.entries else 0, _CHUNK_ROWS):
             q = queries[lo : lo + _CHUNK_ROWS]
-            probes = self._probes(q).ravel()
+            if hashes is None:
+                hashed = _hash(self.rotations, pad_to(q, self.dim_padded))
+            else:
+                hashed = [a[lo : lo + _CHUNK_ROWS] for a in hashes]
+            probes = self._probes(*hashed).ravel()
             per_row = len(probes) // len(q)
-            pos = np.searchsorted(keys, probes)
-            pos[pos == len(keys)] = 0
-            size = np.where(keys[pos] == probes, sizes[pos], 0)
+            pos = np.searchsorted(self._keys, probes)
+            pos[pos == len(self._keys)] = 0
+            size = np.where(self._keys[pos] == probes, self._sizes[pos], 0)
             # re-rank rows in parts of about _CHUNK_PAIRS bucket entries
             filled = np.cumsum(size.reshape(len(q), per_row).sum(axis=1)) // _CHUNK_PAIRS
             cuts = [0, *(np.flatnonzero(np.diff(filled)) + 1).tolist(), len(q)]
             for a, b in zip(cuts, cuts[1:]):
                 part = slice(a * per_row, b * per_row)
                 row, entry, cos = self._rerank(
-                    q[a:b], starts[pos[part]], size[part], theta, max_results, signature
+                    q[a:b], self._starts[pos[part]], size[part], theta, max_results, signature
                 )
                 hits.append((row + lo + a, entry, cos))
         row, entry, cos = (np.concatenate(part) for part in zip(*hits))
         return row, entry, cos
 
-    def _probes(self, q: np.ndarray) -> np.ndarray:
-        """Packed keys of the buckets each query row probes.
+    def _probes(self, best: np.ndarray, second: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """Packed keys of the buckets each hashed query row probes.
 
         Shape (rows, tables, 1 + min(multiprobe, hashes_per_table)): per
         table the row's own bucket, then one bucket per flip of the
         components with the smallest winner margins to their runner-up
         axis, smallest margin first.
         """
-        best, second, gap = _hash(self.rotations, pad_to(q, self.dim_padded))
         primary = (best << self._shifts).sum(axis=-1) + self._table_keys
         flips = np.argsort(gap, axis=-1, kind="stable")[..., : self.params.multiprobe]
         flip = np.take_along_axis((second - best) << self._shifts, flips, -1)
@@ -395,12 +448,11 @@ class LshIndex:
         signature: int | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``search`` hits of the rows ``q``, given the start and size of
-        each probed bucket in ``members``, row by row."""
-        _, _, _, members = self._buckets
+        each probed bucket in ``_members``, row by row."""
         n = len(self.entries)
         rows = np.repeat(np.arange(len(size)) // (len(size) // len(q)), size)
         first = np.repeat(start - (np.cumsum(size) - size), size)
-        pairs = rows * n + members[first + np.arange(len(first))]
+        pairs = rows * n + self._members[first + np.arange(len(first))]
         row, entry = np.divmod(np.unique(pairs), n)
         # re-rank by exact cosine; a row keeps its max_results best
         if signature is not None:
@@ -433,81 +485,75 @@ class LshIndex:
 
     # -- persistence ---------------------------------------------------
 
+    def _table_words(self) -> np.ndarray:
+        """The per-table part of the file as little-endian u32 words."""
+        order, table, keys = self._file_buckets()
+        n, sizes = len(self.entries), self._sizes[order]
+        first = np.repeat(self._starts[order] - (np.cumsum(sizes) - sizes), sizes)
+        members = self._members[first + np.arange(len(first))]  # file order
+        # each table's bucket count before its first member, each bucket's
+        # key and size before its members
+        at = np.arange(self.params.tables) * n
+        at = np.append(at, np.repeat(np.cumsum(sizes) - sizes, self.params.hashes_per_table + 1))
+        heads = np.column_stack([keys, sizes]).ravel()
+        counts = np.bincount(table, minlength=self.params.tables)
+        return np.insert(members, at, np.append(counts, heads)).astype("<u4")
+
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<H", _VERSION))
-            fh.write(
-                struct.pack(
-                    "<IIII",
-                    self.dim,
-                    self.dim_padded,
-                    self.params.tables,
-                    self.params.hashes_per_table,
-                )
-            )
-            fh.write(struct.pack("<IQ", self.params.multiprobe, self.params.seed))
-            fh.write(
-                struct.pack(
-                    "<II",
-                    len(self.entries),
-                    0 if self.params.max_results is None else self.params.max_results,
-                )
-            )
-            fh.write(self.rotations.astype("<f4").tobytes())
-            for (rid, sig), vec in zip(self.entries, self.vectors):
-                raw = rid.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", sig))
-                fh.write(vec.astype("<f4").tobytes())
-            for table in self.tables:
-                fh.write(struct.pack("<I", len(table)))
-                for key, bucket in table.items():
-                    fh.write(struct.pack(f"<{len(key)}i", *key))
-                    fh.write(struct.pack("<I", len(bucket)))
-                    fh.write(struct.pack(f"<{len(bucket)}I", *bucket))
+        """Write the index file. A value that does not fit its field
+        raises ``ValueError`` naming it, and no file is created."""
+        p = self.params
+        head = (self.dim, self.dim_padded, p.tables, p.hashes_per_table, p.multiprobe)
+        head += (p.seed, len(self.entries), p.max_results or 0)
+        w = Writer()
+        w.raw(_MAGIC)
+        w.pack("<H", "version", _VERSION)
+        for field, fmt, value in zip(_HEADER.split(), _HEADER_FORMATS, head):
+            w.pack("<" + fmt, field, value)
+        w.f32(self.rotations, "rotations")
+        wide = (self._signatures < 0) | (self._signatures > 0xFFFFFFFF)
+        if wide.any():
+            raise ValueError(f"entry {self.entries[wide.argmax()]}: signature id over u32")
+        rows = np.empty(len(self.entries), dtype=[("sig", "<u4"), ("vec", "<f4", (self.dim,))])
+        rows["sig"], rows["vec"] = self._signatures, self.vectors
+        w.records([rid for rid, _ in self.entries], rows, "entry id")
+        w.raw(self._table_words())
+        w.write(path)
 
     @classmethod
     def load(cls, path: str | Path) -> "LshIndex":
-        with open(path, "rb") as fh:
-            magic = fh.read(6)
-            if magic != _MAGIC:
-                raise ValueError(f"{path}: not an index file (magic {magic!r})")
-            (version,) = struct.unpack("<H", fh.read(2))
-            if version != _VERSION:
-                raise ValueError(
-                    f"{path}: unsupported index version {version} (want {_VERSION})"
-                )
-            dim, dp, tables_n, hashes = struct.unpack("<IIII", fh.read(16))
-            multiprobe, seed = struct.unpack("<IQ", fh.read(12))
-            n_entries, max_results = struct.unpack("<II", fh.read(8))
-            params = LshParams(
-                tables=tables_n,
-                hashes_per_table=hashes,
-                multiprobe=multiprobe,
-                seed=seed,
-                max_results=max_results or None,
-            )
-            count = tables_n * hashes * dp * dp
-            rotations = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
-            rotations = rotations.reshape(tables_n, hashes, dp, dp)
-            entries: list[tuple[str, int]] = []
-            vectors = np.empty((n_entries, dim), dtype=np.float64)
-            for i in range(n_entries):
-                (id_len,) = struct.unpack("<H", fh.read(2))
-                rid = fh.read(id_len).decode("utf-8")
-                (sig,) = struct.unpack("<I", fh.read(4))
-                entries.append((rid, sig))
-                vectors[i] = np.frombuffer(fh.read(4 * dim), dtype="<f4")
-            tables: list[dict[tuple[int, ...], list[int]]] = []
-            for _ in range(tables_n):
-                (n_buckets,) = struct.unpack("<I", fh.read(4))
-                table: dict[tuple[int, ...], list[int]] = {}
-                for _ in range(n_buckets):
-                    key = struct.unpack(f"<{hashes}i", fh.read(4 * hashes))
-                    (cnt,) = struct.unpack("<I", fh.read(4))
-                    bucket = list(struct.unpack(f"<{cnt}I", fh.read(4 * cnt)))
-                    table[key] = bucket
-                tables.append(table)
-        return cls(dim, params, rotations, entries, vectors, tables)
+        r = Reader(Path(path).read_bytes(), path)
+        magic = bytes(r.take(6, "magic"))
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: not an index file (magic {magic!r})")
+        (version,) = r.unpack("<H", "version")
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported index version {version} (want {_VERSION})")
+        head = [r.unpack("<" + fmt, f)[0] for f, fmt in zip(_HEADER.split(), _HEADER_FORMATS)]
+        dim, dp, tables, hashes, multiprobe, seed, n, max_results = head
+        params = LshParams(tables, hashes, multiprobe, seed, max_results or None)
+        try:
+            if dp != next_pow2(dim):
+                raise ValueError(f"dim_padded {dp} is not next_pow2(dim {dim})")
+            params.validate()
+            _key_shifts(dp, hashes, tables)
+        except ValueError as exc:
+            raise r.fail(str(exc), "header", 8) from None
+        rotations = r.f32((tables, hashes, dp, dp), "rotations")
+        ids, rows, _ = r.records(
+            n, 4 + 4 * dim, "entry {} id", "entry {} signature and vector", floats=4
+        )
+        entries = list(zip(ids, rows[:, :4].view("<u4")[:, 0].tolist()))
+        vectors = rows[:, 4:].view("<f4").astype(np.float64)
+        section = r.pos
+        codes = np.stack([_read_table(r, k, n, hashes, dp) for k in range(tables)], axis=1)
+        r.finish()
+        index = cls(dim, params, rotations, entries, vectors, codes)
+        # a valid file lists the buckets exactly as the index writes them
+        read, written = np.frombuffer(r.data[section:], dtype="<u4"), index._table_words()
+        if not np.array_equal(read, written):
+            common = min(len(read), len(written))
+            i = int(np.argmax(np.append(read[:common] != written[:common], True)))
+            rule = "buckets partition the entries, by first entry, members ascending, keys distinct"
+            raise r.fail(f"not a valid table ({rule})", "tables", section + 4 * i)
+        return index

@@ -20,20 +20,25 @@ load followed by save. All floats are little-endian 32-bit. Layout::
     u32    JSON length, UTF-8 JSON training-config snapshot
            (keys sorted)
 
-A version or magic mismatch fails loudly; nothing is reinterpreted. A
-file cut short, malformed text or trailing bytes raise ``ValueError``
-naming the path, the byte offset and the field.
+Reads and writes go through ``codec``. A version or magic mismatch
+fails loudly; nothing is reinterpreted. A file cut short, malformed
+text, a non-finite float, a value the model rules out (a zero dim,
+hidden size or max_tokens, a bucket count that is no power of two, a
+trainable flag other than 0 or 1, an unknown cell kind, a smoothing rho
+outside [0, 1], a repeated pretrained token, a config snapshot not in
+the form ``save_model`` writes) or trailing bytes raise ``ValueError``
+naming the path, the byte offset and the field. What loads re-saves to
+the same bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import struct
 from pathlib import Path
 
 import numpy as np
 
+from .codec import Reader, Writer, to_f32
 from .encoder import PARAM_NAMES, AttentionalEncoder
 from .signatures import SignatureModel, SignatureWeights
 from .text_embedding import EmbeddingTable
@@ -42,12 +47,6 @@ _MAGIC = b"SBMDL1"
 _VERSION = 1
 _CELL_KINDS = {"lstm": 1}
 _CELL_NAMES = {v: k for k, v in _CELL_KINDS.items()}
-
-
-def _write_str(fh, s: str) -> None:
-    raw = s.encode("utf-8")
-    fh.write(struct.pack("<H", len(raw)))
-    fh.write(raw)
 
 
 def _param_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -63,91 +62,42 @@ def _param_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
 
 
 def save_model(model: SignatureModel, path: str | Path) -> None:
+    """Write ``model`` to ``path``. A value that does not fit its field
+    raises ``ValueError`` naming it, and no file is created."""
     table = model.table
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<H", _VERSION))
-        fh.write(struct.pack("<I", len(model.schema)))
-        for name in model.schema:
-            _write_str(fh, name)
-        fh.write(
-            struct.pack(
-                "<IIHH",
-                table.dim,
-                table.bucket_count,
-                table.ngram_range[0],
-                table.ngram_range[1],
-            )
-        )
-        fh.write(struct.pack("<QB", table.seed, int(table.trainable)))
-        fh.write(table.rows.astype("<f4").tobytes())
-        fh.write(struct.pack("<I", len(table.pretrained)))
-        for token, vec in table.pretrained.items():
-            _write_str(fh, token)
-            fh.write(np.asarray(vec).astype("<f4").tobytes())
-        hidden = model.encoders[0].hidden
-        max_tokens = model.encoders[0].max_tokens
-        fh.write(struct.pack("<IIB", hidden, max_tokens, _CELL_KINDS[model.seq_cell]))
-        for enc in model.encoders:
-            fh.write(struct.pack("<f", enc.smoothing_rho))
-            for pname in PARAM_NAMES:
-                fh.write(enc.params[pname].astype("<f4").tobytes())
-        W = model.weights.matrix
-        fh.write(struct.pack("<I", W.shape[0]))
-        fh.write(W.astype("<f4").tobytes())
-        blob = json.dumps(model.config_snapshot, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-
-
-class _Reader:
-    """Bounded reads over the bytes of one file.
-
-    Every read names the field it reads. Running past the end, malformed
-    text and bytes left over raise ``ValueError`` naming the path, the
-    byte offset where the field starts and the field, on one line.
-    """
-
-    def __init__(self, data: bytes, path: str | Path):
-        self.data = memoryview(data)
-        self.path = path
-        self.pos = 0
-
-    def fail(self, what: str, field: str, pos: int | None = None) -> ValueError:
-        at = self.pos if pos is None else pos
-        return ValueError(f"{self.path}: {what} at byte {at} while reading {field}")
-
-    def take(self, n: int, field: str) -> memoryview:
-        left = len(self.data) - self.pos
-        if n > left:
-            raise self.fail(f"truncated ({n} bytes needed, {left} left)", field)
-        raw = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return raw
-
-    def unpack(self, fmt: str, field: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
-
-    def text(self, field: str) -> str:
-        (n,) = self.unpack("<H", f"{field} length")
-        start = self.pos
-        try:
-            return str(self.take(n, field), "utf-8")
-        except UnicodeDecodeError:
-            raise self.fail("invalid UTF-8", field, start) from None
-
-    def f32(self, shape: tuple[int, ...], field: str) -> np.ndarray:
-        raw = self.take(4 * math.prod(shape), field)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-
-    def finish(self) -> None:
-        extra = len(self.data) - self.pos
-        if extra:
-            raise ValueError(f"{self.path}: {extra} trailing bytes at byte {self.pos}")
+    w = Writer()
+    w.raw(_MAGIC)
+    w.pack("<H", "version", _VERSION)
+    w.pack("<I", "attribute count", len(model.schema))
+    w.records(model.schema, np.zeros((len(model.schema), 0), np.uint8), "attribute name")
+    w.pack("<IIHH", "table shape", table.dim, table.bucket_count, *table.ngram_range)
+    w.pack("<QB", "table seed", table.seed, int(table.trainable))
+    w.f32(table.rows, "embedding rows")
+    w.pack("<I", "pretrained count", len(table.pretrained))
+    vectors = np.array(list(table.pretrained.values()), dtype=np.float64)
+    vectors = to_f32(vectors.reshape(len(table.pretrained), table.dim), "pretrained vectors")
+    w.records(list(table.pretrained), vectors, "pretrained token")
+    hidden = model.encoders[0].hidden
+    max_tokens = model.encoders[0].max_tokens
+    shapes = [(enc.hidden, enc.max_tokens) for enc in model.encoders]
+    if len(set(shapes)) > 1:  # the file holds one encoder shape for all
+        raise ValueError(f"encoder shape: encoders differ in (hidden, max_tokens): {shapes}")
+    w.pack("<IIB", "encoder shape", hidden, max_tokens, _CELL_KINDS[model.seq_cell])
+    for a, enc in enumerate(model.encoders):
+        w.pack("<f", f"encoder {a} rho", enc.smoothing_rho)
+        for pname in PARAM_NAMES:
+            w.f32(enc.params[pname], f"encoder {a} {pname}")
+    W = model.weights.matrix
+    w.pack("<I", "signature count", W.shape[0])
+    w.f32(W, "signature weights")
+    blob = json.dumps(model.config_snapshot, sort_keys=True).encode("utf-8")
+    w.pack("<I", "config snapshot length", len(blob))
+    w.raw(blob)
+    w.write(path)
 
 
 def load_model(path: str | Path) -> SignatureModel:
-    r = _Reader(Path(path).read_bytes(), path)
+    r = Reader(Path(path).read_bytes(), path)
     magic = bytes(r.take(6, "magic"))
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a model file (magic {magic!r})")
@@ -155,42 +105,62 @@ def load_model(path: str | Path) -> SignatureModel:
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported model version {version} (want {_VERSION})")
     (m,) = r.unpack("<I", "attribute count")
-    schema = tuple(r.text(f"attribute {a} name") for a in range(m))
+    schema = tuple(r.records(m, 0, "attribute {} name", "attribute {} name")[0])
     dim, buckets, nmin, nmax = r.unpack("<IIHH", "table shape")
+    if not dim or not buckets or buckets & (buckets - 1) or nmin > nmax:
+        raise r.fail(
+            f"dim {dim}, {buckets} buckets, n-grams {nmin}..{nmax}: need a positive dim,"
+            " a power-of-two bucket count and ngram_min <= ngram_max",
+            "table shape",
+            r.last,
+        )
     seed, trainable = r.unpack("<QB", "table seed")
+    if trainable > 1:
+        raise r.fail(f"trainable flag {trainable} is not 0 or 1", "table seed", r.last)
     rows = r.f32((buckets, dim), "embedding rows")
     (n_pre,) = r.unpack("<I", "pretrained count")
-    pretrained: dict[str, np.ndarray] = {}
-    for k in range(n_pre):
-        token = r.text(f"pretrained token {k}")
-        pretrained[token] = r.f32((dim,), f"pretrained vector {k}")
+    tokens, vectors, starts = r.records(
+        n_pre, 4 * dim, "pretrained token {}", "pretrained vector {}", floats=0
+    )
+    seen: set[str] = set()
+    for i, token in enumerate(tokens):
+        if token in seen:
+            raise r.fail(f"duplicate token {token!r}", f"pretrained token {i}", starts[i])
+        seen.add(token)
     table = EmbeddingTable(
         dim=dim,
         bucket_count=buckets,
         ngram_range=(nmin, nmax),
         seed=seed,
         trainable=bool(trainable),
-        pretrained=pretrained,
+        pretrained=dict(zip(tokens, vectors.view("<f4").astype(np.float64))),
         rows=rows,
     )
     hidden, max_tokens, cell = r.unpack("<IIB", "encoder shape")
     if cell not in _CELL_NAMES:
-        raise ValueError(f"{path}: unknown sequence cell kind {cell}")
+        raise r.fail(f"unknown sequence cell kind {cell}", "encoder shape", r.last)
+    if not hidden or not max_tokens:
+        raise r.fail(
+            f"hidden {hidden} and max_tokens {max_tokens} must be positive", "encoder shape", r.last
+        )
     shapes = _param_shapes(dim, hidden)
     encoders = []
     for a in range(m):
-        (rho,) = r.unpack("<f", f"encoder {a} rho")
+        rho = float(r.f32((), f"encoder {a} rho"))
+        if not 0.0 <= rho <= 1.0:
+            raise r.fail(f"smoothing rho {rho} outside [0, 1]", f"encoder {a} rho", r.last)
         params = {p: r.f32(shapes[p], f"encoder {a} {p}") for p in PARAM_NAMES}
-        encoders.append(AttentionalEncoder(dim, hidden, float(rho), max_tokens, params))
+        encoders.append(AttentionalEncoder(dim, hidden, rho, max_tokens, params))
     (S,) = r.unpack("<I", "signature count")
     W = r.f32((S, m), "signature weights")
     (n_blob,) = r.unpack("<I", "config snapshot length")
-    pos = r.pos
     blob = bytes(r.take(n_blob, "config snapshot"))
     try:
         snapshot = json.loads(blob)
     except ValueError:  # bad UTF-8 or bad JSON
-        raise r.fail("invalid JSON", "config snapshot", pos) from None
+        raise r.fail("invalid JSON", "config snapshot", r.last) from None
+    if json.dumps(snapshot, sort_keys=True).encode("utf-8") != blob:
+        raise r.fail("JSON not in the form save_model writes", "config snapshot", r.last)
     r.finish()
     return SignatureModel(
         schema=schema,

@@ -81,6 +81,8 @@ class TrainingConfig:
             raise ValueError("adam betas must lie in [0, 1)")
         if self.embedding_dim <= 0 or self.hidden_size <= 0:
             raise ValueError("embedding_dim and hidden_size must be positive")
+        if self.max_tokens <= 0:
+            raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
         if self.ngram_min > self.ngram_max:
             raise ValueError("ngram_min must not exceed ngram_max")
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sigblock.data_model import (
     AttributeValue,
@@ -13,6 +16,11 @@ from sigblock.data_model import (
     Table,
     canonical_pair,
 )
+
+# HYPOTHESIS_PROFILE=ci makes every property test draw the same examples
+# on every run, so a random draw cannot fail CI; local runs stay random.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 SYLLABLES = (
     "ba de ki lo mu na re si tu vo za po fa ge hi do ku me ni ra"

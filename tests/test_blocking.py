@@ -234,14 +234,6 @@ class TestBlock:
             assert 0 <= s < model.num_signatures
             assert c >= 0.8
 
-    def test_worker_count_does_not_change_output(self, trained):
-        ds, _, model = trained
-        params = LshParams(seed=6)
-        one = block(ds, model, 0.8, params, workers=1)
-        four = block(ds, model, 0.8, params, workers=4)
-        assert one.pairs == four.pairs
-        assert one.provenance == four.provenance
-
     def test_invalid_theta(self, trained):
         ds, _, model = trained
         with pytest.raises(ValueError):

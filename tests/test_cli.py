@@ -333,3 +333,15 @@ def test_empty_dataset_block_empty_csv(workspace, tmp_path):
     assert rc == 0
     assert out.read_text().splitlines()[0].startswith("id_a,id_b")
     assert len(out.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_tokens_not_positive_exits_2(workspace, tmp_path, capsys, value):
+    _, config = workspace
+    out = tmp_path / "m.bin"
+    rc = main(
+        ["train", "--config", str(config), "--set", f"model.max_tokens={value}", "--out", str(out)]
+    )
+    assert rc == 2
+    assert f"max_tokens must be positive, got {value}" in capsys.readouterr().err
+    assert not out.exists()

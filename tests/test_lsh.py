@@ -1,6 +1,7 @@
 """Cross-polytope hashing, index behavior, theory formulas, persistence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,150 @@ class TestPersistence:
             LshIndex.load(path)
 
 
+def encode_tables(tables):
+    """The per-table part of an index file, laid out from each table's
+    (key, members) pairs in the order given."""
+    words = []
+    for buckets in tables:
+        words.append(len(buckets))
+        for key, members in buckets:
+            words += [*key, len(members), *members]
+    return np.array(words, dtype=np.int64).astype("<u4").tobytes()
+
+
+def bucket_lists(index):
+    return [[(key, list(members)) for key, members in t.items()] for t in index.tables]
+
+
+class TestIndexFile:
+    """What ``LshIndex.load`` refuses, against tables written from dicts."""
+
+    @pytest.fixture
+    def saved(self, rng, tmp_path):
+        vecs = random_units(12, 2, rng)
+        params = LshParams(tables=2, hashes_per_table=1, seed=7)
+        index = LshIndex.build([(f"v{i:02d}", 0, v) for i, v in enumerate(vecs)], 2, params)
+        path = tmp_path / "index.bin"
+        index.save(path)
+        data = path.read_bytes()
+        tail = encode_tables(bucket_lists(index))
+        assert data.endswith(tail)  # save writes what the dicts say, in their order
+        return index, path, data[: len(data) - len(tail)]
+
+    def corrupt(self, saved, edit):
+        index, path, head = saved
+        tables = bucket_lists(index)
+        tables[0] = edit(tables[0])
+        path.write_bytes(head + encode_tables(tables))
+        with pytest.raises(ValueError) as info:
+            LshIndex.load(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message
+        return message
+
+    def test_bucket_order_must_be_first_entry_order(self, saved):
+        got = self.corrupt(saved, lambda t: t[::-1])
+        assert "not a valid table" in got and "while reading tables" in got
+
+    def test_members_must_ascend(self, saved):
+        def edit(t):
+            i = next(i for i, (_, members) in enumerate(t) if len(members) > 1)
+            t[i] = (t[i][0], t[i][1][::-1])
+            return t
+
+        assert "not a valid table" in self.corrupt(saved, edit)
+
+    @pytest.mark.parametrize("component", [0, 3, -3, 2**31 - 1])
+    def test_key_component_out_of_range(self, saved, component):
+        _, _, head = saved
+        got = self.corrupt(saved, lambda t: [((component,), t[0][1]), *t[1:]])
+        # the first key component sits right after table 0's bucket count
+        want = f"key component {component} outside +/-1..+/-2 at byte {len(head) + 4}"
+        assert got.endswith(f"{want} while reading table 0 bucket 0 key")
+
+    @pytest.mark.parametrize("member", [12, 13, 2**32 - 1])
+    def test_member_index_out_of_range(self, saved, member):
+        def edit(t):
+            t[0] = (t[0][0], t[0][1][:-1] + [member])
+            return t
+
+        assert "not a valid table" in self.corrupt(saved, edit)
+
+    def test_entry_in_two_buckets(self, saved):
+        def edit(t):
+            t[1] = (t[1][0], sorted(t[1][1][:-1] + [t[0][1][0]]))
+            return t
+
+        assert "not a valid table" in self.corrupt(saved, edit)
+
+    def test_keys_must_be_distinct(self, saved):
+        def edit(t):
+            t[1] = (t[0][0], t[1][1])
+            return t
+
+        assert "not a valid table" in self.corrupt(saved, edit)
+
+    def test_empty_bucket(self, saved):
+        assert "not a valid table" in self.corrupt(saved, lambda t: [*t, ((-2,), [])])
+
+    def test_sizes_must_add_up(self, saved):
+        index, path, head = saved
+        words = np.frombuffer(encode_tables(bucket_lists(index)), "<u4").copy()
+        last = list(index.tables[1].values())[-1]
+        words[-len(last) - 1] += 1  # the size of the last bucket
+        path.write_bytes(head + words.tobytes())
+        end = len(head) + 4 * len(words)
+        want = f"bucket sizes do not add up to 12 at byte {end} while reading table 1 buckets"
+        with pytest.raises(ValueError, match=want):
+            LshIndex.load(path)
+
+    def test_truncation_and_trailing_bytes_name_offset_and_field(self, saved):
+        index, path, head = saved
+        data = head + encode_tables(bucket_lists(index))
+        cases = {
+            10: "truncated (4 bytes needed, 2 left) at byte 8 while reading dim",
+            len(data) - 1: "truncated (",
+        }
+        for cut, want in cases.items():
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {want}")):
+                LshIndex.load(path)
+        path.write_bytes(data + b"\0\0")
+        with pytest.raises(ValueError, match=f"2 trailing bytes at byte {len(data)}"):
+            LshIndex.load(path)
+
+    def test_header_the_layout_rules_out(self, saved):
+        _, path, head = saved
+        data = path.read_bytes()
+        for at, value in ((12, 4), (16, 0), (20, 0), (20, 40)):  # dim_padded, tables, hashes
+            bad = bytearray(data)
+            bad[at : at + 4] = value.to_bytes(4, "little")
+            path.write_bytes(bytes(bad))
+            want = f"{re.escape(str(path))}: .* at byte 8 while reading header"
+            with pytest.raises(ValueError, match=want):
+                LshIndex.load(path)
+
+
+class TestSearchSelf:
+    def test_reuses_build_hashes_bitwise(self, rng):
+        vecs = random_units(700, 8, rng)
+        index = LshIndex.build([(f"v{i:03d}", i % 2, v) for i, v in enumerate(vecs)], 8)
+        for kept, fresh in zip(index._hashes, _hash(index.rotations, index.vectors)):
+            np.testing.assert_array_equal(kept, fresh)
+        for cap, sig in ((None, None), (3, 1)):
+            got = index.search_self(0.5, cap, sig)
+            want = index.search(index.vectors, 0.5, cap, sig)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_loaded_index_hashes_its_vectors(self, rng, tmp_path):
+        vecs = random_units(40, 8, rng)
+        LshIndex.build([(f"v{i}", 0, v) for i, v in enumerate(vecs)], 8).save(tmp_path / "i.bin")
+        loaded = LshIndex.load(tmp_path / "i.bin")
+        for a, b in zip(loaded.search_self(0.5), loaded.search(loaded.vectors, 0.5)):
+            np.testing.assert_array_equal(a, b)
+
+
 # -- the batched hasher and join against per-vector references ------------
 
 from hypothesis import given, settings  # noqa: E402
@@ -388,6 +533,16 @@ def ref_tables(rotations, vectors):
             table.setdefault(tuple(int(c) for c in comps[idx]), []).append(idx)
         tables.append(table)
     return tables
+
+
+def ref_codes(tables, n, hashes):
+    """Each entry's axis codes in every table, (n, tables, hashes), read
+    off dict tables."""
+    codes = np.empty((n, len(tables), hashes), dtype=np.int64)
+    for k, table in enumerate(tables):
+        for key, members in table.items():
+            codes[members, k] = [2 * (abs(c) - 1) + (c < 0) for c in key]
+    return codes
 
 
 def ref_query(index, q, theta, max_results, signature=None):
@@ -450,7 +605,8 @@ def tied_index(draw, entries=0):
     queries = np.array(draw(st.lists(ints, min_size=1, max_size=6)), dtype=float)
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
     entries_ = [(f"v{i % 7}", i // 7) for i in range(entries)]
-    index = LshIndex(dim, params, rotations, entries_, vectors, ref_tables(rotations, vectors))
+    codes = ref_codes(ref_tables(rotations, vectors), entries, params.hashes_per_table)
+    index = LshIndex(dim, params, rotations, entries_, vectors, codes)
     return index, queries
 
 
@@ -459,7 +615,7 @@ class TestBatchedHasher:
     @given(tied_index())
     def test_probe_keys_match_reference_with_ties(self, case):
         index, queries = case
-        probes = index._probes(queries)
+        probes = index._probes(*_hash(index.rotations, pad_to(queries, index.dim_padded)))
         for q, got in zip(queries, probes):
             want = ref_probe_keys(index, pad_to(q, index.dim_padded))
             assert decode_probes(index, got) == want
@@ -477,7 +633,8 @@ class TestBatchedHasher:
         params = LshParams(tables=tables, hashes_per_table=hashes, multiprobe=mp, seed=seed)
         index = LshIndex.build([], dim, params)
         queries = random_units(5, dim, rng)
-        for q, got in zip(queries, index._probes(queries)):
+        probes = index._probes(*_hash(index.rotations, pad_to(queries, index.dim_padded)))
+        for q, got in zip(queries, probes):
             want = ref_probe_keys(index, pad_to(q, index.dim_padded))
             assert decode_probes(index, got) == want
 

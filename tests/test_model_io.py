@@ -197,3 +197,88 @@ def test_cli_truncated_model_exits_1_with_one_line(tiny_model_bytes, tmp_path, c
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: {model}: truncated") and "config snapshot" in err
+
+
+def patched(data, at, raw):
+    return data[:at] + raw + data[at + len(raw) :]
+
+
+def encoder_shape_at(data):
+    """Byte offset of the encoder shape field of the tiny model: after the
+    pretrained vector, which ends the embedding table."""
+    return data.index(b"dylan") + len(b"dylan") + 2 * 4
+
+
+@pytest.mark.parametrize("field,raw", [("hidden", b"\0\0\0\0"), ("max_tokens", b"\0\0\0\0")])
+def test_zero_encoder_size_rejected_with_offset(tiny_model_bytes, tmp_path, field, raw):
+    at = encoder_shape_at(tiny_model_bytes)
+    assert tiny_model_bytes[at : at + 8] == (1).to_bytes(4, "little") + (64).to_bytes(4, "little")
+    path = tmp_path / "zero.bin"
+    path.write_bytes(patched(tiny_model_bytes, at + (4 if field == "max_tokens" else 0), raw))
+    want = f"{path}: hidden .* must be positive at byte {at} while reading encoder shape"
+    with pytest.raises(ValueError, match=want):
+        load_model(path)
+
+
+def test_trainable_flag_other_than_0_or_1_rejected(tiny_model_bytes, tmp_path):
+    # magic, version, count, "title" and "artist" with lengths, table shape, seed
+    at = 6 + 2 + 4 + (2 + 5) + (2 + 6) + 12 + 8
+    assert tiny_model_bytes[at] == 1
+    path = tmp_path / "flag.bin"
+    path.write_bytes(patched(tiny_model_bytes, at, b"\x02"))
+    want = f"trainable flag 2 is not 0 or 1 at byte {at - 8} while reading table seed"
+    with pytest.raises(ValueError, match=want):
+        load_model(path)
+
+
+@pytest.mark.parametrize("old,new", [(b'": "', b'":\t"'), (b'{"note"', b'{"n\\u006fte"')])
+def test_snapshot_not_as_saved_rejected(tiny_model_bytes, tmp_path, old, new):
+    """Valid JSON that save_model would write differently cannot round
+    trip, so it is refused."""
+    path = tmp_path / "json.bin"
+    data = tiny_model_bytes.replace(old, new)
+    start = data.index(b"{")
+    data = data[: start - 4] + (len(data) - start).to_bytes(4, "little") + data[start:]
+    path.write_bytes(data)
+    want = f"not in the form save_model writes at byte {start} while reading config snapshot"
+    with pytest.raises(ValueError, match=want):
+        load_model(path)
+
+
+def test_max_tokens_zero_is_a_config_error():
+    with pytest.raises(ValueError, match="max_tokens must be positive, got 0"):
+        TrainingConfig(max_tokens=0).validate()
+
+
+def test_repeated_pretrained_token_rejected(tmp_path):
+    from sigblock.encoder import AttentionalEncoder
+    from sigblock.signatures import SignatureModel, SignatureWeights
+    from sigblock.text_embedding import EmbeddingTable
+
+    rng = np.random.default_rng(0)
+    pretrained = {"dylan": np.array([0.5, -1.0]), "dylam": np.array([1.0, 2.0])}
+    model = SignatureModel(
+        schema=("t",),
+        table=EmbeddingTable(dim=2, bucket_count=4, seed=1, pretrained=pretrained),
+        encoders=[AttentionalEncoder.initialize(2, 1, 0.5, rng)],
+        weights=SignatureWeights(np.array([[1.0]])),
+    )
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    second = data.index(b"dylam") - 2  # its length field
+    path.write_bytes(data.replace(b"dylam", b"dylan"))
+    want = f"duplicate token 'dylan' at byte {second} while reading pretrained token 1"
+    with pytest.raises(ValueError, match=want):
+        load_model(path)
+
+
+@pytest.mark.parametrize("rho", [1.5, -0.5])
+def test_smoothing_rho_outside_unit_interval_rejected(tiny_model_bytes, tmp_path, rho):
+    at = encoder_shape_at(tiny_model_bytes) + 9  # encoder 0 rho
+    assert np.frombuffer(tiny_model_bytes[at : at + 4], "<f4")[0] == 0.5
+    path = tmp_path / "rho.bin"
+    path.write_bytes(patched(tiny_model_bytes, at, np.float32(rho).tobytes()))
+    want = f"smoothing rho {rho} outside .* at byte {at} while reading encoder 0 rho"
+    with pytest.raises(ValueError, match=want):
+        load_model(path)
