@@ -4,15 +4,18 @@ For every signature, all records carrying that signature are indexed
 (the larger table in bipartite mode) and every record of the query
 side retrieves its neighbors above the cosine threshold; the union of
 the per-signature pair sets, deduplicated and canonicalized, is the
-candidate set. A brute-force variant computes the exact max-cosine
-similarity for every pair and serves as the recall oracle for the
-hashed path.
+candidate set, each pair with the best (signature, cosine) that found
+it. One engine does all of this for both blockers, which differ only
+in where the hits come from: ``block`` asks a cross-polytope
+``LshIndex`` per signature, and ``block_brute_force``, the recall
+oracle of the hashed path, computes every cosine exactly.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,8 @@ from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by n
 )
 from .lsh import LshIndex, LshParams
 from .signatures import SignatureModel
+
+_EXACT_CHUNK = 512  # query rows per matrix product of the exact scan
 
 
 @dataclass(frozen=True)
@@ -87,9 +92,12 @@ def signature_matrix(
     return sig, sig_present
 
 
-def _normalized(
-    sig: np.ndarray, sig_present: np.ndarray
+def unit_signatures(
+    model: SignatureModel, records: list[Record]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """``signature_matrix`` scaled to unit rows: ``(vectors, ok)``, where
+    ``ok`` marks the present signatures of nonzero norm (other rows zero)."""
+    sig, sig_present = signature_matrix(model, records)
     norms = np.linalg.norm(sig, axis=2)
     ok = sig_present & (norms > 0)
     out = np.zeros_like(sig)
@@ -97,43 +105,53 @@ def _normalized(
     return out, ok
 
 
-def block(
-    dataset: Dataset,
-    model: SignatureModel,
-    theta: float,
-    lsh_params: LshParams | None = None,
-    keep_provenance: bool = True,
-) -> CandidateSet:
-    """Hashed nearest-neighbor blocking over all signatures.
+def _lsh_hits(params: LshParams, s, ids, vectors, queries, theta):
+    """Hit source of :func:`block`: an ``LshIndex`` of the present
+    (nonzero) rows, searched by the present query rows."""
+    rows = np.flatnonzero(vectors.any(axis=1))
+    index = LshIndex.build(((ids[i], s, vectors[i]) for i in rows), vectors.shape[1], params)
+    if queries is None:
+        q_rows, (row, entry, cos) = rows, index.search_self(theta)
+    else:
+        q_rows = np.flatnonzero(queries.any(axis=1))
+        row, entry, cos = index.search(queries[q_rows], theta)
+    return q_rows[row], rows[entry], cos
 
-    Per signature, one index holds the index side and all query records
-    are looked up in one batched ``LshIndex.search``; on a single table
-    the queries are the indexed rows, so ``LshIndex.search_self`` probes
-    from the hashes the build computed. A query's hits are capped at
-    ``max_results`` before its own record is dropped from them. A pair
-    found under several signatures keeps its best cosine, the lowest
-    signature on ties.
+
+def _exact_hits(s, ids, vectors, queries, theta):
+    """Hit source of :func:`block_brute_force`: every cosine, one matrix
+    product per _EXACT_CHUNK query rows."""
+    queries = vectors if queries is None else queries
+    found = []
+    for lo in range(0, len(queries), _EXACT_CHUNK):
+        cos = queries[lo : lo + _EXACT_CHUNK] @ vectors.T
+        row, entry = np.nonzero(cos >= theta)
+        found.append((row + lo, entry, cos[row, entry]))
+    return tuple(np.concatenate(part) for part in zip(*found))
+
+
+def _candidates(dataset: Dataset, model: SignatureModel, theta: float, hits) -> CandidateSet:
+    """The engine of both blockers, given the source of the hits.
+
+    The index side is every record, or the larger table of two (the
+    first on a tie). Per signature, ``hits(s, ids, vectors, queries,
+    theta)`` gets the index side's ids and unit vectors and the query
+    side's vectors (None when the queries are the indexed rows), one row
+    per record and a zero row where the signature is absent, and returns
+    the ``(row, entry, cosine)`` arrays of the hits at or above
+    ``theta``. A pair keeps its best cosine over all signatures, the
+    lowest signature on ties; a record never pairs with itself.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     model.validate_schema(dataset)
-    lsh_params = lsh_params or LshParams()
-
     if dataset.is_bipartite:
-        big, small = dataset.tables
-        if len(big) < len(small):
-            big, small = small, big
-        index_records = list(big)
-        query_records = list(small)
+        index_records, query_records = map(list, sorted(dataset.tables, key=len, reverse=True))
+        idx_sig, idx_ok = unit_signatures(model, index_records)
+        q_sig, q_ok = unit_signatures(model, query_records)
     else:
-        index_records = list(dataset.all_records())
-        query_records = index_records
-
-    idx_sig, idx_ok = _normalized(*signature_matrix(model, index_records))
-    if dataset.is_bipartite:
-        q_sig, q_ok = _normalized(*signature_matrix(model, query_records))
-    else:
-        q_sig, q_ok = idx_sig, idx_ok
+        index_records = query_records = list(dataset.all_records())
+        idx_sig, idx_ok = q_sig, q_ok = unit_signatures(model, index_records)
 
     # records by position in the sorted ids, so the smaller position of a
     # pair is its canonical first id
@@ -141,23 +159,15 @@ def block(
     position = {rid: i for i, rid in enumerate(ids)}
     idx_rank = np.array([position[r.record_id] for r in index_records], dtype=np.int64)
     q_rank = np.array([position[r.record_id] for r in query_records], dtype=np.int64)
+    idx_ids = [r.record_id for r in index_records]
     # (pair code, signature, cosine) of every hit, over all signatures
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     for s in range(model.num_signatures):
-        idx_rows = np.flatnonzero(idx_ok[:, s])
-        q_rows = np.flatnonzero(q_ok[:, s])
-        if not idx_rows.size:
+        if not (idx_ok[:, s].any() and q_ok[:, s].any()):
             continue
-        index = LshIndex.build(
-            ((index_records[i].record_id, s, idx_sig[i, s]) for i in idx_rows),
-            model.table.dim,
-            lsh_params,
-        )
-        if dataset.is_bipartite:
-            row, entry, cos = index.search(q_sig[q_rows, s], theta)
-        else:  # q_rows is idx_rows
-            row, entry, cos = index.search_self(theta)
-        a, b = q_rank[q_rows[row]], idx_rank[idx_rows[entry]]
+        queries = q_sig[:, s] if dataset.is_bipartite else None
+        row, entry, cos = hits(s, idx_ids, idx_sig[:, s], queries, theta)
+        a, b = q_rank[row], idx_rank[entry]
         other = a != b
         pair = np.minimum(a, b) * len(ids) + np.maximum(a, b)
         found.append((pair[other], np.full(other.sum(), s), cos[other]))
@@ -168,51 +178,22 @@ def block(
         (ids[p // len(ids)], ids[p % len(ids)]): (s, c)
         for p, s, c in zip(pair[first].tolist(), sig[first].tolist(), cos[first].tolist())
     }
-    provenance = best if keep_provenance else None
-    return CandidateSet(frozenset(best), provenance)
-
-
-def block_brute_force(
-    dataset: Dataset, model: SignatureModel, theta: float, chunk: int = 512
-) -> CandidateSet:
-    """Exact max-cosine blocking; the oracle the hashed path is judged by."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    model.validate_schema(dataset)
-    if dataset.is_bipartite:
-        index_records = list(dataset.tables[0])
-        query_records = list(dataset.tables[1])
-        idx_sig, idx_ok = _normalized(*signature_matrix(model, index_records))
-        q_sig, q_ok = _normalized(*signature_matrix(model, query_records))
-    else:
-        index_records = list(dataset.all_records())
-        query_records = index_records
-        idx_sig, idx_ok = _normalized(*signature_matrix(model, index_records))
-        q_sig, q_ok = idx_sig, idx_ok
-
-    S = model.num_signatures
-    best: dict[tuple[str, str], tuple[int, float]] = {}
-    ids_index = [r.record_id for r in index_records]
-    ids_query = [r.record_id for r in query_records]
-    for s in range(S):
-        I = idx_sig[:, s]  # (n_i, d)
-        for lo in range(0, len(query_records), chunk):
-            hi = min(lo + chunk, len(query_records))
-            cos = q_sig[lo:hi, s] @ I.T
-            cos *= q_ok[lo:hi, s][:, None]
-            cos *= idx_ok[:, s][None, :]
-            qi, ii = np.nonzero(cos >= theta)
-            for a, b in zip(qi, ii):
-                rid_q = ids_query[lo + a]
-                rid_i = ids_index[b]
-                if rid_q == rid_i:
-                    continue
-                pair = canonical_pair(rid_q, rid_i)
-                c = float(cos[a, b])
-                prev = best.get(pair)
-                if prev is None or c > prev[1]:
-                    best[pair] = (s, c)
     return CandidateSet(frozenset(best), best)
+
+
+def block(
+    dataset: Dataset, model: SignatureModel, theta: float, lsh_params: LshParams | None = None
+) -> CandidateSet:
+    """Hashed blocking: per signature, one ``LshIndex`` of the index side
+    answers all queries in one batch (``search_self`` on a single table,
+    probing from the build's hashes). A query's hits are capped at
+    ``max_results`` before its own record is dropped from them."""
+    return _candidates(dataset, model, theta, partial(_lsh_hits, lsh_params or LshParams()))
+
+
+def block_brute_force(dataset: Dataset, model: SignatureModel, theta: float) -> CandidateSet:
+    """Exact max-cosine blocking; the oracle the hashed path is judged by."""
+    return _candidates(dataset, model, theta, _exact_hits)
 
 
 def pe_ratio(candidates: CandidateSet, dataset: Dataset) -> float:

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from .baselines import KeySpec, key_block, minhash_block
-from .blocking import block, pe_ratio, read_candidates, write_candidates
+from .blocking import block, pe_ratio, read_candidates, unit_signatures, write_candidates
 from .config import ConfigError, RunConfig, load_config
 from .data_model import DatasetError, export, write_labels
 from .encoder import token_attention
@@ -107,6 +107,12 @@ def _load_model_for(config: RunConfig, path: str) -> SignatureModel:
     return load_model(path)
 
 
+def _print_summary(candidates, dataset, wall: float, out: str) -> None:
+    """The last line of ``block`` and ``baseline``; P/E is 0 on no records."""
+    pe = pe_ratio(candidates, dataset) if dataset.n else 0.0
+    print(f"candidates={len(candidates)} pe_ratio={pe:.4f} wall_time_s={wall:.2f} -> {out}")
+
+
 def cmd_block(args) -> int:
     config = _config(args)
     dataset = config.load_dataset()
@@ -121,11 +127,7 @@ def cmd_block(args) -> int:
     candidates = block(dataset, model, theta, config.lsh_params())
     wall = time.perf_counter() - t0
     write_candidates(candidates, args.out)
-    pe = pe_ratio(candidates, dataset) if dataset.n else 0.0
-    print(
-        f"candidates={len(candidates)} pe_ratio={pe:.4f} "
-        f"wall_time_s={wall:.2f} -> {args.out}"
-    )
+    _print_summary(candidates, dataset, wall, args.out)
     return 0
 
 
@@ -153,10 +155,7 @@ def cmd_baseline(args) -> int:
         raise ConfigError(f"unknown baseline method {args.method!r}")
     wall = time.perf_counter() - t0
     write_candidates(candidates, args.out, with_provenance=False)
-    print(
-        f"candidates={len(candidates)} pe_ratio={pe_ratio(candidates, dataset):.4f} "
-        f"wall_time_s={wall:.2f} -> {args.out}"
-    )
+    _print_summary(candidates, dataset, wall, args.out)
     return 0
 
 
@@ -165,10 +164,8 @@ def cmd_index(args) -> int:
     dataset = config.load_dataset()
     model = _load_model_for(config, args.model)
     model.validate_schema(dataset)
-    from .blocking import signature_matrix, _normalized
-
     records = list(dataset.all_records())
-    sig, ok = _normalized(*signature_matrix(model, records))
+    sig, ok = unit_signatures(model, records)
     items = [
         (rec.record_id, s, sig[i, s])
         for i, rec in enumerate(records)

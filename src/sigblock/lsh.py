@@ -38,9 +38,12 @@ Index file layout (all integers little-endian)::
 Files go through ``codec``: ``save`` checks every field before the
 path is opened, and ``load`` raises ``ValueError`` naming the path, the
 byte offset and the field for a file cut short or overlong, a
-non-finite float, a header the layout rules out, or tables other than
-the partition ``save`` writes (buckets by first entry, members ascending
-and below n_entries, keys distinct, components in +/-1..+/-dim_padded).
+non-finite float, a header the layout rules out, an entry ``build``
+refuses (a repeated (id, signature), a vector off unit norm), or tables
+other than the partition ``save`` writes (buckets by first entry,
+members ascending and below n_entries, keys distinct, components in
++/-1..+/-dim_padded). ``save`` checks the vectors as ``load`` will read
+them, rounded to f32, so every file it writes loads.
 """
 
 from __future__ import annotations
@@ -149,6 +152,22 @@ def _key_shifts(dp: int, hashes: int, tables: int) -> tuple[np.ndarray, int]:
 def _signed(codes: np.ndarray) -> np.ndarray:
     """Axis codes of ``_top2`` as signed axes +/-1..+/-d."""
     return ((codes >> 1) + 1) * (1 - 2 * (codes & 1))
+
+
+def _entry_fault(entries: list[tuple[str, int]], vectors: np.ndarray) -> tuple[int, str] | None:
+    """(number, message) of the first entry ``build``, ``save`` and
+    ``load`` refuse: a vector off unit norm (NaN too), else a repeat."""
+    off_unit = ~(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= UNIT_TOL)
+    if off_unit.any():
+        i = int(off_unit.argmax())
+        return i, f"vector for id {entries[i][0]!r} is not unit norm"
+    if len(set(entries)) != len(entries):
+        seen: set[tuple[str, int]] = set()
+        for i, (rid, sig) in enumerate(entries):
+            if (rid, sig) in seen:
+                return i, f"duplicate entry ({rid!r}, {sig})"
+            seen.add((rid, sig))
+    return None
 
 
 def _read_table(r: Reader, k: int, n: int, hashes: int, dp: int) -> np.ndarray:
@@ -343,17 +362,9 @@ class LshIndex:
         items = list(items)
         entries = [(rid, sig) for rid, sig, _ in items]
         vectors = _stack_vectors(items, dim)
-        # written so that a NaN norm fails too
-        off_unit = ~(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= UNIT_TOL)
-        if off_unit.any():
-            rid = entries[off_unit.argmax()][0]
-            raise ValueError(f"vector for id {rid!r} is not unit norm")
-        if len(set(entries)) != len(entries):
-            seen: set[tuple[str, int]] = set()
-            for rid, sig in entries:
-                if (rid, sig) in seen:
-                    raise ValueError(f"duplicate entry ({rid!r}, {sig})")
-                seen.add((rid, sig))
+        fault = _entry_fault(entries, vectors)
+        if fault is not None:
+            raise ValueError(fault[1])
         dp = next_pow2(dim)
         rng = np.random.Generator(np.random.PCG64(params.seed))
         rotations = random_rotations(dp, params.tables * params.hashes_per_table, rng)
@@ -516,6 +527,9 @@ class LshIndex:
             raise ValueError(f"entry {self.entries[wide.argmax()]}: signature id over u32")
         rows = np.empty(len(self.entries), dtype=[("sig", "<u4"), ("vec", "<f4", (self.dim,))])
         rows["sig"], rows["vec"] = self._signatures, self.vectors
+        fault = _entry_fault(self.entries, rows["vec"].astype(np.float64))  # as load reads them
+        if fault is not None:
+            raise ValueError(f"{fault[1]} once stored as f32")
         w.records([rid for rid, _ in self.entries], rows, "entry id")
         w.raw(self._table_words())
         w.write(path)
@@ -540,11 +554,14 @@ class LshIndex:
         except ValueError as exc:
             raise r.fail(str(exc), "header", 8) from None
         rotations = r.f32((tables, hashes, dp, dp), "rotations")
-        ids, rows, _ = r.records(
+        ids, rows, starts = r.records(
             n, 4 + 4 * dim, "entry {} id", "entry {} signature and vector", floats=4
         )
         entries = list(zip(ids, rows[:, :4].view("<u4")[:, 0].tolist()))
         vectors = rows[:, 4:].view("<f4").astype(np.float64)
+        fault = _entry_fault(entries, vectors)
+        if fault is not None:
+            raise r.fail(fault[1], f"entry {fault[0]}", starts[fault[0]])
         section = r.pos
         codes = np.stack([_read_table(r, k, n, hashes, dp) for k in range(tables)], axis=1)
         r.finish()

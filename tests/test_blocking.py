@@ -13,6 +13,7 @@ from sigblock.blocking import (
     pe_ratio,
     read_candidates,
     signature_matrix,
+    unit_signatures,
     write_candidates,
 )
 from sigblock.data_model import (
@@ -23,7 +24,7 @@ from sigblock.data_model import (
     canonical_pair,
     make_bipartite,
 )
-from sigblock.blocking import _normalized
+from sigblock.evaluation import SynthSpec, synthesize
 from sigblock.encoder import (
     AttentionalEncoder,
     PreparedBatch,
@@ -256,8 +257,8 @@ def query_loop_block(dataset, model, theta, params):
         index_records, query_records = list(big), list(small)
     else:
         index_records = query_records = list(dataset.all_records())
-    idx_sig, idx_ok = _normalized(*signature_matrix(model, index_records))
-    q_sig, q_ok = _normalized(*signature_matrix(model, query_records))
+    idx_sig, idx_ok = unit_signatures(model, index_records)
+    q_sig, q_ok = unit_signatures(model, query_records)
     best = {}
     for s in range(model.num_signatures):
         items = [
@@ -315,6 +316,98 @@ class TestBatchedEquivalence:
         got = block(ds, model, 0.5, LshParams(seed=8, max_results=1))
         want = {(f"e{e:05d}-0", f"e{e:05d}-{c}") for e in range(40) for c in (1, 2)}
         assert got.pairs == want
+
+
+def per_hit_exact_block(dataset, model, theta, chunk=512):
+    """The exact scan as it was before it shared ``block``'s engine: the
+    first table is the index side, every hit goes through a Python loop
+    and a dict keeps the first best cosine per pair."""
+    if dataset.is_bipartite:
+        index_records = list(dataset.tables[0])
+        query_records = list(dataset.tables[1])
+        idx_sig, idx_ok = unit_signatures(model, index_records)
+        q_sig, q_ok = unit_signatures(model, query_records)
+    else:
+        index_records = list(dataset.all_records())
+        query_records = index_records
+        idx_sig, idx_ok = unit_signatures(model, index_records)
+        q_sig, q_ok = idx_sig, idx_ok
+    best = {}
+    ids_index = [r.record_id for r in index_records]
+    ids_query = [r.record_id for r in query_records]
+    for s in range(model.num_signatures):
+        I = idx_sig[:, s]
+        for lo in range(0, len(query_records), chunk):
+            hi = min(lo + chunk, len(query_records))
+            cos = q_sig[lo:hi, s] @ I.T
+            cos *= q_ok[lo:hi, s][:, None]
+            cos *= idx_ok[:, s][None, :]
+            qi, ii = np.nonzero(cos >= theta)
+            for a, b in zip(qi, ii):
+                rid_q = ids_query[lo + a]
+                rid_i = ids_index[b]
+                if rid_q == rid_i:
+                    continue
+                pair = canonical_pair(rid_q, rid_i)
+                c = float(cos[a, b])
+                prev = best.get(pair)
+                if prev is None or c > prev[1]:
+                    best[pair] = (s, c)
+    return best
+
+
+@pytest.fixture(scope="module")
+def dirty():
+    """A dirty corpus of 600 records and an untrained model with the
+    signatures album | the rest; a fifth of the records have no album."""
+    spec = SynthSpec(200, 2, "dirty", 0.3, 0.0, 0.3, 0.2, 0.2)
+    ds, _ = synthesize(spec, seed=5)
+    w = 3**-0.5
+    model = song_model(ds.schema, [[0.0, 1.0, 0.0, 0.0], [w, 0.0, w, w]], seed=4)
+    records = list(ds.all_records())
+    first = Dataset(ds.schema, (Table([r for r in records if r.record_id.endswith("-0")]),))
+    rest = Dataset(ds.schema, (Table([r for r in records if not r.record_id.endswith("-0")]),))
+    cases = {
+        "dedup": ds,
+        "bipartite, index side first": make_bipartite(rest, first),
+        "bipartite, index side second": make_bipartite(first, rest),
+    }
+    return model, cases
+
+
+class TestExactScan:
+    @pytest.mark.parametrize(
+        "case", ["dedup", "bipartite, index side first", "bipartite, index side second"]
+    )
+    def test_matches_per_hit_oracle_bitwise(self, dirty, case):
+        model, cases = dirty
+        ds = cases[case]
+        got = block_brute_force(ds, model, 0.85)
+        want = per_hit_exact_block(ds, model, 0.85)
+        assert len(want) > 100
+        assert got.pairs == frozenset(want)
+        assert {p: (s, c.hex()) for p, (s, c) in got.provenance.items()} == {
+            p: (s, c.hex()) for p, (s, c) in want.items()
+        }
+
+    def test_table_order_does_not_change_candidates(self, dirty):
+        model, cases = dirty
+        a = block_brute_force(cases["bipartite, index side first"], model, 0.85)
+        b = block_brute_force(cases["bipartite, index side second"], model, 0.85)
+        assert a.provenance == b.provenance
+
+    @pytest.mark.parametrize(
+        "case", ["dedup", "bipartite, index side first", "bipartite, index side second"]
+    )
+    def test_hashed_subset_of_exact(self, dirty, case):
+        model, cases = dirty
+        ds = cases[case]
+        exact = block_brute_force(ds, model, 0.85)
+        hashed = block(ds, model, 0.85, LshParams(seed=3))
+        assert len(hashed) > 0.9 * len(exact)
+        assert hashed.pairs <= exact.pairs
+        for pair, (s, cos) in hashed.provenance.items():
+            assert exact.provenance[pair][1] >= cos - 1e-12
 
 
 class TestPeRatio:

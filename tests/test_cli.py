@@ -1,6 +1,7 @@
 """Command-line behavior: pipeline wiring, determinism, exit codes."""
 
 import filecmp
+import re
 
 import pytest
 
@@ -333,6 +334,32 @@ def test_empty_dataset_block_empty_csv(workspace, tmp_path):
     assert rc == 0
     assert out.read_text().splitlines()[0].startswith("id_a,id_b")
     assert len(out.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["block", "key", "minhash"])
+def test_empty_dataset_summary_line(workspace, tmp_path, capsys, command):
+    _, config = workspace
+    if command == "block":
+        model = tmp_path / "model.bin"
+        assert main(["train", "--config", str(config), "--out", str(model)]) == 0
+        command = ["block", "--model", str(model)]
+    else:
+        command = ["baseline", "--method", command]
+    empty = tmp_path / "empty.csv"
+    empty.write_text("id,title,album,composer,writer\n", encoding="utf-8")
+    out = tmp_path / "cands.csv"
+    capsys.readouterr()
+    rc = main(
+        [*command, "--config", str(config), "--set", f"data.dataset={empty}", "--out", str(out)]
+    )
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert re.fullmatch(
+        rf"candidates=0 pe_ratio=0\.0000 wall_time_s=\d+\.\d\d -> {re.escape(str(out))}\n",
+        captured.out,
+    )
+    assert out.read_text().splitlines()[0].startswith("id_a,id_b")
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -479,11 +479,86 @@ class TestSearchSelf:
             np.testing.assert_array_equal(a, b)
 
 
-# -- the batched hasher and join against per-vector references ------------
-
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+
+class TestEntryChecks:
+    """``load`` refuses the entries ``build`` refuses; ``save`` refuses
+    an index whose f32 vectors ``load`` would refuse."""
+
+    @pytest.fixture
+    def saved(self, rng, tmp_path):
+        vecs = random_units(12, 2, rng)
+        params = LshParams(tables=2, hashes_per_table=1, seed=7)
+        index = LshIndex.build([(f"v{i:02d}", 0, v) for i, v in enumerate(vecs)], 2, params)
+        path = tmp_path / "index.bin"
+        index.save(path)
+        return path, bytearray(path.read_bytes())
+
+    def test_duplicate_entry(self, saved):
+        path, data = saved
+        at = data.find(b"v01") - 2  # entry 1: u16 length, id, u32 signature, vector
+        data[at + 2 : at + 5] = b"v00"
+        path.write_bytes(bytes(data))
+        want = f"{path}: duplicate entry ('v00', 0) at byte {at} while reading entry 1"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            LshIndex.load(path)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.0, 1 - 2e-6])
+    def test_vector_off_unit_norm(self, saved, scale):
+        path, data = saved
+        at = data.find(b"v03") - 2
+        vec = slice(at + 2 + 3 + 4, at + 2 + 3 + 4 + 8)
+        vector = np.frombuffer(bytes(data[vec]), "<f4") * np.float32(scale)
+        data[vec] = vector.astype("<f4").tobytes()
+        path.write_bytes(bytes(data))
+        want = f"{path}: vector for id 'v03' is not unit norm at byte {at} while reading entry 3"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            LshIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "x, saves", [(1 - 0.99e-6, False), (1 - 0.95e-6, True), (1 + 0.99e-6, True)]
+    )
+    def test_save_checks_f32_vectors_at_the_boundary(self, tmp_path, x, saves):
+        # all three pass build; 1 - 0.99e-6 rounds to 1 - 17 * 2^-24 in f32,
+        # off unit norm by more than UNIT_TOL
+        index = LshIndex.build([("a", 0, np.array([x, 0.0])), ("b", 0, np.array([0.0, 1.0]))], 2)
+        path = tmp_path / "index.bin"
+        if not saves:
+            with pytest.raises(ValueError, match="'a' is not unit norm once stored as f32"):
+                index.save(path)
+            assert not path.exists()
+            return
+        index.save(path)
+        again = tmp_path / "again.bin"
+        LshIndex.load(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+        st.floats(-1.5e-6, 1.5e-6),
+    )
+    def test_every_saved_file_loads_and_resaves(self, tmp_path_factory, dim, seed, off):
+        v = random_units(1, dim, np.random.default_rng(seed))[0] * (1 + off)
+        try:
+            index = LshIndex.build([("a", 0, v)], dim)
+        except ValueError:
+            return  # build refuses it
+        path = tmp_path_factory.mktemp("idx") / "index.bin"
+        try:
+            index.save(path)
+        except ValueError as exc:
+            assert "once stored as f32" in str(exc) and not path.exists()
+            return
+        again = path.with_suffix(".again")
+        LshIndex.load(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+# -- the batched hasher and join against per-vector references ------------
 
 def ref_signed_top2(u):
     """(best, runner-up) signed axes and their score gap for one rotation."""
