@@ -10,9 +10,10 @@ are implemented; all of them support float64 data exclusively.
 Graph recording is skipped entirely when no input requires gradients, so
 the same functions double as the inference path. Each call still costs
 its numpy work plus about a microsecond of Python, which dominates on
-small inputs such as a single record; so the LSTM, the longest chain of
-small steps, is one hand-written op (:func:`lstm_sequence`) rather than
-a dozen nodes per timestep.
+small inputs such as a single record; so the bidirectional LSTM, the
+longest chain of small steps, is one hand-written op (:func:`bilstm`)
+that steps both directions together, rather than a dozen nodes per
+timestep and direction.
 """
 
 from __future__ import annotations
@@ -199,15 +200,29 @@ def add_const(a: Tensor, c) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a 2-D ``b``; ``a`` is 2-D or a stack (..., m, k)
+    of matrices, each multiplied by ``b``."""
     data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
             a.accumulate(g @ b.data.T)
         if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+            # every matrix of the stack stacked as rows of one
+            rows = a.data.reshape(-1, a.data.shape[-1])
+            b.accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
 
     return _node(data, (a, b), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """The transpose of a 2-D tensor, C-contiguous."""
+    data = np.ascontiguousarray(a.data.T)
+
+    def backward(g):
+        a.accumulate(g.T)
+
+    return _node(data, (a,), backward)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -364,22 +379,27 @@ def _bag_sum(
     """Per bag, the sum of ``rows[indices[start:start + count]]``.
 
     Every bag sums from zero in index order, as an element-by-element loop
-    would. The loop runs over the shorter axis. With fewer bags than the
-    longest bag has ids, each bag takes the last row of a ``cumsum`` over
-    its rows, which adds in order from the first row; ``+ 0.0`` then turns
-    an all -0.0 sum into the 0.0 a sum from zero gives. Otherwise the bags
-    are sorted longest first, so the bags holding a k-th id form a prefix,
-    and step k adds those rows into that prefix.
+    would. With fewer bags than the longest bag has ids, one padded gather
+    puts bag b's k-th row at ``[b, k]`` (zero past its end), and a sum over
+    k adds each bag's rows in order, because numpy adds along an outer
+    axis one row at a time; ``+ 0.0`` turns an all -0.0 sum into the 0.0
+    a sum from zero gives, for numpy versions that start a sum from its
+    first row rather than from zero. One-column rows skip that
+    branch: there the summed axis would be the inner loop, which numpy
+    sums pairwise. Otherwise the loop runs over id positions: the bags are
+    sorted longest first, so the bags holding a k-th id form a prefix, and
+    step k adds those rows into that prefix.
     """
-    out = np.zeros((len(counts), rows.shape[1]))
     if not len(indices):
-        return out
+        return np.zeros((len(counts), rows.shape[1]))
     longest = int(counts.max())
-    if len(counts) < longest:
-        for b, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
-            if count:
-                out[b] = rows[indices[start : start + count]].cumsum(axis=0)[-1] + 0.0
-        return out
+    if len(counts) < longest and rows.shape[1] > 1:
+        k = np.arange(longest)
+        past = k >= counts[:, None]
+        rows_in = rows[indices[np.where(past, 0, starts[:, None] + k)]]
+        rows_in[past] = 0.0
+        return rows_in.sum(axis=1) + 0.0
+    out = np.zeros((len(counts), rows.shape[1]))
     order = np.argsort(-counts, kind="stable")
     starts = starts[order]
     # live[k]: how many bags hold more than k ids
@@ -391,104 +411,141 @@ def _bag_sum(
     return data
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(
+    x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """Logistic function, stable on both tails.
 
     ``e = exp(-|x|) <= 1`` never overflows; x >= 0 takes 1 / (1 + e) and
-    x < 0 takes e / (1 + e).
+    x < 0 takes e / (1 + e), so the numerator is ``max(e, x >= 0)``.
+    ``out`` receives the result and may be ``x`` itself; ``work`` holds
+    e. Both are arrays shaped like ``x``, new ones when not given.
     """
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    out = np.empty_like(x) if out is None else out
+    work = np.empty_like(x) if work is None else work
+    np.abs(x, out=work)
+    np.negative(work, out=work)
+    np.exp(work, out=work)
+    np.maximum(work, x >= 0.0, out=out)
+    work += 1.0
+    out /= work
     return out
 
 
-def lstm_sequence(
-    x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False
-) -> Tensor:
-    """One LSTM direction over a batch of equal-length sequences.
+def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """A bidirectional LSTM over a batch of equal-length sequences.
 
-    ``x`` is (n, L, d); the result is (n, L, H), the hidden state at every
-    position. The gate blocks of ``wx`` (d, 4H), ``wh`` (H, 4H) and ``b``
-    (4H,) are input, forget, cell and output, in that order. The state
-    starts at zero and reads positions 0 to L - 1, or L - 1 to 0 when
-    ``reverse``. Per step::
+    ``x`` is (n, L, d). ``wx`` (2, d, 4H), ``wh`` (2, H, 4H) and ``b``
+    (2, 4H) each hold the forward direction's weights, then the backward
+    one's; their gate blocks are input, forget, cell and output, in that
+    order. The result is (L, n, 2H): at every position the forward
+    hidden state, then the backward one. Both directions start at zero
+    state; the forward reads positions 0 to L - 1, the backward L - 1 to
+    0. Per direction and step::
 
         z = (x_t @ wx + h @ wh) + b
         c = f * c + i * g        i, f, o = sigmoid(z blocks), g = tanh(z block)
         h = o * tanh(c)
 
+    Step k runs forward position k beside backward position L - 1 - k as
+    stacked (2, n, .) @ (2, ., 4H) products. numpy makes the same BLAS
+    call for each item of a stack as for that matrix alone, so each
+    direction gets the bits it would get on its own.
+
     One tape node stands for the whole sequence. It keeps the gates and
     cell states of every step only when an input requires gradients; its
-    backward is backpropagation through time, with the weight and input
-    gradients of all steps taken in one matmul each.
+    backward is backpropagation through time, stacked the same way, with
+    the weight and input gradients of all steps taken in one stacked
+    matmul each.
     """
     n, length, dim = x.data.shape
-    hidden = wh.data.shape[0]
+    hidden = wh.data.shape[1]
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
-    steps = range(length - 1, -1, -1) if reverse else range(length)
     track = x.requires_grad or wx.requires_grad or wh.requires_grad or b.requires_grad
-    # hs[k + 1] is the hidden state after step k, hs[0] the zero start
-    hs = np.zeros((length + 1, n, hidden))
+    bias = b.data[:, None, :]
+    # step k writes forward position k and backward position L - 1 - k
+    data = np.empty((length, n, 2 * hidden))
     if track:
-        gates = np.empty((length, n, 4 * hidden))  # i, f, g, o per step
-        cells = np.zeros((length + 1, n, hidden))  # cells[k] enters step k
-        tanh_c = np.empty((length, n, hidden))
-    h = hs[0]
-    c = np.zeros((n, hidden))
-    for k, t in enumerate(steps):
-        z = (x.data[:, t, :] @ wx.data + h @ wh.data) + b.data
-        s = _sigmoid(z)
-        g = np.tanh(z[:, h2:h3])
-        c = s[:, h1:h2] * c + s[:, :h1] * g
-        tc = np.tanh(c)
-        h = np.multiply(s[:, h3:], tc, out=hs[k + 1])
+        gates = np.empty((length, 2, n, 4 * hidden))  # i, f, g, o per step
+        cells = np.zeros((length + 1, 2, n, hidden))  # cells[k] enters step k
+        tanh_c = np.empty((length, 2, n, hidden))
+    # step buffers, reused, and views of their gate blocks, made once: new
+    # temporaries of both directions every step would add to the peak
+    # memory of a large batch
+    xk = np.empty((n, 2, dim))
+    z = np.empty((2, n, 4 * hidden))  # pre-activations, then the gates
+    work = np.empty_like(z)
+    i_gate, f_gate, g_gate, o_gate = (z[:, :, a : a + hidden] for a in (0, h1, h2, h3))
+    g = np.empty((2, n, hidden))
+    h = np.zeros((2, n, hidden))
+    c = np.zeros((2, n, hidden))
+    for k in range(length):
+        # mode="wrap" (the indices are in range) lets take write to xk unbuffered
+        np.take(x.data, (k, length - 1 - k), axis=1, out=xk, mode="wrap")
+        np.matmul(xk.transpose(1, 0, 2), wx.data, out=z)
+        np.matmul(h, wh.data, out=work)
+        z += work
+        z += bias
+        # tanh of the cell block, the sigmoid of the others
+        np.tanh(g_gate, out=g)
+        _sigmoid(z, out=z, work=work)
+        g_gate[...] = g
+        g *= i_gate
+        c *= f_gate
+        c += g
+        np.tanh(c, out=h)
         if track:
-            s[:, h2:h3] = g
-            gates[k] = s
+            gates[k] = z
             cells[k + 1] = c
-            tanh_c[k] = tc
-    data = (hs[:0:-1] if reverse else hs[1:]).transpose(1, 0, 2)
+            tanh_c[k] = h
+        h *= o_gate
+        data[k, :, :hidden] = h[0]
+        data[length - 1 - k, :, hidden:] = h[1]
 
     def backward(gout):
-        g_steps = gout.transpose(1, 0, 2)
-        if reverse:
-            g_steps = g_steps[::-1]
-        # derivative of each gate's activation at its pre-activation
-        dact = gates * (1.0 - gates)
-        dact[:, :, h2:h3] = 1.0 - gates[:, :, h2:h3] ** 2
-        dz = np.empty((length, n, 4 * hidden))
-        dh = np.zeros((n, hidden))
-        dc = np.zeros((n, hidden))
-        wh_t = wh.data.T
+        # the gradient reaching each direction's state after step k
+        g_steps = np.empty((length, 2, n, hidden))
+        g_steps[:, 0] = gout[:, :, :hidden]
+        g_steps[:, 1] = gout[::-1, :, hidden:]
+        dz = np.empty((2, length, n, 4 * hidden))
+        dh = np.zeros((2, n, hidden))
+        dc = np.zeros((2, n, hidden))
+        wh_t = wh.data.transpose(0, 2, 1)
         for k in range(length - 1, -1, -1):
             gk = gates[k]
             dh = dh + g_steps[k]
-            dc = dc + dh * gk[:, h3:] * (1.0 - tanh_c[k] ** 2)
-            dzk = dz[k]
-            dzk[:, :h1] = dc * gk[:, h2:h3]
-            dzk[:, h1:h2] = dc * cells[k]
-            dzk[:, h2:h3] = dc * gk[:, :h1]
-            dzk[:, h3:] = dh * tanh_c[k]
-            dzk *= dact[k]
+            dc = dc + dh * gk[..., h3:] * (1.0 - tanh_c[k] ** 2)
+            dzk = dz[:, k]
+            dzk[..., :h1] = dc * gk[..., h2:h3]
+            dzk[..., h1:h2] = dc * cells[k]
+            dzk[..., h2:h3] = dc * gk[..., :h1]
+            dzk[..., h3:] = dh * tanh_c[k]
+            # derivative of each gate's activation at its pre-activation
+            dact = gk * (1.0 - gk)
+            dact[..., h2:h3] = 1.0 - gk[..., h2:h3] ** 2
+            dzk *= dact
             if k:
-                dc = dc * gk[:, h1:h2]
+                dc = dc * gk[..., h1:h2]
                 dh = dzk @ wh_t
-        flat = dz.reshape(length * n, 4 * hidden)
+        flat = dz.reshape(2, length * n, 4 * hidden)
         if wx.requires_grad:
-            xs = x.data.transpose(1, 0, 2)
-            if reverse:
-                xs = xs[::-1]
-            wx.accumulate(xs.reshape(length * n, dim).T @ flat)
+            # each direction's inputs in its step order
+            xs = np.empty((2, length, n, dim))
+            xs[0] = x.data.transpose(1, 0, 2)
+            xs[1] = xs[0, ::-1]
+            wx.accumulate(xs.reshape(2, length * n, dim).transpose(0, 2, 1) @ flat)
         if wh.requires_grad:
-            wh.accumulate(hs[:-1].reshape(length * n, hidden).T @ flat)
+            # each direction's state entering each step, in step order
+            h_in = np.zeros((2, length, n, hidden))
+            h_in[0, 1:] = data[:-1, :, :hidden]
+            h_in[1, 1:] = data[:0:-1, :, hidden:]
+            wh.accumulate(h_in.reshape(2, length * n, hidden).transpose(0, 2, 1) @ flat)
         if b.requires_grad:
-            b.accumulate(flat.sum(axis=0))
+            b.accumulate(flat.sum(axis=1))
         if x.requires_grad:
-            dx = (flat @ wx.data.T).reshape(length, n, dim)
-            if reverse:
-                dx = dx[::-1]
-            x.accumulate(dx.transpose(1, 0, 2))
+            dx = (flat @ wx.data.transpose(0, 2, 1)).reshape(2, length, n, dim)
+            x.accumulate(dx[0].transpose(1, 0, 2))
+            x.accumulate(dx[1, ::-1].transpose(1, 0, 2))
 
     return _node(data, (x, wx, wh, b), backward)
 

@@ -12,19 +12,20 @@ values into a :class:`PreparedBatch`: the distinct tokens with their
 bucket ids (each token hashed once) plus each value's token numbers.
 :func:`embed_vocabulary` sums each distinct token's rows once, and
 :func:`encode_sequences_tape` gathers one row per token occurrence and
-encodes the values on the autodiff tape. Each LSTM direction is a single
-tape op, :func:`autodiff.lstm_sequence`, with a hand-written backward
-pass (backpropagation through time). Training records gradients through
-it; blocking, single-record signatures and attention introspection run
-the same routines on tensors that do not require gradients, so they
-record nothing. Gate order in the packed LSTM weight matrices is input,
-forget, cell, output.
+encodes the values on the autodiff tape. The BiLSTM is a single tape op,
+:func:`autodiff.bilstm`, which steps both directions together and has a
+hand-written backward pass (backpropagation through time); one stacked
+matrix product then scores every position. Training records gradients
+through it; blocking, single-record signatures and attention
+introspection run the same routines on tensors that do not require
+gradients, so they record nothing. Gate order in the packed LSTM weight
+matrices is input, forget, cell, output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,21 +34,51 @@ from .data_model import AttributeValue
 from .text_embedding import EmbeddingTable
 
 PARAM_NAMES = ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b", "attn")
+# each stacked array and the names of its forward and backward halves
+_PAIRS = (("wx", "wx_f", "wx_b"), ("wh", "wh_f", "wh_b"), ("b", "b_f", "b_b"))
+
+
+class _Stacked(NamedTuple):
+    sources: tuple[np.ndarray, ...]  # the params arrays, in PARAM_NAMES order
+    arrays: dict[str, np.ndarray]  # wx, wh, b stacked (2, ...), and attn
+    tensors: dict[str, ad.Tensor]  # over ``arrays``, without gradients
 
 
 @dataclass
 class AttentionalEncoder:
-    """Per-attribute encoder parameters plus its smoothing coefficient."""
+    """Per-attribute encoder parameters plus its smoothing coefficient.
+
+    Each forward/backward pair of LSTM parameters is stored as one
+    (2, ...) array, forward first, and ``params`` holds views of its two
+    halves, so an in-place change through ``params`` is a change to the
+    stacked array that :func:`encoder_tensors` wraps.
+    """
 
     dim: int
     hidden: int
     smoothing_rho: float
     max_tokens: int = 64
     params: dict[str, np.ndarray] = field(default_factory=dict)
+    _stacked: _Stacked | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.smoothing_rho <= 1.0:
             raise ValueError("smoothing_rho must lie in [0, 1]")
+        if self.params:
+            self._stack()
+
+    def _stack(self) -> _Stacked:
+        """Stack each direction pair of ``params`` into one array and put
+        views of it back into ``params``."""
+        p = self.params
+        arrays = {}
+        for name, fwd, bwd in _PAIRS:
+            arrays[name] = np.stack([p[fwd], p[bwd]]).astype(np.float64, copy=False)
+            p[fwd], p[bwd] = arrays[name]
+        arrays["attn"] = p["attn"] = np.asarray(p["attn"], dtype=np.float64)
+        tensors = {name: ad.Tensor(a) for name, a in arrays.items()}
+        self._stacked = _Stacked(tuple(p[name] for name in PARAM_NAMES), arrays, tensors)
+        return self._stacked
 
     @classmethod
     def initialize(
@@ -197,12 +228,22 @@ def prepare_sequence(
 
 
 def encoder_tensors(encoder: AttentionalEncoder, requires_grad: bool) -> dict[str, ad.Tensor]:
-    """Tensors sharing memory with the encoder's parameter arrays."""
-    out = {}
-    for name in PARAM_NAMES:
-        t = ad.Tensor(encoder.params[name], requires_grad=requires_grad)
-        out[name] = t
-    return out
+    """The encoder's parameters as tensors sharing memory with
+    ``encoder.params``: ``wx`` (2, d, 4H), ``wh`` (2, H, 4H) and ``b``
+    (2, 4H), forward direction first, and ``attn`` (2H,).
+
+    Tensors without gradients are built once per encoder and reused;
+    tensors with gradients are new on every call, so their gradients
+    belong to the caller. An array replaced in ``params`` since the last
+    call is stacked again first.
+    """
+    stacked = encoder._stacked
+    p = encoder.params
+    if stacked is None or any(p[n] is not a for n, a in zip(PARAM_NAMES, stacked.sources)):
+        stacked = encoder._stack()
+    if not requires_grad:
+        return stacked.tensors
+    return {name: ad.Tensor(a, requires_grad=True) for name, a in stacked.arrays.items()}
 
 
 def embed_vocabulary(emb: ad.Tensor, batch: PreparedBatch) -> ad.Tensor:
@@ -254,14 +295,11 @@ def encode_sequences_tape(
         positions = (starts[members][:, None] + np.arange(length)).reshape(-1)
         v3 = ad.reshape(ad.take_rows(vectors, batch.tokens[positions]), (n, length, dim))
 
-        h_f = ad.lstm_sequence(v3, enc["wx_f"], enc["wh_f"], enc["b_f"])
-        h_b = ad.lstm_sequence(v3, enc["wx_b"], enc["wh_b"], enc["b_b"], reverse=True)
-
-        score_cols = [
-            ad.matmul(ad.concat([h_f[:, k, :], h_b[:, k, :]], axis=1), attn_col)
-            for k in range(length)
-        ]
-        scores = score_cols[0] if length == 1 else ad.concat(score_cols, axis=1)
+        states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])  # (length, n, 2H)
+        # one (n, 2H) @ (2H, 1) product per position, stacked; the scores
+        # are then copied to C order, because a softmax over a strided
+        # row can sum it in another order
+        scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
         alpha = ad.softmax(scores, axis=1)
         beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
         for idx, row in zip(members, beta.data):

@@ -393,9 +393,12 @@ class LshIndex:
         by row in input order; within a row the best come first, ties in
         cosine going to the smaller (record_id, signature). When the
         index mixes several signatures, pass ``signature`` to restrict
-        hits to one of them.
+        hits to one of them. Queries of another shape than (rows, dim)
+        and a ``max_results`` below 1 raise ``ValueError``.
         """
         queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise ValueError(f"queries have shape {queries.shape}, want (rows, {self.dim})")
         if not np.all(np.abs(np.linalg.norm(queries, axis=1) - 1.0) <= UNIT_TOL):
             raise ValueError("query vector is not unit norm")
         return self._search(queries, None, theta, max_results, signature)
@@ -412,6 +415,8 @@ class LshIndex:
         (computed here when None)."""
         if max_results is None:
             max_results = self.default_max_results
+        elif max_results <= 0:
+            raise ValueError(f"max_results must be positive, got {max_results}")
         hits = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
         for lo in range(0, len(queries) if self.entries else 0, _CHUNK_ROWS):
             q = queries[lo : lo + _CHUNK_ROWS]
@@ -425,8 +430,11 @@ class LshIndex:
             pos[pos == len(self._keys)] = 0
             size = np.where(self._keys[pos] == probes, self._sizes[pos], 0)
             # re-rank rows in parts of about _CHUNK_PAIRS bucket entries
-            filled = np.cumsum(size.reshape(len(q), per_row).sum(axis=1)) // _CHUNK_PAIRS
-            cuts = [0, *(np.flatnonzero(np.diff(filled)) + 1).tolist(), len(q)]
+            if size.sum() < _CHUNK_PAIRS:
+                cuts = [0, len(q)]
+            else:
+                filled = np.cumsum(size.reshape(len(q), per_row).sum(axis=1)) // _CHUNK_PAIRS
+                cuts = [0, *(np.flatnonzero(np.diff(filled)) + 1).tolist(), len(q)]
             for a, b in zip(cuts, cuts[1:]):
                 part = slice(a * per_row, b * per_row)
                 row, entry, cos = self._rerank(
@@ -446,7 +454,10 @@ class LshIndex:
         """
         primary = (best << self._shifts).sum(axis=-1) + self._table_keys
         flips = np.argsort(gap, axis=-1, kind="stable")[..., : self.params.multiprobe]
-        flip = np.take_along_axis((second - best) << self._shifts, flips, -1)
+        delta = (second - best) << self._shifts
+        # delta[r, t, flips[r, t, j]], read by flat position
+        first = np.arange(0, delta.size, delta.shape[-1]).reshape(primary.shape + (1,))
+        flip = np.take(delta, flips + first)
         return np.concatenate([primary[..., None], primary[..., None] + flip], axis=-1)
 
     def _rerank(
@@ -474,6 +485,8 @@ class LshIndex:
         row, entry, cos = row[keep], entry[keep], cos[keep]
         order = np.lexsort((self._rank[entry], -cos, row))
         row, entry, cos = row[order], entry[order], cos[order]
+        if len(row) <= max_results:  # no row can be over the cap
+            return row, entry, cos
         keep = np.arange(len(row)) - np.searchsorted(row, row) < max_results
         return row[keep], entry[keep], cos[keep]
 
@@ -487,11 +500,13 @@ class LshIndex:
         """(record_id, signature_id, cosine) hits with cosine >= theta.
 
         A batch of one for ``search``: hits come best first, at most
-        ``max_results`` of them.
+        ``max_results`` of them. A query of another shape than (dim,)
+        raises ``ValueError``.
         """
-        _, entry, cos = self.search(
-            np.asarray(q, dtype=np.float64)[None], theta, max_results, signature
-        )
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != (self.dim,):
+            raise ValueError(f"query has shape {q.shape}, want ({self.dim},)")
+        _, entry, cos = self.search(q[None], theta, max_results, signature)
         return [(*self.entries[e], c) for e, c in zip(entry.tolist(), cos.tolist())]
 
     # -- persistence ---------------------------------------------------

@@ -57,11 +57,23 @@ def test_matmul_lstm_sequence():
     def build(ts):
         x = ad.reshape(ad.matmul(ts[0], ts[1]), (2, 3, 4))
         wx, wh = ad.scale(ts[2], 0.5), ad.scale(ts[3], 0.5)
-        fwd = ad.lstm_sequence(x, wx, wh, ts[4])
-        bwd = ad.lstm_sequence(x, wx, wh, ts[4], reverse=True)
-        return ad.tsum(ad.mul(fwd, bwd))
+        states = ad.bilstm(x, wx, wh, ts[4])
+        # the forward half against the backward half of every position
+        return ad.tsum(ad.mul(states[:, :, :2], states[:, :, 2:]))
 
-    check_op(build, [(6, 5), (5, 4), (4, 8), (2, 8), (8,)], eps=1e-5, tol=1e-6)
+    check_op(build, [(6, 5), (5, 4), (2, 4, 8), (2, 2, 8), (2, 8)], eps=1e-5, tol=1e-6)
+
+
+def test_stacked_matmul_and_transpose():
+    # the attention scoring path: a stack of matrices times one column,
+    # reshaped to (positions, rows) and transposed to rows first
+    def build(ts):
+        scores = ad.reshape(ad.matmul(ts[0], ts[1]), (3, 4))
+        return ad.tsum(ad.mul(ad.transpose(scores), ts[2]))
+
+    check_op(build, [(3, 4, 5), (5, 1), (4, 3)])
+    t = ad.transpose(ad.Tensor(np.arange(6.0).reshape(3, 2)))
+    assert t.data.flags.c_contiguous and t.data.tolist() == [[0, 2, 4], [1, 3, 5]]
 
 
 def test_sigmoid_matches_masked_reference_bitwise():
@@ -225,6 +237,37 @@ def test_bag_sum_of_negative_zeros_is_positive_zero(lengths):
     want = add_at_bag_sum(rows, indices, offsets)
     assert got.tobytes() == want.tobytes()
     assert not np.signbit(got).any()
+
+
+def sequential_bag_sum(rows, indices, starts, counts):
+    out = np.zeros((len(counts), rows.shape[1]))
+    for b, (start, count) in enumerate(zip(starts, counts)):
+        acc = np.zeros(rows.shape[1])
+        for i in indices[start : start + count]:
+            acc = acc + rows[i]
+        out[b] = acc
+    return out
+
+
+@given(
+    st.one_of(bags, few_long_bags, many_short_bags),
+    st.integers(1, 4),  # row width; one column is where a plain sum goes pairwise
+)
+@settings(max_examples=300, deadline=None)
+def test_bag_sum_is_sequential_sum_from_zero(case, width):
+    n_rows, lengths, seed = case
+    rng = np.random.default_rng(seed)
+    rows = wide_values(rng, (n_rows, width))
+    rows[rng.random(rows.shape) < 0.2] = -0.0
+    if rng.random() < 0.2:
+        rows[:] = -0.0
+    counts = np.array(lengths, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+    indices = rng.integers(0, n_rows, int(counts.sum()))
+    got = ad._bag_sum(rows, indices, starts, counts)
+    want = sequential_bag_sum(rows, indices, starts.tolist(), counts.tolist())
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @given(bags, bags)

@@ -267,6 +267,37 @@ class TestTapeConsistency:
                 np.testing.assert_allclose(out[k], want, atol=1e-12)
                 np.testing.assert_allclose(weights[k], want_beta, atol=1e-12)
 
+    @pytest.mark.parametrize("length", [8, 12])
+    def test_long_values_match_per_position_scores_bitwise(self, length):
+        # Each position scored alone, as (n, 2H) @ (2H, 1), the scores
+        # laid out as a C-contiguous (n, L) array and softmaxed along its
+        # rows: numpy sums a contiguous row of 8 or more pairwise, so a
+        # softmax over a strided score view would change the bits.
+        table = EmbeddingTable(dim=6, bucket_count=64, seed=3)
+        enc = make_encoder(rho=0.7, seed=8)
+        enc.params["attn"] *= 4.0
+        rng = np.random.default_rng(length)
+        vocab = [f"w{i}" for i in range(40)]
+        values = [AttributeValue(tuple(rng.choice(vocab, length))) for _ in range(400)]
+        batch = prepare_values(table, [(v,) for v in values], [enc.max_tokens])
+        vectors = embed_vocabulary(ad.Tensor(table.rows), batch)
+        tensors = encoder_tensors(enc, False)
+        out, weights = encode_sequences_tape(
+            vectors, tensors, enc.smoothing_rho, enc.hidden, batch, np.arange(len(values))
+        )
+        n = len(values)
+        v3 = vectors.data[batch.tokens].reshape(n, length, 6)
+        states = ad.bilstm(ad.Tensor(v3), tensors["wx"], tensors["wh"], tensors["b"]).data
+        attn = enc.params["attn"].reshape(-1, 1)
+        scores = np.concatenate([states[k] @ attn for k in range(length)], axis=1)
+        alpha = ad.softmax(ad.Tensor(scores), axis=1).data
+        beta = alpha * enc.smoothing_rho + (1.0 - enc.smoothing_rho) / length
+        assert np.stack(weights).tobytes() == beta.tobytes()
+        assert out.data.tobytes() == (beta[:, :, None] * v3).sum(axis=1).tobytes()
+        for k, v in enumerate(values[:5]):
+            want, _ = oracle(enc, token_vectors(table, v))
+            np.testing.assert_allclose(out.data[k], want, atol=1e-12)
+
     def test_pretrained_tokens_enter_as_constants(self):
         table = EmbeddingTable(
             dim=4,
@@ -283,6 +314,45 @@ class TestTapeConsistency:
         value = AttributeValue(("mrs.", "jones", "remix"))
         want, _ = oracle(enc, token_vectors(table, value))
         np.testing.assert_allclose(embed(enc, table, value), want, atol=1e-12)
+
+
+class TestEncoderTensors:
+    def test_tensors_share_memory_with_params(self):
+        enc = make_encoder(seed=6)
+        tensors = encoder_tensors(enc, False)
+        assert encoder_tensors(enc, False) is tensors  # built once
+        assert tensors["wx"].data.shape == (2, 6, 16)
+        assert tensors["b"].data.shape == (2, 16) and tensors["attn"].data.shape == (8,)
+        # an in-place change on either side shows on the other, as an
+        # optimizer step on the training tensors must
+        enc.params["wh_b"][0, 0] = 7.0
+        assert tensors["wh"].data[1, 0, 0] == 7.0
+        trained = encoder_tensors(enc, True)
+        trained["wx"].data[0, 1, 2] = -3.0
+        trained["attn"].data[5] = 2.5
+        assert enc.params["wx_f"][1, 2] == -3.0 and enc.params["attn"][5] == 2.5
+        assert tensors["wx"].data[0, 1, 2] == -3.0
+
+    def test_replaced_param_array_is_picked_up(self):
+        enc = make_encoder(seed=7)
+        table = EmbeddingTable(dim=6, bucket_count=64, seed=0)
+        value = AttributeValue(("me", "and", "mrs.", "jones"))
+        before = embed(enc, table, value)
+        old = encoder_tensors(enc, False)
+        enc.params["wx_b"] = enc.params["wx_b"] * 2.0
+        enc.params["attn"] = -enc.params["attn"]
+        tensors = encoder_tensors(enc, False)
+        assert tensors is not old
+        assert np.array_equal(tensors["wx"].data[1], enc.params["wx_b"])
+        assert np.array_equal(tensors["attn"].data, enc.params["attn"])
+        got = embed(enc, table, value)
+        want, _ = oracle(enc, token_vectors(table, value))
+        assert not np.allclose(got, before)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        # the new arrays are views of the new stack again
+        enc.params["wx_b"][0, 0] += 1.0
+        assert encoder_tensors(enc, False) is tensors
+        assert tensors["wx"].data[1, 0, 0] == enc.params["wx_b"][0, 0]
 
 
 class TestEncoderGradients:

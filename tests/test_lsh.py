@@ -196,6 +196,33 @@ class TestIndex:
         with pytest.raises(ValueError, match="query vector is not unit norm"):
             index.query(np.full(8, np.nan), theta=0.5)
 
+    def test_query_of_wrong_shape_rejected(self, rng):
+        # a 63-d query pads to the 64-d rotations, so only a shape check
+        # stops it before the re-rank
+        vs = random_units(4, 64, rng)
+        index = LshIndex.build([(f"v{i}", 0, vs[i]) for i in range(3)], dim=64)
+        short = unit(vs[3][:63])
+        with pytest.raises(ValueError, match=r"query has shape \(63,\), want \(64,\)"):
+            index.query(short, theta=0.5)
+        with pytest.raises(ValueError, match=r"query has shape \(1, 64\), want \(64,\)"):
+            index.query(vs[3][None], theta=0.5)
+        with pytest.raises(ValueError, match=r"queries have shape \(1, 63\), want \(rows, 64\)"):
+            index.search(short[None], theta=0.5)
+        with pytest.raises(ValueError, match=r"queries have shape \(64,\), want \(rows, 64\)"):
+            index.search(vs[3], theta=0.5)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_results_below_one_rejected(self, rng, cap):
+        vs = random_units(3, 8, rng)
+        index = LshIndex.build([(f"v{i}", 0, vs[i]) for i in range(3)], dim=8)
+        msg = f"max_results must be positive, got {cap}"
+        with pytest.raises(ValueError, match=msg):
+            index.query(vs[0], 0.5, max_results=cap)
+        with pytest.raises(ValueError, match=msg):
+            index.search(vs, 0.5, max_results=cap)
+        with pytest.raises(ValueError, match=msg):
+            index.search_self(0.5, max_results=cap)
+
     def test_total_stored_entries(self, rng):
         n = 500
         vecs = random_units(n, 16, rng)

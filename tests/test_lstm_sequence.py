@@ -1,9 +1,9 @@
-"""The fused LSTM op against the per-step tape LSTM it replaces.
+"""The fused BiLSTM op against the per-step tape LSTM it replaces.
 
 ``lstm_tape`` below is the encoder's former LSTM: one tape node per
-matmul, add, gate slice, sigmoid, tanh and product, step by step. The
-fused :func:`autodiff.lstm_sequence` must give the same forward bits and
-the same gradients up to summation order.
+matmul, add, gate slice, sigmoid, tanh and product, step by step, run
+once per direction. The fused :func:`autodiff.bilstm` must give the same
+forward bits and the same gradients up to summation order.
 """
 
 import numpy as np
@@ -43,16 +43,18 @@ def lstm_tape(v_steps, wx, wh, b, hidden, batch):
     return states
 
 
-def oracle(x, wx, wh, b, reverse):
-    """(n, L, H) hidden states of the per-step tape LSTM."""
+def oracle(x, wx, wh, b):
+    """(L, n, 2H) forward and backward hidden states of the per-step tape
+    LSTM, run per direction on the halves of the stacked weights."""
     n, length, _ = x.data.shape
-    hidden = wh.data.shape[0]
+    hidden = wh.data.shape[1]
     v_steps = [x[:, k, :] for k in range(length)]
-    if reverse:
-        states = lstm_tape(v_steps[::-1], wx, wh, b, hidden, n)[::-1]
-    else:
-        states = lstm_tape(v_steps, wx, wh, b, hidden, n)
-    return ad.concat([ad.reshape(h, (n, 1, hidden)) for h in states], axis=1)
+    fwd = lstm_tape(v_steps, wx[0], wh[0], b[0], hidden, n)
+    bwd = lstm_tape(v_steps[::-1], wx[1], wh[1], b[1], hidden, n)[::-1]
+    return ad.concat(
+        [ad.reshape(ad.concat([f, r], axis=1), (1, n, 2 * hidden)) for f, r in zip(fwd, bwd)],
+        axis=0,
+    )
 
 
 def make_inputs(rng, n, length, dim, hidden, scale, requires_grad):
@@ -62,19 +64,18 @@ def make_inputs(rng, n, length, dim, hidden, scale, requires_grad):
     x[pinned] = rng.choice([-40.0, 40.0], size=int(pinned.sum()))
     arrays = [
         x,
-        rng.standard_normal((dim, 4 * hidden)),
-        rng.standard_normal((hidden, 4 * hidden)),
-        rng.standard_normal(4 * hidden),
+        rng.standard_normal((2, dim, 4 * hidden)),
+        rng.standard_normal((2, hidden, 4 * hidden)),
+        rng.standard_normal((2, 4 * hidden)),
     ]
     return [ad.Tensor(a, requires_grad=requires_grad) for a in arrays]
 
 
 cases = st.tuples(
     st.integers(1, 5),  # n
-    st.integers(1, 6),  # L
+    st.integers(1, 12),  # L
     st.integers(1, 4),  # d
     st.integers(1, 4),  # H
-    st.booleans(),  # reverse
     st.sampled_from([0.1, 1.0, 40.0]),  # input scale
     st.integers(0, 2**32 - 1),
 )
@@ -83,31 +84,31 @@ cases = st.tuples(
 @given(cases)
 @settings(max_examples=150, deadline=None)
 def test_forward_is_per_step_tape_bitwise(case):
-    n, length, dim, hidden, reverse, scale, seed = case
+    n, length, dim, hidden, scale, seed = case
     rng = np.random.default_rng(seed)
     inputs = make_inputs(rng, n, length, dim, hidden, scale, requires_grad=False)
-    got = ad.lstm_sequence(*inputs, reverse=reverse)
-    want = oracle(*inputs, reverse)
-    assert got.data.shape == (n, length, hidden)
+    got = ad.bilstm(*inputs)
+    want = oracle(*inputs)
+    assert got.data.shape == (length, n, 2 * hidden)
     assert got.data.tobytes() == want.data.tobytes()
     # nothing recorded, nothing kept for a backward pass
     assert not got.requires_grad
     assert got._backward is None and got._parents == ()
 
     tracked = [ad.Tensor(t.data, requires_grad=True) for t in inputs]
-    assert ad.lstm_sequence(*tracked, reverse=reverse).data.tobytes() == want.data.tobytes()
+    assert ad.bilstm(*tracked).data.tobytes() == want.data.tobytes()
 
 
 @given(cases)
 @settings(max_examples=150, deadline=None)
 def test_gradients_match_per_step_tape(case):
-    n, length, dim, hidden, reverse, scale, seed = case
+    n, length, dim, hidden, scale, seed = case
     rng = np.random.default_rng(seed)
     fused = make_inputs(rng, n, length, dim, hidden, scale, requires_grad=True)
     taped = [ad.Tensor(t.data.copy(), requires_grad=True) for t in fused]
-    weights = ad.Tensor(rng.standard_normal((n, length, hidden)))
-    ad.backward(ad.tsum(ad.mul(ad.lstm_sequence(*fused, reverse=reverse), weights)))
-    ad.backward(ad.tsum(ad.mul(oracle(*taped, reverse), weights)))
+    weights = ad.Tensor(rng.standard_normal((length, n, 2 * hidden)))
+    ad.backward(ad.tsum(ad.mul(ad.bilstm(*fused), weights)))
+    ad.backward(ad.tsum(ad.mul(oracle(*taped), weights)))
     for got, want in zip(fused, taped):
         assert got.grad.shape == want.data.shape
         scale_floor = max(float(np.abs(want.grad).max()), 1e-300)
@@ -118,6 +119,6 @@ def test_only_inputs_that_require_gradients_get_them():
     rng = np.random.default_rng(0)
     x, wx, wh, b = make_inputs(rng, 3, 4, 2, 3, 1.0, requires_grad=False)
     wh.requires_grad = True
-    ad.backward(ad.tsum(ad.lstm_sequence(x, wx, wh, b)))
+    ad.backward(ad.tsum(ad.bilstm(x, wx, wh, b)))
     assert wh.grad is not None and wh.grad.shape == wh.data.shape
     assert x.grad is None and wx.grad is None and b.grad is None
