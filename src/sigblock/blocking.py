@@ -14,6 +14,7 @@ oracle of the hashed path, computes every cosine exactly.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data_model import Dataset, Record, canonical_pair
+from .data_model import Dataset, Record, canonical_pair, read_text
 from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by name
     embed_vocabulary,
     encode_sequences_tape,
@@ -62,7 +63,8 @@ def signature_matrix(
     rows of absent signatures are zero. All values of all attributes
     form one vocabulary-level batch whose token vectors are summed once;
     each attribute's present values then run through the batched
-    encoder without gradient recording.
+    encoder without gradient recording, which encodes each distinct
+    value of the attribute once.
     """
     n = len(records)
     m = len(model.schema)
@@ -147,8 +149,10 @@ def _candidates(dataset: Dataset, model: SignatureModel, theta: float, hits) -> 
     model.validate_schema(dataset)
     if dataset.is_bipartite:
         index_records, query_records = map(list, sorted(dataset.tables, key=len, reverse=True))
-        idx_sig, idx_ok = unit_signatures(model, index_records)
-        q_sig, q_ok = unit_signatures(model, query_records)
+        # one batch, so a value both tables hold is encoded once
+        sig, ok = unit_signatures(model, index_records + query_records)
+        k = len(index_records)
+        idx_sig, idx_ok, q_sig, q_ok = sig[:k], ok[:k], sig[k:], ok[k:]
     else:
         index_records = query_records = list(dataset.all_records())
         idx_sig, idx_ok = q_sig, q_ok = unit_signatures(model, index_records)
@@ -229,31 +233,31 @@ def read_candidates(path: str | Path) -> CandidateSet:
 
     A row with fewer fields than the header names (two, or four with
     provenance), or whose ``signature_id`` or ``cosine`` is no number,
-    raises ``ValueError`` naming the path and the line.
+    raises ``ValueError`` naming the path and the line; bytes that are
+    not UTF-8 raise its subclass ``DatasetError``, an input error.
     """
     pairs: set[tuple[str, str]] = set()
     provenance: dict[tuple[str, str], tuple[int, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["id_a", "id_b"]:
-            raise ValueError(f"{path}: expected candidate CSV with id_a,id_b header")
-        has_prov = len(header) >= 4
-        fields = 4 if has_prov else 2
-        for row in reader:
-            if len(row) < fields:
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, [])
+    if header[:2] != ["id_a", "id_b"]:
+        raise ValueError(f"{path}: expected candidate CSV with id_a,id_b header")
+    has_prov = len(header) >= 4
+    fields = 4 if has_prov else 2
+    for row in reader:
+        if len(row) < fields:
+            raise ValueError(
+                f"{path}: line {reader.line_num}: expected {','.join(header[:fields])},"
+                f" got {len(row)} field(s)"
+            )
+        pair = canonical_pair(row[0], row[1])
+        pairs.add(pair)
+        if has_prov:
+            try:
+                provenance[pair] = (int(row[2]), float(row[3]))
+            except ValueError:
                 raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {','.join(header[:fields])},"
-                    f" got {len(row)} field(s)"
-                )
-            pair = canonical_pair(row[0], row[1])
-            pairs.add(pair)
-            if has_prov:
-                try:
-                    provenance[pair] = (int(row[2]), float(row[3]))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: signature_id and cosine must be"
-                        f" numbers, got {row[2]!r} and {row[3]!r}"
-                    ) from None
+                    f"{path}: line {reader.line_num}: signature_id and cosine must be"
+                    f" numbers, got {row[2]!r} and {row[3]!r}"
+                ) from None
     return CandidateSet(frozenset(pairs), provenance if has_prov else None)

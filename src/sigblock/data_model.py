@@ -26,6 +26,7 @@ would leave the string unchanged, so skipping it changes no token.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -257,9 +258,21 @@ def make_labels(pairs: Iterable[tuple[str, str]], dataset: Dataset | None = None
     return LabelSet(frozenset(out))
 
 
+def read_text(path: Path) -> str:
+    """The whole file decoded as UTF-8. Bytes that are not UTF-8 raise
+    ``DatasetError`` naming the path, the line and the byte offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(
+            f"{path}: line {line}: byte {exc.start}: not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def _rows_from_delimited(path: Path, delimiter: str) -> Iterator[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        yield from csv.reader(fh, delimiter=delimiter)
+    return csv.reader(io.StringIO(read_text(path), newline=""), delimiter=delimiter)
 
 
 def _cell_text(value) -> str:
@@ -271,19 +284,20 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _rows_from_jsonl(path: Path) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DatasetError(f"line {lineno}: expected a JSON object")
-            yield obj
+def _rows_from_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Each object of a JSON-lines file with its line number; blank
+    lines are skipped."""
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise DatasetError(f"{path}: line {lineno}: expected a JSON object")
+        yield lineno, obj
 
 
 def ingest(
@@ -295,9 +309,10 @@ def ingest(
     """Read a delimited or JSON-lines file into a single-table dataset.
 
     Blank cells (or absent JSON keys) become missing attribute values;
-    every other cell is tokenized. Row numbers in error messages count
-    the header as row 1 for delimited files and are line numbers for
-    JSON-lines files.
+    every other cell is tokenized. Error messages name the path; row
+    numbers in them count the header as row 1 for delimited files and
+    are line numbers for JSON-lines files. Bytes that are not UTF-8
+    raise with their line and byte offset.
     """
     path = Path(path)
     if not path.exists():
@@ -332,12 +347,12 @@ def ingest(
         objs = list(_rows_from_jsonl(path))
         if schema is None:
             keys: list[str] = []
-            for obj in objs:
+            for _, obj in objs:
                 for k in obj:
                     if k != id_column and k not in keys:
                         keys.append(k)
             schema = keys
-        for lineno, obj in enumerate(objs, start=1):
+        for lineno, obj in objs:
             if id_column not in obj:
                 raise DatasetError(f"{path}: line {lineno}: missing {id_column!r}")
             rid = str(obj[id_column])
@@ -383,11 +398,10 @@ def load_labels(path: str | Path, dataset: Dataset) -> LabelSet:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        sample = fh.readline()
-        delimiter = "\t" if "\t" in sample else ","
-        fh.seek(0)
-        rows = list(csv.reader(fh, delimiter=delimiter))
+    fh = io.StringIO(read_text(path), newline="")
+    delimiter = "\t" if "\t" in fh.readline() else ","
+    fh.seek(0)
+    rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows:
         raise DatasetError(f"{path}: empty label file")
     header = [c.strip() for c in rows[0]]

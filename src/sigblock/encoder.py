@@ -11,8 +11,9 @@ Text enters at vocabulary level. :func:`prepare_values` turns a batch of
 values into a :class:`PreparedBatch`: the distinct tokens with their
 bucket ids (each token hashed once) plus each value's token numbers.
 :func:`embed_vocabulary` sums each distinct token's rows once, and
-:func:`encode_sequences_tape` gathers one row per token occurrence and
-encodes the values on the autodiff tape. The BiLSTM is a single tape op,
+:func:`encode_sequences_tape` encodes each distinct value once on the
+autodiff tape, gathering one row per token of it; values that repeat
+one (equal token numbers) share its row. The BiLSTM is a single tape op,
 :func:`autodiff.bilstm`, which steps both directions together and has a
 hand-written backward pass (backpropagation through time); one stacked
 matrix product then scores every position. Training records gradients
@@ -273,19 +274,32 @@ def encode_sequences_tape(
     ``vectors`` holds the batch's token vectors (:func:`embed_vocabulary`);
     every position of a value takes its token's row. Returns the
     (len(values), d) attribute embeddings and, per value, its smoothed
-    attention weights (an array of its length). Values are grouped by
-    length so each group runs as dense batched matmuls without masking.
+    attention weights (an array of its length). Values with equal token
+    numbers encode equally, so each distinct sequence is encoded once,
+    for its first occurrence, and its copies share that row and weight
+    array (their gradients sum before the one backward pass). The
+    distinct sequences are grouped by length so each group runs as dense
+    batched matmuls without masking.
     """
     starts = batch.bounds[values]
-    by_len: dict[int, list[int]] = {}
-    for idx, length in enumerate((batch.bounds[values + 1] - starts).tolist()):
-        by_len.setdefault(length, []).append(idx)
-    if 0 in by_len:
+    lengths = batch.bounds[values + 1] - starts
+    if not lengths.all():
         raise ValueError("cannot encode a missing value")
+    copy_of = np.arange(len(values))  # each value's distinct sequence
+    if len(values) > 1:
+        offsets = _offsets(lengths)
+        flat = batch.tokens[_ranges(starts, offsets)].tolist()
+        bounds = offsets.tolist()
+        _, copy_of = _first_seen([tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])])
+        first = np.unique(copy_of, return_index=True)[1]
+        starts, lengths = starts[first], lengths[first]
+    by_len: dict[int, list[int]] = {}
+    for idx, length in enumerate(lengths.tolist()):
+        by_len.setdefault(length, []).append(idx)
 
     outputs: list[ad.Tensor] = []
     order: list[int] = []
-    weights: list[np.ndarray] = [None] * len(values)
+    weights: list[np.ndarray] = [None] * len(starts)
     dim = vectors.data.shape[1]
     attn_col = ad.reshape(enc["attn"], (2 * hidden, 1))
     for length in sorted(by_len):
@@ -309,11 +323,14 @@ def encode_sequences_tape(
         outputs.append(acc)
 
     stacked = outputs[0] if len(outputs) == 1 else ad.concat(outputs, axis=0)
+    # the row in `stacked` of each distinct sequence, then of each value
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[np.array(order, dtype=np.int64)] = np.arange(len(order))
-    if np.array_equal(inverse, np.arange(len(order))):
+    index = inverse[copy_of]
+    weights = [weights[k] for k in copy_of.tolist()]
+    if np.array_equal(index, np.arange(len(index))):
         return stacked, weights
-    return ad.take_rows(stacked, inverse), weights
+    return ad.take_rows(stacked, index), weights
 
 
 def token_attention(

@@ -19,6 +19,7 @@ from sigblock.blocking import (
 from sigblock.data_model import (
     AttributeValue,
     Dataset,
+    DatasetError,
     Record,
     Table,
     canonical_pair,
@@ -321,12 +322,17 @@ class TestBatchedEquivalence:
 def per_hit_exact_block(dataset, model, theta, chunk=512):
     """The exact scan as it was before it shared ``block``'s engine: the
     first table is the index side, every hit goes through a Python loop
-    and a dict keeps the first best cosine per pair."""
+    and a dict keeps the first best cosine per pair. Both tables are
+    encoded as the engine encodes them: in one batch, the larger first."""
     if dataset.is_bipartite:
         index_records = list(dataset.tables[0])
         query_records = list(dataset.tables[1])
-        idx_sig, idx_ok = unit_signatures(model, index_records)
-        q_sig, q_ok = unit_signatures(model, query_records)
+        batch = [r for t in sorted(dataset.tables, key=len, reverse=True) for r in t]
+        sig, ok = unit_signatures(model, batch)
+        row = {r.record_id: k for k, r in enumerate(batch)}
+        i_rows = [row[r.record_id] for r in index_records]
+        q_rows = [row[r.record_id] for r in query_records]
+        idx_sig, idx_ok, q_sig, q_ok = sig[i_rows], ok[i_rows], sig[q_rows], ok[q_rows]
     else:
         index_records = list(dataset.all_records())
         query_records = index_records
@@ -465,6 +471,12 @@ class TestCandidateIO:
         path = tmp_path / "cands.csv"
         path.write_text("id_a,id_b,signature_id,cosine\n" + body, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
+            read_candidates(path)
+
+    def test_non_utf8_names_path_line_and_byte(self, tmp_path):
+        path = tmp_path / "cands.csv"
+        path.write_bytes(b"id_a,id_b\na,b\n\xffc,d\n")
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: line 3: byte 14: "):
             read_candidates(path)
 
 

@@ -217,6 +217,18 @@ def test_eval_malformed_candidates_exits_1(workspace, tmp_path, capsys, row):
     assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
 
 
+def test_eval_non_utf8_candidates_exits_2(workspace, tmp_path, capsys):
+    _, config = workspace
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"id_a,id_b\na,b\xff\n")
+    rc = main(
+        ["eval", "--config", str(config), "--candidates", f"bad={bad}",
+         "--out", str(tmp_path / "metrics.csv")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: byte 13: not UTF-8")
+
+
 def test_eval_repeats_make_metric_rows(workspace, tmp_path):
     _, config = workspace
     model = tmp_path / "model.bin"
@@ -302,6 +314,23 @@ def test_missing_label_file_exits_2(workspace, tmp_path):
     )
     rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "m.bin")])
     assert rc == 2
+
+
+def test_non_utf8_dataset_exits_2(workspace, tmp_path, capsys):
+    root, config = workspace
+    data = tmp_path / "data.csv"
+    lines = (root / "data.csv").read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    data.write_bytes(b"".join(lines))
+    bad = tmp_path / "bad.ini"
+    bad.write_text(
+        config.read_text().replace(str(root / "data.csv"), str(data)), encoding="utf-8"
+    )
+    rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    offset = len(lines[0] + lines[1])
+    assert err.startswith(f"error: {data}: line 3: byte {offset}: not UTF-8")
 
 
 def test_unknown_config_key_exits_2(tmp_path):

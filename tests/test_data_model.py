@@ -168,6 +168,37 @@ class TestIngest:
         f = self._write(tmp_path / "d.csv", "id,a\n1,x y z\n2,q\n")
         assert ingest(f, "csv") == ingest(f, "csv")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # the object without an id is the second object, on line 4
+            ('{"id": "a", "t": "x"}\n\n\n{"t": "y"}\n', "line 4: missing 'id'"),
+            ('{"id": "a", "t": "x"}\r\n\r\n\r\n{"t": "y"}\r\n', "line 4: missing 'id'"),
+            ('\n{"id": "a"}\n\n{"id": "b", \n', "line 4: invalid JSON"),
+            ('{"id": "a"}\n\n[1, 2]\n', "line 3: expected a JSON object"),
+        ],
+    )
+    def test_jsonl_errors_name_path_and_file_line(self, tmp_path, body, message):
+        f = tmp_path / "d.jsonl"
+        f.write_bytes(body.encode("utf-8"))
+        with pytest.raises(DatasetError, match=rf"^{re.escape(f'{f}: {message}')}"):
+            ingest(f, "jsonl")
+
+    @pytest.mark.parametrize(
+        "name, format, body",
+        [
+            ("d.csv", "csv", b"id,title\n1,ok\n2,caf\xe9 \xff\n"),
+            ("d.tsv", "tsv", b"id\ttitle\n1\tok\n2\tcaf\xe9 \xff\n"),
+            ("d.jsonl", "jsonl", b'{"id": "1"}\n\n{"id": "2", "t": "caf\xe9 \xff"}\n'),
+        ],
+    )
+    def test_non_utf8_names_path_line_and_byte(self, tmp_path, name, format, body):
+        f = tmp_path / name
+        f.write_bytes(body)
+        offset = body.index(b"\xe9")
+        with pytest.raises(DatasetError, match=rf"^{re.escape(f'{f}: line 3: byte {offset}: ')}"):
+            ingest(f, format)
+
 
 class TestLabels:
     def _dataset(self):
@@ -210,6 +241,12 @@ class TestLabels:
         f = tmp_path / "l.csv"
         write_labels(labels, f)
         assert load_labels(f, self._dataset()).pairs == labels.pairs
+
+    def test_non_utf8_names_path_line_and_byte(self, tmp_path):
+        f = tmp_path / "l.csv"
+        f.write_bytes(b"id_a,id_b\na,b\nc,\xff\n")
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(f))}: line 3: byte 16: "):
+            load_labels(f, self._dataset())
 
 
 class TestDataset:

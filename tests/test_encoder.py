@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sigblock import autodiff as ad
 from sigblock.data_model import AttributeValue
@@ -402,3 +404,102 @@ class TestEncoderGradients:
             assert (
                 relative_error(np.asarray(analytic).reshape(-1), numeric) < 1e-4
             ), name
+
+
+def encode_each_occurrence(vectors, enc, rho, hidden, batch, values):
+    """The encoder before it deduplicated values: every requested value
+    runs through the BiLSTM, its copies included, grouped by length and
+    put back in request order by one gather."""
+    starts = batch.bounds[values]
+    by_len: dict[int, list[int]] = {}
+    for idx, length in enumerate((batch.bounds[values + 1] - starts).tolist()):
+        by_len.setdefault(length, []).append(idx)
+    outputs, order, weights = [], [], [None] * len(values)
+    dim = vectors.data.shape[1]
+    attn_col = ad.reshape(enc["attn"], (2 * hidden, 1))
+    for length in sorted(by_len):
+        members = by_len[length]
+        order.extend(members)
+        n = len(members)
+        positions = (starts[members][:, None] + np.arange(length)).reshape(-1)
+        v3 = ad.reshape(ad.take_rows(vectors, batch.tokens[positions]), (n, length, dim))
+        states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])
+        scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
+        alpha = ad.softmax(scores, axis=1)
+        beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
+        for idx, row in zip(members, beta.data):
+            weights[idx] = row
+        outputs.append(ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1))
+    stacked = outputs[0] if len(outputs) == 1 else ad.concat(outputs, axis=0)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[np.array(order, dtype=np.int64)] = np.arange(len(order))
+    return ad.take_rows(stacked, inverse), weights
+
+
+# a small pool of raw values, so a drawn batch repeats some; with
+# max_tokens 3, "a b c d" and "a b c e" keep the same tokens
+_POOL = [(), ("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "b", "c", "d"),
+         ("a", "b", "c", "e"), ("c", "d", "e"), ("e",), ("d", "d")]
+
+
+@st.composite
+def repeated_batches(draw):
+    """Raw values drawn from the pool (missing ones included), and the
+    present value numbers to encode, in any order and possibly repeated."""
+    raw = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=14))
+    present = [k for k, v in enumerate(raw) if v]
+    if not present:
+        raw, present = raw + [("a", "b")], [len(raw)]
+    values = draw(st.lists(st.sampled_from(present), min_size=1, max_size=20))
+    return raw, values
+
+
+class TestDistinctValues:
+    """Each distinct value is encoded once; its copies share the row."""
+
+    def build(self, raw):
+        table = EmbeddingTable(dim=5, bucket_count=32, seed=2)
+        enc = make_encoder(dim=5, hidden=3, rho=0.6, seed=9)
+        batch = prepare_values(table, [(AttributeValue(v),) for v in raw], [3])
+        return table, enc, batch
+
+    def run(self, encode_fn, table, enc, batch, values, probe):
+        """Outputs, weights and the gradients of ``sum(out * probe)``."""
+        emb = ad.Tensor(table.rows, requires_grad=True)
+        tensors = encoder_tensors(enc, True)
+        out, weights = encode_fn(
+            embed_vocabulary(emb, batch), tensors, enc.smoothing_rho, enc.hidden, batch, values
+        )
+        ad.backward(ad.tsum(ad.mul(out, ad.Tensor(probe))))
+        grads = {name: t.grad for name, t in tensors.items()}
+        grads["emb"] = emb.grad
+        return out.data, weights, grads
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_batches())
+    @example(([("a", "b", "c")] * 5, [0, 1, 2, 3, 4, 0]))  # all duplicates
+    @example(([("a",), (), ("a", "b", "c", "d"), ("a", "b", "c", "e")], [3, 0, 2, 0]))
+    def test_matches_every_occurrence_oracle(self, case):
+        raw, values = case
+        table, enc, batch = self.build(raw)
+        values = np.array(values, dtype=np.int64)
+        probe = np.random.default_rng(len(values)).standard_normal((len(values), 5))
+        out, weights, grads = self.run(
+            encode_sequences_tape, table, enc, batch, values, probe
+        )
+        want, want_weights, want_grads = self.run(
+            encode_each_occurrence, table, enc, batch, values, probe
+        )
+        # duplicates: equal kept tokens, so equal outputs and weights bitwise
+        kept = [batch.tokens[batch.bounds[v] : batch.bounds[v + 1]].tobytes() for v in values]
+        for k in range(len(values)):
+            first = kept.index(kept[k])
+            assert out[k].tobytes() == out[first].tobytes()
+            assert weights[k].tobytes() == weights[first].tobytes()
+        # against the oracle: length groups of other sizes may round a
+        # matrix product differently in the last bit
+        assert np.abs(out - want).max() <= 1e-15
+        for got_w, want_w in zip(weights, want_weights):
+            assert np.abs(got_w - want_w).max() <= 1e-15
+        for name, g in want_grads.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12, name
