@@ -5,7 +5,10 @@ value, the parent tensors and a closure that accumulates adjoints into
 them. Calling :func:`backward` on a scalar walks the recorded graph in
 reverse topological order, leaving ``grad`` arrays on every tensor that
 requires gradients. Only the operations needed by the training pipeline
-are implemented; all of them support float64 data exclusively.
+are implemented, as module functions (``add``, ``mul``, ``matmul``, ...)
+rather than operators; the one operator a :class:`Tensor` keeps is
+indexing by integers and slices (:func:`getitem`). All of them support
+float64 data exclusively.
 
 Graph recording is skipped entirely when no input requires gradients, so
 the same functions double as the inference path. Each call still costs
@@ -35,13 +38,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)
@@ -61,39 +57,8 @@ class Tensor:
         else:
             self.grad[rows] += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # Operator sugar used throughout the training code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -249,25 +214,15 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
+    """``a[key]`` for a basic index: integers and slices."""
     data = a.data[key]
 
     def backward(g):
-        if _is_advanced(key):
-            # flat position of every element of a[key], in its C order
-            where = np.arange(a.data.size).reshape(a.data.shape)[key]
-            buf = _scatter_sum(where.reshape(-1), g.reshape(-1), a.data.size)
-            buf = buf.reshape(a.data.shape)
-        else:
-            buf = np.zeros_like(a.data)
-            buf[key] = g
+        buf = np.zeros_like(a.data)
+        buf[key] = g
         a.accumulate(buf)
 
     return _node(data, (a,), backward)
-
-
-def _is_advanced(key) -> bool:
-    parts = key if isinstance(key, tuple) else (key,)
-    return any(isinstance(p, np.ndarray) or isinstance(p, (list,)) for p in parts)
 
 
 def _scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

@@ -119,7 +119,6 @@ class MinHashParams:
     band_size: int = 4  # min-hash rows per band
     seed: int = 0
     ngram_sizes: tuple[int, ...] = (2, 3)
-    verify: bool = True  # exact-Jaccard check on banding candidates
 
     @property
     def num_hashes(self) -> int:
@@ -134,9 +133,6 @@ class MinHasher:
         self.num_hashes = num_hashes
         self.a = rng.integers(1, _MERSENNE31, size=num_hashes, dtype=np.uint64)
         self.b = rng.integers(0, _MERSENNE31, size=num_hashes, dtype=np.uint64)
-
-    def element_value(self, element: str) -> np.uint64:
-        return np.uint64(fnv1a64(element) % _MERSENNE31)
 
     def sketch(self, elements: Iterable[str]) -> np.ndarray:
         """Per-row minimum hash values; raises on an empty set."""
@@ -166,9 +162,8 @@ def minhash_block(
 ) -> CandidateSet:
     """Banded MinHash retrieval, unioned across attributes.
 
-    With verification enabled (default), banding candidates are kept
-    only when the exact Jaccard of their representative sets reaches
-    ``theta``.
+    A banding candidate is kept only when the exact Jaccard of its
+    representative sets reaches ``theta``.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -209,7 +204,7 @@ def minhash_block(
         for a, b in cands:
             if ids[a] == ids[b]:
                 continue
-            if params.verify and exact_jaccard(sets[a], sets[b]) < theta:
+            if exact_jaccard(sets[a], sets[b]) < theta:
                 continue
             pairs.add(canonical_pair(ids[a], ids[b]))
     return CandidateSet(frozenset(pairs))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data_model import Dataset, Record, canonical_pair, read_text
+from .data_model import Dataset, DatasetError, Record, canonical_pair, read_text
 from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by name
     embed_vocabulary,
     encode_sequences_tape,
@@ -79,11 +79,10 @@ def signature_matrix(
         rows = np.flatnonzero(present[:, j])
         if not rows.size:
             continue
-        encoded, _ = encode_sequences_tape(
+        encoded = encode_sequences_tape(
             vectors,
             encoder_tensors(enc, requires_grad=False),
             enc.smoothing_rho,
-            enc.hidden,
             batch,
             rows * m + j,
         )
@@ -231,22 +230,23 @@ def write_candidates(
 def read_candidates(path: str | Path) -> CandidateSet:
     """Read a candidate CSV as :func:`write_candidates` writes it.
 
-    A row with fewer fields than the header names (two, or four with
-    provenance), or whose ``signature_id`` or ``cosine`` is no number,
-    raises ``ValueError`` naming the path and the line; bytes that are
-    not UTF-8 raise its subclass ``DatasetError``, an input error.
+    A file without the ``id_a,id_b`` header raises ``DatasetError``
+    naming the path; so does a row with fewer fields than the header
+    names (two, or four with provenance), or whose ``signature_id`` or
+    ``cosine`` is no number, naming the line too, and bytes that are not
+    UTF-8, naming the line and the byte offset.
     """
     pairs: set[tuple[str, str]] = set()
     provenance: dict[tuple[str, str], tuple[int, float]] = {}
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, [])
     if header[:2] != ["id_a", "id_b"]:
-        raise ValueError(f"{path}: expected candidate CSV with id_a,id_b header")
+        raise DatasetError(f"{path}: expected candidate CSV with id_a,id_b header")
     has_prov = len(header) >= 4
     fields = 4 if has_prov else 2
     for row in reader:
         if len(row) < fields:
-            raise ValueError(
+            raise DatasetError(
                 f"{path}: line {reader.line_num}: expected {','.join(header[:fields])},"
                 f" got {len(row)} field(s)"
             )
@@ -256,7 +256,7 @@ def read_candidates(path: str | Path) -> CandidateSet:
             try:
                 provenance[pair] = (int(row[2]), float(row[3]))
             except ValueError:
-                raise ValueError(
+                raise DatasetError(
                     f"{path}: line {reader.line_num}: signature_id and cosine must be"
                     f" numbers, got {row[2]!r} and {row[3]!r}"
                 ) from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baselines import MinHashParams
-from .data_model import Dataset, LabelSet, ingest, load_labels, make_bipartite
+from .data_model import Dataset, LabelSet, ingest, load_labels, make_bipartite, read_text
 from .lsh import LshParams
 from .training import TrainingConfig
 
@@ -218,7 +218,10 @@ def _apply(config: RunConfig, section: str, key: str, raw: str) -> None:
 def load_config(
     path: str | Path | None, overrides: list[str] | None = None
 ) -> RunConfig:
-    """Build a RunConfig from an INI file plus ``section.key=value`` overrides."""
+    """Build a RunConfig from an INI file plus ``section.key=value`` overrides.
+
+    A file whose bytes are not UTF-8 raises ``DatasetError`` naming the
+    path, the line and the byte offset."""
     config = RunConfig()
     if path is not None:
         path = Path(path)
@@ -226,7 +229,7 @@ def load_config(
             raise ConfigError(f"no such config file: {path}")
         parser = configparser.ConfigParser()
         try:
-            parser.read(path, encoding="utf-8")
+            parser.read_string(read_text(path), source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
         for section in parser.sections():

@@ -7,26 +7,33 @@ vector, softmaxed, and smoothed toward the uniform weight ``1/l`` by a
 coefficient ``rho`` in [0, 1]; the attribute embedding is the weighted
 average of the raw token vectors under those smoothed weights.
 
+An :class:`AttentionalEncoder` holds its parameters as four arrays:
+``wx`` (2, d, 4H), ``wh`` (2, H, 4H) and ``b`` (2, 4H), forward
+direction first, and ``attn`` (2H,). :data:`BLOCKS` names the seven
+blocks these split into, in the order they are drawn and stored in a
+model file. Gate order in the packed LSTM weight matrices is input,
+forget, cell, output.
+
 Text enters at vocabulary level. :func:`prepare_values` turns a batch of
 values into a :class:`PreparedBatch`: the distinct tokens with their
 bucket ids (each token hashed once) plus each value's token numbers.
 :func:`embed_vocabulary` sums each distinct token's rows once, and
-:func:`encode_sequences_tape` encodes each distinct value once on the
-autodiff tape, gathering one row per token of it; values that repeat
-one (equal token numbers) share its row. The BiLSTM is a single tape op,
-:func:`autodiff.bilstm`, which steps both directions together and has a
-hand-written backward pass (backpropagation through time); one stacked
-matrix product then scores every position. Training records gradients
-through it; blocking, single-record signatures and attention
-introspection run the same routines on tensors that do not require
-gradients, so they record nothing. Gate order in the packed LSTM weight
-matrices is input, forget, cell, output.
+:func:`encode_sequences_tape` returns the embeddings of a batch's values,
+encoding each distinct value once on the autodiff tape; values that
+repeat one (equal token numbers) share its row. The BiLSTM is a single
+tape op, :func:`autodiff.bilstm`, which steps both directions together
+and has a hand-written backward pass (backpropagation through time); one
+stacked matrix product then scores every position. Training records
+gradients through it; blocking, single-record signatures and
+:func:`token_attention`, which reads the attention weights of one value,
+run the same routines on tensors that do not require gradients, so they
+record nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,52 +41,75 @@ from . import autodiff as ad
 from .data_model import AttributeValue
 from .text_embedding import EmbeddingTable
 
-PARAM_NAMES = ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b", "attn")
-# each stacked array and the names of its forward and backward halves
-_PAIRS = (("wx", "wx_f", "wx_b"), ("wh", "wh_f", "wh_b"), ("b", "b_f", "b_b"))
+# The seven parameter blocks in draw and file order: (name, field,
+# index), the block being ``getattr(encoder, field)[index]``. Index 0 is
+# a field's forward direction, 1 its backward one; ``...`` is all of it.
+BLOCKS = (
+    ("wx_f", "wx", 0),
+    ("wh_f", "wh", 0),
+    ("b_f", "b", 0),
+    ("wx_b", "wx", 1),
+    ("wh_b", "wh", 1),
+    ("b_b", "b", 1),
+    ("attn", "attn", ...),
+)
+FIELDS = tuple(dict.fromkeys(field for _, field, _ in BLOCKS))  # wx, wh, b, attn
 
 
-class _Stacked(NamedTuple):
-    sources: tuple[np.ndarray, ...]  # the params arrays, in PARAM_NAMES order
-    arrays: dict[str, np.ndarray]  # wx, wh, b stacked (2, ...), and attn
-    tensors: dict[str, ad.Tensor]  # over ``arrays``, without gradients
+def block_shapes(dim: int, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each block, in ``BLOCKS`` order, for token
+    vectors of ``dim`` and ``hidden`` units per direction."""
+    h4 = 4 * hidden
+    shape = {"wx": (dim, h4), "wh": (hidden, h4), "b": (h4,), "attn": (2 * hidden,)}
+    return [(name, shape[field]) for name, field, _ in BLOCKS]
 
 
 @dataclass
 class AttentionalEncoder:
     """Per-attribute encoder parameters plus its smoothing coefficient.
 
-    Each forward/backward pair of LSTM parameters is stored as one
-    (2, ...) array, forward first, and ``params`` holds views of its two
-    halves, so an in-place change through ``params`` is a change to the
-    stacked array that :func:`encoder_tensors` wraps.
+    ``wx`` (2, d, 4H), ``wh`` (2, H, 4H) and ``b`` (2, 4H) hold the
+    LSTM weights of the forward direction, then the backward one;
+    ``attn`` (2H,) is the attention vector. ``dim`` and ``hidden`` are
+    read off these shapes.
     """
 
-    dim: int
-    hidden: int
+    wx: np.ndarray
+    wh: np.ndarray
+    b: np.ndarray
+    attn: np.ndarray
     smoothing_rho: float
     max_tokens: int = 64
-    params: dict[str, np.ndarray] = field(default_factory=dict)
-    _stacked: _Stacked | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.smoothing_rho <= 1.0:
             raise ValueError("smoothing_rho must lie in [0, 1]")
-        if self.params:
-            self._stack()
+        for name in FIELDS:  # float64, so tensors over them share memory
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
-    def _stack(self) -> _Stacked:
-        """Stack each direction pair of ``params`` into one array and put
-        views of it back into ``params``."""
-        p = self.params
-        arrays = {}
-        for name, fwd, bwd in _PAIRS:
-            arrays[name] = np.stack([p[fwd], p[bwd]]).astype(np.float64, copy=False)
-            p[fwd], p[bwd] = arrays[name]
-        arrays["attn"] = p["attn"] = np.asarray(p["attn"], dtype=np.float64)
-        tensors = {name: ad.Tensor(a) for name, a in arrays.items()}
-        self._stacked = _Stacked(tuple(p[name] for name in PARAM_NAMES), arrays, tensors)
-        return self._stacked
+    @property
+    def dim(self) -> int:
+        return self.wx.shape[1]
+
+    @property
+    def hidden(self) -> int:
+        return self.wh.shape[1]
+
+    def blocks(self) -> Iterator[tuple[str, np.ndarray]]:
+        """(name, view) of each parameter block, in ``BLOCKS`` order."""
+        for name, field, index in BLOCKS:
+            yield name, getattr(self, field)[index]
+
+    @classmethod
+    def from_blocks(
+        cls, blocks: Sequence[np.ndarray], smoothing_rho: float, max_tokens: int = 64
+    ) -> "AttentionalEncoder":
+        """The encoder of the seven blocks, given in ``BLOCKS`` order."""
+        parts: dict[str, list[np.ndarray]] = {name: [] for name in FIELDS}
+        for (_, name, _), block in zip(BLOCKS, blocks):
+            parts[name].append(block)
+        (attn,) = parts.pop("attn")
+        return cls(*map(np.stack, parts.values()), attn, smoothing_rho, max_tokens)
 
     @classmethod
     def initialize(
@@ -90,17 +120,10 @@ class AttentionalEncoder:
         rng: np.random.Generator,
         max_tokens: int = 64,
     ) -> "AttentionalEncoder":
+        """Every block uniform in +-1/sqrt(hidden), drawn in ``BLOCKS`` order."""
         k = 1.0 / np.sqrt(hidden)
-        params = {
-            "wx_f": rng.uniform(-k, k, size=(dim, 4 * hidden)),
-            "wh_f": rng.uniform(-k, k, size=(hidden, 4 * hidden)),
-            "b_f": rng.uniform(-k, k, size=(4 * hidden,)),
-            "wx_b": rng.uniform(-k, k, size=(dim, 4 * hidden)),
-            "wh_b": rng.uniform(-k, k, size=(hidden, 4 * hidden)),
-            "b_b": rng.uniform(-k, k, size=(4 * hidden,)),
-            "attn": rng.uniform(-k, k, size=(2 * hidden,)),
-        }
-        return cls(dim, hidden, smoothing_rho, max_tokens, params)
+        blocks = [rng.uniform(-k, k, size=shape) for _, shape in block_shapes(dim, hidden)]
+        return cls.from_blocks(blocks, smoothing_rho, max_tokens)
 
 
 @dataclass
@@ -229,22 +252,10 @@ def prepare_sequence(
 
 
 def encoder_tensors(encoder: AttentionalEncoder, requires_grad: bool) -> dict[str, ad.Tensor]:
-    """The encoder's parameters as tensors sharing memory with
-    ``encoder.params``: ``wx`` (2, d, 4H), ``wh`` (2, H, 4H) and ``b``
-    (2, 4H), forward direction first, and ``attn`` (2H,).
-
-    Tensors without gradients are built once per encoder and reused;
-    tensors with gradients are new on every call, so their gradients
-    belong to the caller. An array replaced in ``params`` since the last
-    call is stacked again first.
-    """
-    stacked = encoder._stacked
-    p = encoder.params
-    if stacked is None or any(p[n] is not a for n, a in zip(PARAM_NAMES, stacked.sources)):
-        stacked = encoder._stack()
-    if not requires_grad:
-        return stacked.tensors
-    return {name: ad.Tensor(a, requires_grad=True) for name, a in stacked.arrays.items()}
+    """The encoder's fields ``wx``, ``wh``, ``b`` and ``attn`` as new
+    tensors sharing their memory, so an in-place optimizer step on a
+    tensor is a step on the encoder."""
+    return {name: ad.Tensor(getattr(encoder, name), requires_grad) for name in FIELDS}
 
 
 def embed_vocabulary(emb: ad.Tensor, batch: PreparedBatch) -> ad.Tensor:
@@ -264,22 +275,20 @@ def encode_sequences_tape(
     vectors: ad.Tensor,
     enc: dict[str, ad.Tensor],
     rho: float,
-    hidden: int,
     batch: PreparedBatch,
     values: np.ndarray,
-) -> tuple[ad.Tensor, list[np.ndarray]]:
+) -> ad.Tensor:
     """Encode the values numbered ``values`` of a batch on the tape; none
     may be missing.
 
     ``vectors`` holds the batch's token vectors (:func:`embed_vocabulary`);
     every position of a value takes its token's row. Returns the
-    (len(values), d) attribute embeddings and, per value, its smoothed
-    attention weights (an array of its length). Values with equal token
+    (len(values), d) attribute embeddings. Values with equal token
     numbers encode equally, so each distinct sequence is encoded once,
-    for its first occurrence, and its copies share that row and weight
-    array (their gradients sum before the one backward pass). The
-    distinct sequences are grouped by length so each group runs as dense
-    batched matmuls without masking.
+    for its first occurrence, and its copies share that row (their
+    gradients sum before the one backward pass). The distinct sequences
+    are grouped by length so each group runs as dense batched matmuls
+    without masking.
     """
     starts = batch.bounds[values]
     lengths = batch.bounds[values + 1] - starts
@@ -299,56 +308,60 @@ def encode_sequences_tape(
 
     outputs: list[ad.Tensor] = []
     order: list[int] = []
-    weights: list[np.ndarray] = [None] * len(starts)
-    dim = vectors.data.shape[1]
-    attn_col = ad.reshape(enc["attn"], (2 * hidden, 1))
+    attn_col = ad.reshape(enc["attn"], (-1, 1))
     for length in sorted(by_len):
         members = by_len[length]
         order.extend(members)
-        n = len(members)
-        positions = (starts[members][:, None] + np.arange(length)).reshape(-1)
-        v3 = ad.reshape(ad.take_rows(vectors, batch.tokens[positions]), (n, length, dim))
-
-        states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])  # (length, n, 2H)
-        # one (n, 2H) @ (2H, 1) product per position, stacked; the scores
-        # are then copied to C order, because a softmax over a strided
-        # row can sum it in another order
-        scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
-        alpha = ad.softmax(scores, axis=1)
-        beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
-        for idx, row in zip(members, beta.data):
-            weights[idx] = row
-        # sums over positions in order, as a running sum would
-        acc = ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1)
-        outputs.append(acc)
+        tokens = batch.tokens[starts[members][:, None] + np.arange(length)]
+        outputs.append(_encode_group(vectors, tokens, enc, attn_col, rho)[0])
 
     stacked = outputs[0] if len(outputs) == 1 else ad.concat(outputs, axis=0)
     # the row in `stacked` of each distinct sequence, then of each value
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[np.array(order, dtype=np.int64)] = np.arange(len(order))
     index = inverse[copy_of]
-    weights = [weights[k] for k in copy_of.tolist()]
     if np.array_equal(index, np.arange(len(index))):
-        return stacked, weights
-    return ad.take_rows(stacked, index), weights
+        return stacked
+    return ad.take_rows(stacked, index)
+
+
+def _encode_group(
+    vectors: ad.Tensor,
+    tokens: np.ndarray,
+    enc: dict[str, ad.Tensor],
+    attn_col: ad.Tensor,
+    rho: float,
+) -> tuple[ad.Tensor, ad.Tensor]:
+    """Encode n sequences of one length L, ``tokens`` (n, L) holding their
+    rows of ``vectors``: the (n, d) embeddings and the (n, L) smoothed
+    attention weights. ``attn_col`` is ``enc["attn"]`` as a column."""
+    n, length = tokens.shape
+    v3 = ad.reshape(ad.take_rows(vectors, tokens.reshape(-1)), (n, length, vectors.data.shape[1]))
+    states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])  # (length, n, 2H)
+    # one (n, 2H) @ (2H, 1) product per position, stacked; the scores
+    # are then copied to C order, because a softmax over a strided row
+    # can sum it in another order
+    scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
+    alpha = ad.softmax(scores, axis=1)
+    beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
+    # sums over positions in order, as a running sum would
+    return ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1), beta
 
 
 def token_attention(
     encoder: AttentionalEncoder, table: EmbeddingTable, value: AttributeValue
 ) -> list[tuple[str, float]]:
     """(token, weight) pairs of the smoothed attention over one value's
-    tokens, read off :func:`encode_sequences_tape` for a batch of one;
-    empty for a missing value."""
+    tokens, encoded as a group of one; empty for a missing value."""
     batch = prepare_sequence(table, value, encoder.max_tokens)
     if batch is None:
         return []
-    _, (beta,) = encode_sequences_tape(
+    enc = encoder_tensors(encoder, requires_grad=False)
+    _, beta = _encode_group(
         embed_vocabulary(ad.Tensor(table.rows), batch),
-        encoder_tensors(encoder, requires_grad=False),
+        batch.tokens[None, :],
+        enc,
+        ad.reshape(enc["attn"], (-1, 1)),
         encoder.smoothing_rho,
-        encoder.hidden,
-        batch,
-        np.zeros(1, dtype=np.int64),
     )
-    return list(zip(value.tokens[: encoder.max_tokens], beta.tolist()))
-
+    return list(zip(value.tokens[: encoder.max_tokens], beta.data[0].tolist()))

@@ -12,10 +12,13 @@ load followed by save. All floats are little-endian 32-bit. Layout::
     f32 x  bucket_count * dim embedding rows (row-major)
     u32    pretrained token count, then per token: u16 length, UTF-8
            token, dim x f32 vector
-    u32    hidden units, u32 max tokens, u8 cell kind (1 = LSTM)
+    u32    hidden units, u32 max tokens, u8 cell kind (always 1, LSTM)
     per attribute: f32 attention-smoothing rho, then the seven
-           parameter blocks (wx_f, wh_f, b_f, wx_b, wh_b, b_b, attn)
-           as f32, shapes implied by dim and hidden
+           parameter blocks in ``encoder.BLOCKS`` order (wx_f, wh_f,
+           b_f, wx_b, wh_b, b_b, attn) as f32: the forward and backward
+           halves of the encoder's ``wx`` (2, dim, 4 * hidden), ``wh``
+           (2, hidden, 4 * hidden) and ``b`` (2, 4 * hidden), then
+           ``attn`` (2 * hidden)
     u32    signature count S, then S * m f32 weight matrix (row-major)
     u32    JSON length, UTF-8 JSON training-config snapshot
            (keys sorted)
@@ -24,7 +27,7 @@ Reads and writes go through ``codec``. A version or magic mismatch
 fails loudly; nothing is reinterpreted. A file cut short, malformed
 text, a non-finite float, a value the model rules out (a zero dim,
 hidden size or max_tokens, a bucket count that is no power of two, a
-trainable flag other than 0 or 1, an unknown cell kind, a smoothing rho
+trainable flag other than 0 or 1, a cell kind other than 1, a smoothing rho
 outside [0, 1], a repeated pretrained token, a config snapshot not in
 the form ``save_model`` writes) or trailing bytes raise ``ValueError``
 naming the path, the byte offset and the field. What loads re-saves to
@@ -39,26 +42,13 @@ from pathlib import Path
 import numpy as np
 
 from .codec import Reader, Writer, to_f32
-from .encoder import PARAM_NAMES, AttentionalEncoder
+from .encoder import AttentionalEncoder, block_shapes
 from .signatures import SignatureModel, SignatureWeights
 from .text_embedding import EmbeddingTable
 
 _MAGIC = b"SBMDL1"
 _VERSION = 1
-_CELL_KINDS = {"lstm": 1}
-_CELL_NAMES = {v: k for k, v in _CELL_KINDS.items()}
-
-
-def _param_shapes(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    return {
-        "wx_f": (dim, 4 * hidden),
-        "wh_f": (hidden, 4 * hidden),
-        "b_f": (4 * hidden,),
-        "wx_b": (dim, 4 * hidden),
-        "wh_b": (hidden, 4 * hidden),
-        "b_b": (4 * hidden,),
-        "attn": (2 * hidden,),
-    }
+_LSTM_CELL = 1  # the one sequence cell kind
 
 
 def save_model(model: SignatureModel, path: str | Path) -> None:
@@ -82,11 +72,16 @@ def save_model(model: SignatureModel, path: str | Path) -> None:
     shapes = [(enc.hidden, enc.max_tokens) for enc in model.encoders]
     if len(set(shapes)) > 1:  # the file holds one encoder shape for all
         raise ValueError(f"encoder shape: encoders differ in (hidden, max_tokens): {shapes}")
-    w.pack("<IIB", "encoder shape", hidden, max_tokens, _CELL_KINDS[model.seq_cell])
+    dims = [enc.dim for enc in model.encoders]
+    if set(dims) != {table.dim}:  # the file takes every encoder's dim from the table
+        raise ValueError(
+            f"encoder shape: encoder dims {dims} differ from the table dim {table.dim}"
+        )
+    w.pack("<IIB", "encoder shape", hidden, max_tokens, _LSTM_CELL)
     for a, enc in enumerate(model.encoders):
         w.pack("<f", f"encoder {a} rho", enc.smoothing_rho)
-        for pname in PARAM_NAMES:
-            w.f32(enc.params[pname], f"encoder {a} {pname}")
+        for name, block in enc.blocks():
+            w.f32(block, f"encoder {a} {name}")
     W = model.weights.matrix
     w.pack("<I", "signature count", W.shape[0])
     w.f32(W, "signature weights")
@@ -137,20 +132,19 @@ def load_model(path: str | Path) -> SignatureModel:
         rows=rows,
     )
     hidden, max_tokens, cell = r.unpack("<IIB", "encoder shape")
-    if cell not in _CELL_NAMES:
+    if cell != _LSTM_CELL:
         raise r.fail(f"unknown sequence cell kind {cell}", "encoder shape", r.last)
     if not hidden or not max_tokens:
         raise r.fail(
             f"hidden {hidden} and max_tokens {max_tokens} must be positive", "encoder shape", r.last
         )
-    shapes = _param_shapes(dim, hidden)
     encoders = []
     for a in range(m):
         rho = float(r.f32((), f"encoder {a} rho"))
         if not 0.0 <= rho <= 1.0:
             raise r.fail(f"smoothing rho {rho} outside [0, 1]", f"encoder {a} rho", r.last)
-        params = {p: r.f32(shapes[p], f"encoder {a} {p}") for p in PARAM_NAMES}
-        encoders.append(AttentionalEncoder(dim, hidden, rho, max_tokens, params))
+        blocks = [r.f32(shape, f"encoder {a} {name}") for name, shape in block_shapes(dim, hidden)]
+        encoders.append(AttentionalEncoder.from_blocks(blocks, rho, max_tokens))
     (S,) = r.unpack("<I", "signature count")
     W = r.f32((S, m), "signature weights")
     (n_blob,) = r.unpack("<I", "config snapshot length")
@@ -167,6 +161,5 @@ def load_model(path: str | Path) -> SignatureModel:
         table=table,
         encoders=encoders,
         weights=SignatureWeights(W),
-        seq_cell=_CELL_NAMES[cell],
         config_snapshot=snapshot,
     )

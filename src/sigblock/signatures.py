@@ -6,6 +6,10 @@ attribute embeddings and is missing when no positively-weighted
 attribute is present. Records are compared by the maximum cosine over
 their signature pairs, with missing or zero-norm signatures scoring
 zero.
+
+A :class:`SignatureModel` is the token table, one attribute encoder per
+schema attribute, whose embeddings :func:`encoder.encode_sequences_tape`
+returns as (values, d) rows, and the (S, m) signature weight matrix.
 """
 
 from __future__ import annotations
@@ -64,17 +68,14 @@ def cosine(f: np.ndarray | None, g: np.ndarray | None) -> float:
 
 @dataclass
 class SignatureModel:
-    """Everything needed to map records to signature vectors.
-
-    ``seq_cell`` records the gated-cell flavor used by the encoders so
-    persisted models are self-describing.
-    """
+    """Everything needed to map records to signature vectors: the token
+    table, one encoder per attribute of ``schema`` and the signature
+    weights."""
 
     schema: tuple[str, ...]
     table: EmbeddingTable
     encoders: list[AttentionalEncoder]
     weights: SignatureWeights
-    seq_cell: str = "lstm"
     config_snapshot: dict = field(default_factory=dict)
 
     @property

@@ -17,9 +17,12 @@ each token once and caches its ids on the table.
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
+
+from .data_model import read_text
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -120,14 +123,15 @@ def load_pretrained(
 
     The dimension is fixed by the first line; a line with a different
     float count, or with an entry that is no finite number (``nan`` and
-    ``inf`` parse as floats), raises with its line number.
+    ``inf`` parse as floats), raises with its line number; bytes that
+    are not UTF-8 raise ``DatasetError`` naming the line and the byte.
     Out-of-vocabulary tokens still embed through the (untrained, frozen)
     hashed rows.
     """
     path = Path(path)
     pretrained: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:

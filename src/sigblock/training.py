@@ -358,11 +358,10 @@ class SignatureTrainer:
             rows = np.flatnonzero(self.presence[records, j])
             if not rows.size:
                 continue
-            encoded, _ = encode_sequences_tape(
+            encoded = encode_sequences_tape(
                 vectors,
                 self.enc_t[j],
                 self.encoders[j].smoothing_rho,
-                self.config.hidden_size,
                 step,
                 rows * len(usable) + u,
             )
@@ -438,7 +437,6 @@ class SignatureTrainer:
             table=self.table,
             encoders=self.encoders,
             weights=weights,
-            seq_cell="lstm",
             config_snapshot=self.config.snapshot(),
         )
 

@@ -470,7 +470,14 @@ class TestCandidateIO:
     def test_malformed_row_names_path_and_line(self, tmp_path, body, line):
         path = tmp_path / "cands.csv"
         path.write_text("id_a,id_b,signature_id,cosine\n" + body, encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: line {line}: "):
+            read_candidates(path)
+
+    @pytest.mark.parametrize("body", ["", "a,b\n"])
+    def test_missing_header_names_path(self, tmp_path, body):
+        path = tmp_path / "cands.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: expected candidate"):
             read_candidates(path)
 
     def test_non_utf8_names_path_line_and_byte(self, tmp_path):
@@ -509,11 +516,10 @@ def oracle_signature_matrix(model, records):
                 np.arange(len(kept)),
                 np.array([0, len(kept)]),
             )
-            out, _ = encode_sequences_tape(
+            out = encode_sequences_tape(
                 ad.Tensor(np.stack(vectors)),
                 encoder_tensors(enc, False),
                 enc.smoothing_rho,
-                enc.hidden,
                 alone,
                 np.zeros(1, dtype=np.int64),
             )

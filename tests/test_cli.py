@@ -204,7 +204,7 @@ def test_eval_recall_hand_computed(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("row", ["lonely", "a,b,zero,0.9"])
-def test_eval_malformed_candidates_exits_1(workspace, tmp_path, capsys, row):
+def test_eval_malformed_candidates_exits_2(workspace, tmp_path, capsys, row):
     _, config = workspace
     bad = tmp_path / "bad.csv"
     bad.write_text(f"id_a,id_b,signature_id,cosine\n{row}\n", encoding="utf-8")
@@ -212,7 +212,7 @@ def test_eval_malformed_candidates_exits_1(workspace, tmp_path, capsys, row):
         ["eval", "--config", str(config), "--candidates", f"bad={bad}",
          "--out", str(tmp_path / "metrics.csv")]
     )
-    assert rc == 1
+    assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
 
@@ -331,6 +331,15 @@ def test_non_utf8_dataset_exits_2(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     offset = len(lines[0] + lines[1])
     assert err.startswith(f"error: {data}: line 3: byte {offset}: not UTF-8")
+
+
+def test_non_utf8_config_exits_2_naming_line_and_byte(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[training]\nseed = 1\niterations = 5\xff\n")
+    rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 3: byte 34: not UTF-8") and err.count("\n") == 1
 
 
 def test_unknown_config_key_exits_2(tmp_path):

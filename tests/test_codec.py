@@ -154,7 +154,7 @@ def test_model_save_rejects_long_text_and_leaves_no_file(tmp_path, schema, token
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
 def test_model_save_rejects_non_finite_f32_and_leaves_no_file(tmp_path, bad):
     model = tiny_model()
-    model.encoders[1].params["wh_b"][0, 2] = bad
+    model.encoders[1].wh[1, 0, 2] = bad
     path = tmp_path / "model.bin"
     with pytest.raises(ValueError, match=r"encoder 1 wh_b: value .* at flat index 2 is not"):
         save_model(model, path)
@@ -197,5 +197,16 @@ def test_model_save_rejects_encoders_of_different_shapes(tmp_path):
     path = tmp_path / "model.bin"
     want = r"encoders differ in \(hidden, max_tokens\): \[\(1, 64\), \(1, 8\)\]"
     with pytest.raises(ValueError, match=want):
+        save_model(model, path)
+    assert not path.exists()
+
+
+def test_model_save_rejects_encoder_dim_off_the_table(tmp_path):
+    """The file takes each encoder's dim from the table, so an encoder of
+    another dim would write a file that cannot load."""
+    model = tiny_model()
+    model.encoders[1] = AttentionalEncoder.initialize(3, 1, 0.5, np.random.default_rng(0))
+    path = tmp_path / "model.bin"
+    with pytest.raises(ValueError, match=r"encoder dims \[2, 3\] differ from the table dim 2"):
         save_model(model, path)
     assert not path.exists()

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from sigblock import autodiff as ad
 from sigblock.data_model import AttributeValue
 from sigblock.encoder import (
+    BLOCKS,
     AttentionalEncoder,
+    _encode_group,
+    block_shapes,
     embed_vocabulary,
     encode_sequences_tape,
     encoder_tensors,
@@ -30,16 +33,17 @@ def make_encoder(dim=6, hidden=4, rho=1.0, seed=0):
 
 
 def encode(enc, table, values):
-    """Embeddings (n, d) and per-value attention weights of one batch."""
+    """Embeddings (n, d) of one batch, and each value's attention weights
+    as :func:`token_attention` reads them."""
     batch = prepare_values(table, [(v,) for v in values], [enc.max_tokens])
-    out, weights = encode_sequences_tape(
+    out = encode_sequences_tape(
         embed_vocabulary(ad.Tensor(table.rows), batch),
         encoder_tensors(enc, False),
         enc.smoothing_rho,
-        enc.hidden,
         batch,
         np.arange(len(values)),
     )
+    weights = [np.array([w for _, w in token_attention(enc, table, v)]) for v in values]
     return out.data, weights
 
 
@@ -55,7 +59,7 @@ def token_vectors(table, value, max_tokens=64):
 def oracle(enc, vectors):
     """Per-sequence numpy BiLSTM with smoothed attention over (l, d)
     token vectors; returns (embedding, attention weights)."""
-    p, hid = enc.params, enc.hidden
+    p, hid = dict(enc.blocks()), enc.hidden
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
@@ -99,9 +103,8 @@ class TestSeqEncode:
         # Zero states score every position alike, so even rho = 1 gives
         # uniform attention and a zero embedding.
         enc = make_encoder(rho=1.0, seed=3)
-        for name in ("b_f", "b_b"):
-            enc.params[name][:] = 0.0
-        enc.params["attn"][:] = 5.0
+        enc.b[...] = 0.0
+        enc.attn[:] = 5.0
         table = EmbeddingTable(dim=6, bucket_count=32, seed=0, rows=np.zeros((32, 6)))
         out, (beta,) = encode(enc, table, [words(4)])
         np.testing.assert_allclose(beta, np.full(4, 0.25), atol=1e-15)
@@ -114,9 +117,10 @@ class TestSeqEncode:
         # embedding stays the same.
         enc = make_encoder(rho=0.8, seed=5)
         for name in ("wx", "wh", "b"):
-            enc.params[f"{name}_b"] = enc.params[f"{name}_f"].copy()
+            stacked = getattr(enc, name)
+            stacked[1] = stacked[0]
         hid = enc.hidden
-        enc.params["attn"][hid:] = enc.params["attn"][:hid]
+        enc.attn[hid:] = enc.attn[:hid]
         table = EmbeddingTable(dim=6, bucket_count=64, seed=0)
         value = AttributeValue(("blowin'", "in", "the", "wind", "again"))
         reversed_value = AttributeValue(value.tokens[::-1])
@@ -144,12 +148,11 @@ class TestAttentionWeights:
         # backward direction reads nothing and stays zero. Tokens 0 and 1
         # then score 0 and ln 3.
         enc = make_encoder(dim=1, hidden=1, rho=1.0)
-        for name in ("wx_f", "wh_f", "wx_b", "wh_b"):
-            enc.params[name][...] = 0.0
-        for b in ("b_f", "b_b"):
-            enc.params[b][:] = [40.0, -40.0, 0.0, 40.0]
-        enc.params["wx_f"][0, 2] = 1.0
-        enc.params["attn"][:] = [math.log(3.0) / math.tanh(math.tanh(1.0)), 0.0]
+        enc.wx[...] = 0.0
+        enc.wh[...] = 0.0
+        enc.b[:] = [40.0, -40.0, 0.0, 40.0]
+        enc.wx[0, 0, 2] = 1.0
+        enc.attn[:] = [math.log(3.0) / math.tanh(math.tanh(1.0)), 0.0]
         table = EmbeddingTable(
             dim=1, bucket_count=4, seed=0,
             pretrained={"a": np.array([0.0]), "b": np.array([1.0])},
@@ -161,7 +164,7 @@ class TestAttentionWeights:
     @pytest.mark.parametrize("length", [1, 2, 7])
     def test_sums_to_one_and_positive(self, rho, length):
         enc = make_encoder(rho=rho, seed=length)
-        enc.params["attn"] *= 25.0  # peaked scores
+        enc.attn *= 25.0  # peaked scores
         table = EmbeddingTable(dim=6, bucket_count=64, seed=1)
         _, weights = encode(enc, table, [words(length), words(length, "w"), words(3)])
         for beta in weights:
@@ -169,14 +172,26 @@ class TestAttentionWeights:
             assert (beta > 0).all()
 
     def test_token_attention_reads_batched_weights(self):
+        # the weights of the value's kept tokens, as the batched group
+        # routine computes them for a batch of one
         enc = make_encoder(rho=0.6, seed=2)
         enc.max_tokens = 3
         table = EmbeddingTable(dim=6, bucket_count=64, seed=0)
         value = AttributeValue(("me", "and", "mrs.", "jones"))
         pairs = token_attention(enc, table, value)
         assert [t for t, _ in pairs] == ["me", "and", "mrs."]
-        _, (beta,) = encode(enc, table, [value])
-        assert [w for _, w in pairs] == beta.tolist()
+        batch = prepare_sequence(table, value, enc.max_tokens)
+        tensors = encoder_tensors(enc, False)
+        _, beta = _encode_group(
+            embed_vocabulary(ad.Tensor(table.rows), batch),
+            batch.tokens[None, :],
+            tensors,
+            ad.reshape(tensors["attn"], (-1, 1)),
+            enc.smoothing_rho,
+        )
+        assert [w for _, w in pairs] == beta.data[0].tolist()
+        _, want = oracle(enc, token_vectors(table, value, 3))
+        np.testing.assert_allclose([w for _, w in pairs], want, atol=1e-12)
         assert token_attention(enc, table, AttributeValue(())) == []
 
 
@@ -195,7 +210,6 @@ class TestEncodeAttribute:
                 embed_vocabulary(ad.Tensor(table.rows), batch),
                 encoder_tensors(enc, False),
                 enc.smoothing_rho,
-                enc.hidden,
                 batch,
                 np.arange(2),
             )
@@ -277,24 +291,31 @@ class TestTapeConsistency:
         # softmax over a strided score view would change the bits.
         table = EmbeddingTable(dim=6, bucket_count=64, seed=3)
         enc = make_encoder(rho=0.7, seed=8)
-        enc.params["attn"] *= 4.0
+        enc.attn *= 4.0
         rng = np.random.default_rng(length)
         vocab = [f"w{i}" for i in range(40)]
         values = [AttributeValue(tuple(rng.choice(vocab, length))) for _ in range(400)]
         batch = prepare_values(table, [(v,) for v in values], [enc.max_tokens])
         vectors = embed_vocabulary(ad.Tensor(table.rows), batch)
         tensors = encoder_tensors(enc, False)
-        out, weights = encode_sequences_tape(
-            vectors, tensors, enc.smoothing_rho, enc.hidden, batch, np.arange(len(values))
+        out = encode_sequences_tape(
+            vectors, tensors, enc.smoothing_rho, batch, np.arange(len(values))
         )
         n = len(values)
+        _, weights = _encode_group(
+            vectors,
+            batch.tokens.reshape(n, length),
+            tensors,
+            ad.reshape(tensors["attn"], (-1, 1)),
+            enc.smoothing_rho,
+        )
         v3 = vectors.data[batch.tokens].reshape(n, length, 6)
         states = ad.bilstm(ad.Tensor(v3), tensors["wx"], tensors["wh"], tensors["b"]).data
-        attn = enc.params["attn"].reshape(-1, 1)
+        attn = enc.attn.reshape(-1, 1)
         scores = np.concatenate([states[k] @ attn for k in range(length)], axis=1)
         alpha = ad.softmax(ad.Tensor(scores), axis=1).data
         beta = alpha * enc.smoothing_rho + (1.0 - enc.smoothing_rho) / length
-        assert np.stack(weights).tobytes() == beta.tobytes()
+        assert weights.data.tobytes() == beta.tobytes()
         assert out.data.tobytes() == (beta[:, :, None] * v3).sum(axis=1).tobytes()
         for k, v in enumerate(values[:5]):
             want, _ = oracle(enc, token_vectors(table, v))
@@ -322,39 +343,47 @@ class TestEncoderTensors:
     def test_tensors_share_memory_with_params(self):
         enc = make_encoder(seed=6)
         tensors = encoder_tensors(enc, False)
-        assert encoder_tensors(enc, False) is tensors  # built once
         assert tensors["wx"].data.shape == (2, 6, 16)
         assert tensors["b"].data.shape == (2, 16) and tensors["attn"].data.shape == (8,)
         # an in-place change on either side shows on the other, as an
         # optimizer step on the training tensors must
-        enc.params["wh_b"][0, 0] = 7.0
+        enc.wh[1, 0, 0] = 7.0
         assert tensors["wh"].data[1, 0, 0] == 7.0
         trained = encoder_tensors(enc, True)
         trained["wx"].data[0, 1, 2] = -3.0
         trained["attn"].data[5] = 2.5
-        assert enc.params["wx_f"][1, 2] == -3.0 and enc.params["attn"][5] == 2.5
+        assert enc.wx[0, 1, 2] == -3.0 and enc.attn[5] == 2.5
         assert tensors["wx"].data[0, 1, 2] == -3.0
+        assert dict(enc.blocks())["wx_f"][1, 2] == -3.0
 
     def test_replaced_param_array_is_picked_up(self):
         enc = make_encoder(seed=7)
         table = EmbeddingTable(dim=6, bucket_count=64, seed=0)
         value = AttributeValue(("me", "and", "mrs.", "jones"))
         before = embed(enc, table, value)
-        old = encoder_tensors(enc, False)
-        enc.params["wx_b"] = enc.params["wx_b"] * 2.0
-        enc.params["attn"] = -enc.params["attn"]
+        enc.wx = enc.wx * 2.0
+        enc.attn = -enc.attn
         tensors = encoder_tensors(enc, False)
-        assert tensors is not old
-        assert np.array_equal(tensors["wx"].data[1], enc.params["wx_b"])
-        assert np.array_equal(tensors["attn"].data, enc.params["attn"])
+        assert np.shares_memory(tensors["wx"].data, enc.wx)
+        assert np.shares_memory(tensors["attn"].data, enc.attn)
         got = embed(enc, table, value)
         want, _ = oracle(enc, token_vectors(table, value))
         assert not np.allclose(got, before)
         np.testing.assert_allclose(got, want, atol=1e-12)
-        # the new arrays are views of the new stack again
-        enc.params["wx_b"][0, 0] += 1.0
-        assert encoder_tensors(enc, False) is tensors
-        assert tensors["wx"].data[1, 0, 0] == enc.params["wx_b"][0, 0]
+
+    def test_blocks_are_views_in_file_order(self):
+        enc = make_encoder(dim=5, hidden=3, seed=1)
+        assert (enc.dim, enc.hidden) == (5, 3)
+        assert enc.wx.shape == (2, 5, 12) and enc.wh.shape == (2, 3, 12)
+        assert enc.b.shape == (2, 12) and enc.attn.shape == (6,)
+        blocks = list(enc.blocks())
+        assert [name for name, _ in blocks] == [name for name, _, _ in BLOCKS]
+        assert [b.shape for _, b in blocks] == [s for _, s in block_shapes(5, 3)]
+        for (_, block), (_, field, _) in zip(blocks, BLOCKS):
+            assert np.shares_memory(block, getattr(enc, field))
+        again = AttentionalEncoder.from_blocks([b for _, b in blocks], 0.5)
+        for name in ("wx", "wh", "b", "attn"):
+            assert np.array_equal(getattr(again, name), getattr(enc, name))
 
 
 class TestEncoderGradients:
@@ -372,11 +401,10 @@ class TestEncoderGradients:
         batch = prepare_sequence(table, value, enc.max_tokens)
 
         def forward() -> ad.Tensor:
-            out, _ = encode_sequences_tape(
+            out = encode_sequences_tape(
                 embed_vocabulary(emb_t, batch),
                 enc_t,
                 enc.smoothing_rho,
-                enc.hidden,
                 batch,
                 np.zeros(1, dtype=np.int64),
             )
@@ -406,7 +434,7 @@ class TestEncoderGradients:
             ), name
 
 
-def encode_each_occurrence(vectors, enc, rho, hidden, batch, values):
+def encode_each_occurrence(vectors, enc, rho, batch, values):
     """The encoder before it deduplicated values: every requested value
     runs through the BiLSTM, its copies included, grouped by length and
     put back in request order by one gather."""
@@ -414,9 +442,9 @@ def encode_each_occurrence(vectors, enc, rho, hidden, batch, values):
     by_len: dict[int, list[int]] = {}
     for idx, length in enumerate((batch.bounds[values + 1] - starts).tolist()):
         by_len.setdefault(length, []).append(idx)
-    outputs, order, weights = [], [], [None] * len(values)
+    outputs, order = [], []
     dim = vectors.data.shape[1]
-    attn_col = ad.reshape(enc["attn"], (2 * hidden, 1))
+    attn_col = ad.reshape(enc["attn"], (-1, 1))
     for length in sorted(by_len):
         members = by_len[length]
         order.extend(members)
@@ -427,13 +455,11 @@ def encode_each_occurrence(vectors, enc, rho, hidden, batch, values):
         scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
         alpha = ad.softmax(scores, axis=1)
         beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
-        for idx, row in zip(members, beta.data):
-            weights[idx] = row
         outputs.append(ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1))
     stacked = outputs[0] if len(outputs) == 1 else ad.concat(outputs, axis=0)
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[np.array(order, dtype=np.int64)] = np.arange(len(order))
-    return ad.take_rows(stacked, inverse), weights
+    return ad.take_rows(stacked, inverse)
 
 
 # a small pool of raw values, so a drawn batch repeats some; with
@@ -464,16 +490,14 @@ class TestDistinctValues:
         return table, enc, batch
 
     def run(self, encode_fn, table, enc, batch, values, probe):
-        """Outputs, weights and the gradients of ``sum(out * probe)``."""
+        """Outputs and the gradients of ``sum(out * probe)``."""
         emb = ad.Tensor(table.rows, requires_grad=True)
         tensors = encoder_tensors(enc, True)
-        out, weights = encode_fn(
-            embed_vocabulary(emb, batch), tensors, enc.smoothing_rho, enc.hidden, batch, values
-        )
+        out = encode_fn(embed_vocabulary(emb, batch), tensors, enc.smoothing_rho, batch, values)
         ad.backward(ad.tsum(ad.mul(out, ad.Tensor(probe))))
         grads = {name: t.grad for name, t in tensors.items()}
         grads["emb"] = emb.grad
-        return out.data, weights, grads
+        return out.data, grads
 
     @settings(max_examples=60, deadline=None)
     @given(repeated_batches())
@@ -484,22 +508,15 @@ class TestDistinctValues:
         table, enc, batch = self.build(raw)
         values = np.array(values, dtype=np.int64)
         probe = np.random.default_rng(len(values)).standard_normal((len(values), 5))
-        out, weights, grads = self.run(
-            encode_sequences_tape, table, enc, batch, values, probe
-        )
-        want, want_weights, want_grads = self.run(
-            encode_each_occurrence, table, enc, batch, values, probe
-        )
-        # duplicates: equal kept tokens, so equal outputs and weights bitwise
+        out, grads = self.run(encode_sequences_tape, table, enc, batch, values, probe)
+        want, want_grads = self.run(encode_each_occurrence, table, enc, batch, values, probe)
+        # duplicates: equal kept tokens, so equal outputs bitwise
         kept = [batch.tokens[batch.bounds[v] : batch.bounds[v + 1]].tobytes() for v in values]
         for k in range(len(values)):
             first = kept.index(kept[k])
             assert out[k].tobytes() == out[first].tobytes()
-            assert weights[k].tobytes() == weights[first].tobytes()
         # against the oracle: length groups of other sizes may round a
         # matrix product differently in the last bit
         assert np.abs(out - want).max() <= 1e-15
-        for got_w, want_w in zip(weights, want_weights):
-            assert np.abs(got_w - want_w).max() <= 1e-15
         for name, g in want_grads.items():
             assert np.abs(grads[name] - g).max() <= 1e-12, name

@@ -31,7 +31,6 @@ def test_round_trip_fields(model, tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.schema == model.schema
-    assert loaded.seq_cell == model.seq_cell
     assert loaded.weights.matrix.shape == model.weights.matrix.shape
     np.testing.assert_allclose(
         loaded.weights.matrix, model.weights.matrix, atol=1e-6
@@ -42,8 +41,8 @@ def test_round_trip_fields(model, tmp_path):
     for a, b in zip(loaded.encoders, model.encoders):
         assert a.hidden == b.hidden
         assert abs(a.smoothing_rho - b.smoothing_rho) < 1e-6
-        for name in a.params:
-            np.testing.assert_allclose(a.params[name], b.params[name], atol=1e-6)
+        for (name, x), (_, y) in zip(a.blocks(), b.blocks()):
+            np.testing.assert_allclose(x, y, atol=1e-6, err_msg=name)
 
 
 def test_load_save_byte_identical(model, tmp_path):
@@ -282,3 +281,42 @@ def test_smoothing_rho_outside_unit_interval_rejected(tiny_model_bytes, tmp_path
     want = f"smoothing rho {rho} outside .* at byte {at} while reading encoder 0 rho"
     with pytest.raises(ValueError, match=want):
         load_model(path)
+
+
+def test_cell_kind_other_than_1_rejected(tiny_model_bytes, tmp_path):
+    at = encoder_shape_at(tiny_model_bytes)
+    assert tiny_model_bytes[at + 8] == 1
+    path = tmp_path / "cell.bin"
+    path.write_bytes(patched(tiny_model_bytes, at + 8, b"\x02"))
+    want = f"unknown sequence cell kind 2 at byte {at} while reading encoder shape"
+    with pytest.raises(ValueError, match=want):
+        load_model(path)
+
+
+# SHA-256 of the untrained model below. Its bytes come from PCG64 draws
+# rounded to f32 only, with no BLAS, so they are the same on every host;
+# a round trip cannot see two blocks swapped alike in save and in load,
+# a pinned digest can.
+UNTRAINED_SHA256 = "e6983d09387ba13476a34dacf4ea8a0a6de0d80828f49962b4cedca1d0a792a0"
+
+
+def test_untrained_model_file_is_pinned(tmp_path):
+    import hashlib
+
+    from sigblock.encoder import AttentionalEncoder
+    from sigblock.signatures import SignatureModel, SignatureWeights
+    from sigblock.text_embedding import EmbeddingTable
+
+    rng = np.random.Generator(np.random.PCG64(7))
+    model = SignatureModel(
+        ("title", "rest"),
+        EmbeddingTable(4, 16, seed=3, trainable=False),
+        [AttentionalEncoder.initialize(4, 2, rho, rng) for rho in (1.0, 0.0)],
+        SignatureWeights(np.eye(2)),
+        config_snapshot={"seed": 7},
+    )
+    path = tmp_path / "untrained.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    assert len(data) == 1286
+    assert hashlib.sha256(data).hexdigest() == UNTRAINED_SHA256

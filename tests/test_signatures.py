@@ -25,11 +25,10 @@ from sigblock.text_embedding import EmbeddingTable
 def attribute_embedding(model, j, value):
     enc = model.encoders[j]
     batch = prepare_sequence(model.table, value, enc.max_tokens)
-    out, _ = encode_sequences_tape(
+    out = encode_sequences_tape(
         embed_vocabulary(ad.Tensor(model.table.rows), batch),
         encoder_tensors(enc, False),
         enc.smoothing_rho,
-        enc.hidden,
         batch,
         np.zeros(1, dtype=np.int64),
     )

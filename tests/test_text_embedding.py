@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from sigblock.data_model import DatasetError
 from sigblock.text_embedding import EmbeddingTable, fnv1a64, load_pretrained, ngrams
 
 
@@ -135,4 +136,11 @@ class TestPretrained:
         f = tmp_path / "vec.txt"
         f.write_text(f"good 1 2\nbad {entry} 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"{re.escape(str(f))}: line 2: non-finite"):
+            load_pretrained(f)
+
+    def test_non_utf8_names_path_line_and_byte(self, tmp_path):
+        f = tmp_path / "vec.txt"
+        f.write_bytes(b"good 1 2\nb\xffd 1 2\n")
+        want = rf"^{re.escape(str(f))}: line 2: byte 10: not UTF-8"
+        with pytest.raises(DatasetError, match=want):
             load_pretrained(f)

@@ -242,8 +242,8 @@ class TestBatchLoss:
         # sync trainer parameters with the trained model
         tr = SignatureTrainer(ds, labels, cfg, table=model.table)
         for enc, trained in zip(tr.encoders, model.encoders):
-            for name in enc.params:
-                enc.params[name][...] = trained.params[name]
+            for (_, block), (_, value) in zip(enc.blocks(), trained.blocks()):
+                block[...] = value
         w = ad.Tensor(model.weights.matrix[0].copy(), requires_grad=True)
         pairs_idx = tr.pairs[:3]
         negs = [
@@ -359,8 +359,8 @@ class TestTrain:
         np.testing.assert_array_equal(m1.weights.matrix, m2.weights.matrix)
         np.testing.assert_array_equal(m1.table.rows, m2.table.rows)
         for e1, e2 in zip(m1.encoders, m2.encoders):
-            for name in e1.params:
-                np.testing.assert_array_equal(e1.params[name], e2.params[name])
+            for (name, a), (_, b) in zip(e1.blocks(), e2.blocks()):
+                np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_requires_enough_labels(self):
         ds, labels = two_attr_dataset(seed=9, entities=3)
