@@ -120,6 +120,10 @@ class MinHashParams:
     seed: int = 0
     ngram_sizes: tuple[int, ...] = (2, 3)
 
+    def validate(self) -> None:
+        if self.bands <= 0 or self.band_size <= 0:
+            raise ValueError("minhash.bands and minhash.band_size must be positive")
+
     @property
     def num_hashes(self) -> int:
         return self.bands * self.band_size

@@ -206,17 +206,11 @@ def pe_ratio(candidates: CandidateSet, dataset: Dataset) -> float:
     return len(candidates.pairs) / dataset.n
 
 
-def write_candidates(
-    candidates: CandidateSet, path: str | Path, with_provenance: bool | None = None
-) -> None:
-    """Sorted candidate CSV; provenance columns written when available."""
-    if with_provenance is None:
-        with_provenance = candidates.provenance is not None
-    if with_provenance and candidates.provenance is None:
-        raise ValueError("candidate set carries no provenance")
+def write_candidates(candidates: CandidateSet, path: str | Path) -> None:
+    """Sorted candidate CSV, with provenance columns exactly when the set carries them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if with_provenance:
+        if candidates.provenance is not None:
             writer.writerow(["id_a", "id_b", "signature_id", "cosine"])
             for a, b in candidates.sorted_pairs():
                 s, cos = candidates.provenance[(a, b)]

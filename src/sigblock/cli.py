@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .baselines import KeySpec, key_block, minhash_block
 from .blocking import block, pe_ratio, read_candidates, unit_signatures, write_candidates
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_threshold, checked, load_config
 from .data_model import DatasetError, export, write_labels
 from .encoder import token_attention
 from .evaluation import RunRecord, SynthSpec, metrics_csv, recall, summary_table, synthesize
@@ -77,6 +77,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config(args)
+    training = checked(config.training)
     dataset = config.load_dataset()
     labels = config.load_label_set(dataset)
     table = None
@@ -87,12 +88,12 @@ def cmd_train(args) -> int:
             raise ConfigError(f"model.pretrained: no such file: {config.pretrained}")
         table = load_pretrained(
             config.pretrained,
-            bucket_count=config.bucket_count,
-            ngram_range=(config.ngram_min, config.ngram_max),
-            seed=config.seed,
+            bucket_count=training.bucket_count,
+            ngram_range=(training.ngram_min, training.ngram_max),
+            seed=training.seed,
         )
     t0 = time.perf_counter()
-    model = train(dataset, labels, config.training_config(), table)
+    model = train(dataset, labels, training, table)
     save_model(model, args.out)
     print(
         f"trained {model.num_signatures} signature(s) over {dataset.n} records "
@@ -101,7 +102,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_for(config: RunConfig, path: str) -> SignatureModel:
+def _load_model_for(path: str) -> SignatureModel:
     if not Path(path).exists():
         raise ConfigError(f"no such model file: {path}")
     return load_model(path)
@@ -115,16 +116,17 @@ def _print_summary(candidates, dataset, wall: float, out: str) -> None:
 
 def cmd_block(args) -> int:
     config = _config(args)
-    dataset = config.load_dataset()
-    model = _load_model_for(config, args.model)
-    model.validate_schema(dataset)
-    theta = args.theta if args.theta is not None else config.theta
-    if not 0.0 < theta < 1.0:
-        raise ConfigError("theta must lie in (0, 1)")
+    if args.theta is not None:
+        config.theta = args.theta
+    theta = check_threshold("lsh.theta", config.theta)
+    lsh_params = checked(config.lsh, "lsh: ")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    dataset = config.load_dataset()
+    model = _load_model_for(args.model)
+    model.validate_schema(dataset)
     t0 = time.perf_counter()
-    candidates = block(dataset, model, theta, config.lsh_params())
+    candidates = block(dataset, model, theta, lsh_params)
     wall = time.perf_counter() - t0
     write_candidates(candidates, args.out)
     _print_summary(candidates, dataset, wall, args.out)
@@ -133,6 +135,11 @@ def cmd_block(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _config(args)
+    if args.method == "minhash":
+        if args.theta is not None:
+            config.minhash_theta = args.theta
+        theta = check_threshold("minhash.theta", config.minhash_theta)
+        params = checked(config.minhash)
     dataset = config.load_dataset()
     t0 = time.perf_counter()
     if args.method == "key":
@@ -147,22 +154,20 @@ def cmd_baseline(args) -> int:
         candidates = key_block(dataset, KeySpec(kind, attributes))
     elif args.method == "minhash":
         attributes = config.minhash_attributes or tuple(dataset.schema)
-        theta = args.theta if args.theta is not None else config.minhash_theta
-        if not 0.0 < theta < 1.0:
-            raise ConfigError("theta must lie in (0, 1)")
-        candidates = minhash_block(dataset, attributes, theta, config.minhash_params())
+        candidates = minhash_block(dataset, attributes, theta, params)
     else:
         raise ConfigError(f"unknown baseline method {args.method!r}")
     wall = time.perf_counter() - t0
-    write_candidates(candidates, args.out, with_provenance=False)
+    write_candidates(candidates, args.out)
     _print_summary(candidates, dataset, wall, args.out)
     return 0
 
 
 def cmd_index(args) -> int:
     config = _config(args)
+    lsh_params = checked(config.lsh, "lsh: ")
     dataset = config.load_dataset()
-    model = _load_model_for(config, args.model)
+    model = _load_model_for(args.model)
     model.validate_schema(dataset)
     records = list(dataset.all_records())
     sig, ok = unit_signatures(model, records)
@@ -172,7 +177,7 @@ def cmd_index(args) -> int:
         for s in range(model.num_signatures)
         if ok[i, s]
     ]
-    index = LshIndex.build(items, model.table.dim, config.lsh_params())
+    index = LshIndex.build(items, model.table.dim, lsh_params)
     index.save(args.out)
     print(f"indexed {len(index)} signature vectors into {args.out}")
     return 0
@@ -181,7 +186,7 @@ def cmd_index(args) -> int:
 def cmd_inspect(args) -> int:
     config = _config(args)
     dataset = config.load_dataset()
-    model = _load_model_for(config, args.model)
+    model = _load_model_for(args.model)
     model.validate_schema(dataset)
     records = list(dataset.all_records())
     if args.record_id is not None:

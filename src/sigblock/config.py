@@ -3,8 +3,19 @@
 A run is described by one declarative file with ``[data]``, ``[model]``,
 ``[training]``, ``[lsh]``, and ``[minhash]`` sections; any value can be
 overridden on the command line with ``--set section.key=value``.
-Precedence is flags over file over defaults. Validation happens at load
-time and reports the offending ``section.key``.
+Precedence is flags over file over defaults.
+
+Each setting is declared once. ``RunConfig`` holds the library's own
+parameter objects: ``[model]`` and ``[training]`` fill a
+``TrainingConfig``, ``[lsh]`` an ``LshParams`` and ``[minhash]`` a
+``MinHashParams``, and those classes own the defaults. ``RunConfig``
+declares only what no library object owns: the ``[data]`` fields, the
+pretrained vector file, the two thresholds and the MinHash attributes.
+
+Loading parses every key and reports an unknown key or an unparsable
+value as the offending ``section.key``. Values are checked by the owner
+when a command reads them (:func:`checked`, :func:`check_threshold`), so
+a command never fails on a section it does not use.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .baselines import MinHashParams
 from .data_model import Dataset, LabelSet, ingest, load_labels, make_bipartite, read_text
@@ -32,97 +44,15 @@ class RunConfig:
     id_column: str = "id"
     schema: tuple[str, ...] | None = None
     labels: str = ""
-    # [model]
-    dim: int = 64
-    hidden: int = 64
-    bucket_count: int = 2**16
-    ngram_min: int = 3
-    ngram_max: int = 5
-    max_tokens: int = 64
-    primary_attribute: str | None = None
-    rho_overrides: dict[str, float] = field(default_factory=dict)
+    # model.pretrained, lsh.theta, minhash.theta, minhash.attributes
     pretrained: str = ""
-    # [training]
-    iterations: int = 2000
-    batch_size: int = 64
-    negatives: int = 10
-    learning_rate: float = 1e-3
-    temperature: float = 1.0
-    max_signatures: int | None = None
-    seed: int = 0
-    log_every: int = 100
-    # [lsh]
     theta: float = 0.8
-    theta_prime: float = 0.4
-    tables: int = 10
-    hashes_per_table: int = 2
-    multiprobe: int = 1
-    max_results: int | None = None
-    lsh_seed: int = 0
-    # [minhash]
     minhash_theta: float = 0.4
-    minhash_bands: int = 32
-    minhash_band_size: int = 4
-    minhash_seed: int = 0
     minhash_attributes: tuple[str, ...] | None = None
-    minhash_ngram_sizes: tuple[int, ...] = (2, 3)
-
-    @property
-    def mode(self) -> str:
-        return "bipartite" if self.dataset_b else "self"
-
-    def training_config(self) -> TrainingConfig:
-        cfg = TrainingConfig(
-            iterations=self.iterations,
-            batch_size=self.batch_size,
-            negatives=self.negatives,
-            learning_rate=self.learning_rate,
-            temperature=self.temperature,
-            max_signatures=self.max_signatures,
-            seed=self.seed,
-            embedding_dim=self.dim,
-            hidden_size=self.hidden,
-            bucket_count=self.bucket_count,
-            ngram_min=self.ngram_min,
-            ngram_max=self.ngram_max,
-            max_tokens=self.max_tokens,
-            primary_attribute=self.primary_attribute or None,
-            rho_overrides=dict(self.rho_overrides),
-            log_every=self.log_every,
-        )
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return cfg
-
-    def lsh_params(self) -> LshParams:
-        params = LshParams(
-            tables=self.tables,
-            hashes_per_table=self.hashes_per_table,
-            multiprobe=self.multiprobe,
-            seed=self.lsh_seed,
-            max_results=self.max_results,
-        )
-        try:
-            params.validate()
-        except ValueError as exc:
-            raise ConfigError(f"lsh: {exc}") from None
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError("lsh.theta must lie in (0, 1)")
-        return params
-
-    def minhash_params(self) -> MinHashParams:
-        if self.minhash_bands <= 0 or self.minhash_band_size <= 0:
-            raise ConfigError("minhash.bands and minhash.band_size must be positive")
-        if not 0.0 < self.minhash_theta < 1.0:
-            raise ConfigError("minhash.theta must lie in (0, 1)")
-        return MinHashParams(
-            bands=self.minhash_bands,
-            band_size=self.minhash_band_size,
-            seed=self.minhash_seed,
-            ngram_sizes=self.minhash_ngram_sizes,
-        )
+    # every other key of [model], [training], [lsh] and [minhash]
+    training: TrainingConfig = field(default_factory=TrainingConfig)
+    lsh: LshParams = field(default_factory=LshParams)
+    minhash: MinHashParams = field(default_factory=MinHashParams)
 
     def load_dataset(self) -> Dataset:
         if not self.dataset:
@@ -145,74 +75,96 @@ class RunConfig:
         return load_labels(self.labels, dataset)
 
 
-_SECTION_KEYS = {
+P = TypeVar("P", TrainingConfig, LshParams, MinHashParams)
+
+
+def checked(params: P, prefix: str = "") -> P:
+    """``params`` once its own ``validate()`` passes; its ValueError becomes ConfigError."""
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+    return params
+
+
+def check_threshold(key: str, value: float) -> float:
+    """A similarity threshold, which must lie strictly between 0 and 1."""
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{key} must lie in (0, 1)")
+    return value
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in raw.split(",") if x.strip())
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.split(",") if x.strip())
+
+
+def _name_or_none(raw: str) -> str | None:
+    return raw or None
+
+
+# (section, key) -> (dotted RunConfig field path, parser of the raw text)
+_SECTION_KEYS: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("data", "dataset"): ("dataset", str),
     ("data", "dataset_b"): ("dataset_b", str),
     ("data", "format"): ("format", str),
     ("data", "id_column"): ("id_column", str),
-    ("data", "schema"): ("schema", "strlist"),
+    ("data", "schema"): ("schema", _names),
     ("data", "labels"): ("labels", str),
-    ("model", "dim"): ("dim", int),
-    ("model", "hidden"): ("hidden", int),
-    ("model", "bucket_count"): ("bucket_count", int),
-    ("model", "ngram_min"): ("ngram_min", int),
-    ("model", "ngram_max"): ("ngram_max", int),
-    ("model", "max_tokens"): ("max_tokens", int),
-    ("model", "primary_attribute"): ("primary_attribute", str),
+    ("model", "dim"): ("training.embedding_dim", int),
+    ("model", "hidden"): ("training.hidden_size", int),
+    ("model", "bucket_count"): ("training.bucket_count", int),
+    ("model", "ngram_min"): ("training.ngram_min", int),
+    ("model", "ngram_max"): ("training.ngram_max", int),
+    ("model", "max_tokens"): ("training.max_tokens", int),
+    ("model", "primary_attribute"): ("training.primary_attribute", _name_or_none),
     ("model", "pretrained"): ("pretrained", str),
-    ("training", "iterations"): ("iterations", int),
-    ("training", "batch_size"): ("batch_size", int),
-    ("training", "negatives"): ("negatives", int),
-    ("training", "learning_rate"): ("learning_rate", float),
-    ("training", "temperature"): ("temperature", float),
-    ("training", "max_signatures"): ("max_signatures", int),
-    ("training", "seed"): ("seed", int),
-    ("training", "log_every"): ("log_every", int),
+    ("training", "iterations"): ("training.iterations", int),
+    ("training", "batch_size"): ("training.batch_size", int),
+    ("training", "negatives"): ("training.negatives", int),
+    ("training", "learning_rate"): ("training.learning_rate", float),
+    ("training", "temperature"): ("training.temperature", float),
+    ("training", "max_signatures"): ("training.max_signatures", int),
+    ("training", "seed"): ("training.seed", int),
+    ("training", "log_every"): ("training.log_every", int),
     ("lsh", "theta"): ("theta", float),
-    ("lsh", "theta_prime"): ("theta_prime", float),
-    ("lsh", "tables"): ("tables", int),
-    ("lsh", "hashes_per_table"): ("hashes_per_table", int),
-    ("lsh", "multiprobe"): ("multiprobe", int),
-    ("lsh", "max_results"): ("max_results", int),
-    ("lsh", "seed"): ("lsh_seed", int),
+    ("lsh", "tables"): ("lsh.tables", int),
+    ("lsh", "hashes_per_table"): ("lsh.hashes_per_table", int),
+    ("lsh", "multiprobe"): ("lsh.multiprobe", int),
+    ("lsh", "max_results"): ("lsh.max_results", int),
+    ("lsh", "seed"): ("lsh.seed", int),
     ("minhash", "theta"): ("minhash_theta", float),
-    ("minhash", "bands"): ("minhash_bands", int),
-    ("minhash", "band_size"): ("minhash_band_size", int),
-    ("minhash", "seed"): ("minhash_seed", int),
-    ("minhash", "attributes"): ("minhash_attributes", "strlist"),
-    ("minhash", "ngram_sizes"): ("minhash_ngram_sizes", "intlist"),
+    ("minhash", "bands"): ("minhash.bands", int),
+    ("minhash", "band_size"): ("minhash.band_size", int),
+    ("minhash", "seed"): ("minhash.seed", int),
+    ("minhash", "attributes"): ("minhash_attributes", _names),
+    ("minhash", "ngram_sizes"): ("minhash.ngram_sizes", _ints),
 }
 
 
 def _apply(config: RunConfig, section: str, key: str, raw: str) -> None:
     if section == "model" and key.startswith("rho_"):
-        attr = key[len("rho_") :]
         try:
-            config.rho_overrides[attr] = float(raw)
+            config.training.rho_overrides[key[len("rho_") :]] = float(raw)
         except ValueError:
             raise ConfigError(f"model.{key}: expected a float, got {raw!r}") from None
         return
     spec = _SECTION_KEYS.get((section, key))
     if spec is None:
         raise ConfigError(f"unknown configuration key {section}.{key}")
-    attr, kind = spec
-    value: object
+    path, parse = spec
     try:
-        if kind is str:
-            value = raw
-        elif kind is int:
-            value = int(raw)
-        elif kind is float:
-            value = float(raw)
-        elif kind == "strlist":
-            value = tuple(x.strip() for x in raw.split(",") if x.strip())
-        elif kind == "intlist":
-            value = tuple(int(x) for x in raw.split(",") if x.strip())
-        else:  # pragma: no cover
-            raise AssertionError(kind)
+        value = parse(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from None
-    setattr(config, attr, value)
+    *owners, name = path.split(".")
+    target: object = config
+    for owner in owners:
+        target = getattr(target, owner)
+    setattr(target, name, value)
 
 
 def load_config(

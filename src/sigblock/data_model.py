@@ -60,9 +60,6 @@ class AttributeValue:
         return " ".join(self.tokens)
 
 
-MISSING = AttributeValue(())
-
-
 @dataclass(frozen=True)
 class Record:
     """A tuple of the data source: an id plus one value per schema attribute."""

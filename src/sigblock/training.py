@@ -73,16 +73,23 @@ class TrainingConfig:
             raise ValueError("iterations, batch_size, and negatives must be positive")
         if self.max_signatures is not None and self.max_signatures <= 0:
             raise ValueError("max_signatures must be positive when set")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        # written as ``not 0 < x < inf`` so that NaN fails too
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be at least 1, got {self.log_every}")
         if not (0 <= self.adam_betas[0] < 1 and 0 <= self.adam_betas[1] < 1):
             raise ValueError("adam betas must lie in [0, 1)")
         if self.embedding_dim <= 0 or self.hidden_size <= 0:
             raise ValueError("embedding_dim and hidden_size must be positive")
         if self.max_tokens <= 0:
             raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
+        if self.bucket_count <= 0 or self.bucket_count & (self.bucket_count - 1):
+            raise ValueError(f"bucket_count must be a power of two, got {self.bucket_count}")
+        if self.ngram_min < 1:
+            raise ValueError(f"ngram_min must be at least 1, got {self.ngram_min}")
         if self.ngram_min > self.ngram_max:
             raise ValueError("ngram_min must not exceed ngram_max")
 

@@ -410,3 +410,99 @@ def test_max_tokens_not_positive_exits_2(workspace, tmp_path, capsys, value):
     assert rc == 2
     assert f"max_tokens must be positive, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("training.log_every=0", "log_every must be at least 1, got 0"),
+        ("model.bucket_count=1000", "bucket_count must be a power of two, got 1000"),
+        ("training.learning_rate=nan", "learning_rate must be finite and positive, got nan"),
+        ("model.ngram_min=0", "ngram_min must be at least 1, got 0"),
+        ("training.temperature=inf", "temperature must be finite and positive, got inf"),
+    ],
+)
+def test_untrainable_setting_exits_2(workspace, tmp_path, capsys, setting, message):
+    _, config = workspace
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--config", str(config), "--set", setting, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_ignores_lsh_and_minhash_sections(workspace, tmp_path):
+    _, config = workspace
+    rc = main(
+        ["train", "--config", str(config), "--set", "lsh.tables=0", "--set", "lsh.theta=1.5",
+         "--set", "minhash.bands=0", "--out", str(tmp_path / "m.bin")]
+    )
+    assert rc == 0
+
+
+@pytest.fixture(scope="module")
+def trained(workspace, tmp_path_factory):
+    _, config = workspace
+    model = tmp_path_factory.mktemp("trained") / "model.bin"
+    assert main(["train", "--config", str(config), "--out", str(model)]) == 0
+    return model
+
+
+def test_block_theta_flag_beats_invalid_file_value(workspace, trained, tmp_path):
+    _, config = workspace
+    base = ["block", "--config", str(config), "--model", str(trained), "--theta", "0.7"]
+    flag = tmp_path / "flag.csv"
+    both = tmp_path / "both.csv"
+    assert main([*base, "--out", str(flag)]) == 0
+    assert main([*base, "--set", "lsh.theta=1.5", "--out", str(both)]) == 0
+    assert flag.read_bytes() == both.read_bytes()
+
+
+def test_baseline_theta_flag_beats_invalid_file_value(workspace, tmp_path):
+    _, config = workspace
+    base = ["baseline", "--config", str(config), "--method", "minhash", "--theta", "0.4"]
+    flag = tmp_path / "flag.csv"
+    both = tmp_path / "both.csv"
+    assert main([*base, "--out", str(flag)]) == 0
+    assert main([*base, "--set", "minhash.theta=5", "--out", str(both)]) == 0
+    assert flag.read_bytes() == both.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("block", "lsh.theta=1.5"),
+        ("block", "lsh.tables=0"),
+        ("minhash", "minhash.theta=5"),
+        ("minhash", "minhash.bands=0"),
+    ],
+)
+def test_invalid_setting_a_command_reads_exits_2(workspace, trained, tmp_path, command, setting):
+    _, config = workspace
+    if command == "block":
+        command = ["block", "--model", str(trained)]
+    else:
+        command = ["baseline", "--method", command]
+    out = tmp_path / "out.csv"
+    rc = main([*command, "--config", str(config), "--set", setting, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_index_ignores_theta(workspace, trained, tmp_path):
+    _, config = workspace
+    rc = main(
+        ["index", "--config", str(config), "--model", str(trained),
+         "--set", "lsh.theta=1.5", "--out", str(tmp_path / "index.bin")]
+    )
+    assert rc == 0
+
+
+def test_theta_prime_is_an_unknown_key(workspace, tmp_path, capsys):
+    _, config = workspace
+    rc = main(
+        ["train", "--config", str(config), "--set", "lsh.theta_prime=0.9",
+         "--out", str(tmp_path / "m.bin")]
+    )
+    assert rc == 2
+    assert "unknown configuration key lsh.theta_prime" in capsys.readouterr().err
