@@ -79,6 +79,10 @@ def cmd_train(args) -> int:
     config = _config(args)
     training = checked(config.training)
     dataset = config.load_dataset()
+    try:
+        training.check_schema(dataset.schema)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     labels = config.load_label_set(dataset)
     table = None
     if config.pretrained:

@@ -16,7 +16,8 @@ forget, cell, output.
 
 Text enters at vocabulary level. :func:`prepare_values` turns a batch of
 values into a :class:`PreparedBatch`: the distinct tokens with their
-bucket ids (each token hashed once) plus each value's token numbers.
+bucket ids (the tokens the table has not seen hashed in one pass) plus
+each value's token numbers.
 :func:`embed_vocabulary` sums each distinct token's rows once, and
 :func:`encode_sequences_tape` returns the embeddings of a batch's values,
 encoding each distinct value once on the autodiff tape; values that
@@ -209,8 +210,8 @@ def prepare_values(
 
     ``rows[r][j]`` becomes value ``r * len(max_tokens) + j`` and keeps
     its first ``max_tokens[j]`` tokens. Each distinct token is looked up
-    once: its pretrained vector if mapped, else its bucket ids through
-    :meth:`EmbeddingTable.bucket_ids`.
+    once: its pretrained vector if mapped, else its bucket ids, which
+    one :meth:`EmbeddingTable.batch_bucket_ids` call gives for all of them.
     """
     caps = list(max_tokens)
     if min(caps, default=1) < 1:
@@ -226,7 +227,8 @@ def prepare_values(
             kept.extend(tokens)
     vocab, numbers = _first_seen(kept)
     pretrained = table.pretrained
-    ids = [_NO_IDS if t in pretrained else table.bucket_ids(t) for t in vocab]
+    hashed = iter(table.batch_bucket_ids([t for t in vocab if t not in pretrained]))
+    ids = [_NO_IDS if t in pretrained else next(hashed) for t in vocab]
     const = None
     if pretrained and not pretrained.keys().isdisjoint(vocab):
         const = np.zeros((len(vocab), table.dim))

@@ -16,8 +16,10 @@ int64, gives the bucket keys, sizes and members (ascending per bucket);
 ``LshIndex.tables`` derives the per-table dicts from them. Queries run
 in batches (``search``; ``query`` is a batch of one), hashed under all
 rotations in one matrix product, joined to the keys by binary search,
-then deduplicated, re-ranked and cut with array operations. ``build``
-keeps its hashes, so a self-join (``search_self``) needs no second pass.
+then filtered by signature, deduplicated by sorting their (query, entry)
+codes and dropping repeats, re-ranked and cut with array operations.
+``build`` keeps its hashes, so a self-join (``search_self``) needs no
+second pass.
 
 Vectors are zero-padded to a power-of-two dimension before rotation,
 which leaves cosines unchanged.
@@ -471,15 +473,18 @@ class LshIndex:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``search`` hits of the rows ``q``, given the start and size of
         each probed bucket in ``_members``, row by row."""
-        n = len(self.entries)
         rows = np.repeat(np.arange(len(size)) // (len(size) // len(q)), size)
         first = np.repeat(start - (np.cumsum(size) - size), size)
-        pairs = rows * n + self._members[first + np.arange(len(first))]
-        row, entry = np.divmod(np.unique(pairs), n)
-        # re-rank by exact cosine; a row keeps its max_results best
+        members = self._members[first + np.arange(len(first))]
         if signature is not None:
-            keep = self._signatures[entry] == signature
-            row, entry = row[keep], entry[keep]
+            keep = self._signatures[members] == signature
+            rows, members = rows[keep], members[keep]
+        # distinct (row, entry) codes in ascending order: sort, then drop repeats
+        n = len(self.entries)
+        pairs = rows * n + members
+        pairs.sort()
+        row, entry = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n)
+        # re-rank by exact cosine; a row keeps its max_results best
         cos = np.einsum("ij,ij->i", q[row], self.vectors[entry])
         keep = cos >= theta
         row, entry, cos = row[keep], entry[keep], cos[keep]

@@ -10,14 +10,20 @@ Optionally a table can carry pretrained word vectors loaded from a text
 file; mapped tokens return their pretrained vector unchanged while
 unseen tokens fall back to the hashed n-gram sum.
 
-The encoder reaches the table per distinct token of a batch
-(``encoder.prepare_values``): :meth:`EmbeddingTable.bucket_ids` hashes
-each token once and caches its ids on the table.
+The encoder reaches the table once per batch, with the batch's distinct
+tokens (``encoder.prepare_values``): :meth:`EmbeddingTable.batch_bucket_ids`
+hashes every token the table has not seen yet in one vectorised pass and
+caches each token's ids on the table. That pass (:func:`fnv1a64_many`)
+runs the FNV-1a state of all n-grams together over byte positions,
+longest n-grams first, so the n-grams still holding a byte at position k
+form a prefix; :func:`fnv1a64` hashes one string and stays as the
+reference.
 """
 
 from __future__ import annotations
 
 import io
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,7 @@ from .data_model import read_text
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_PRIME64 = np.uint64(_FNV_PRIME)  # array ops wrap modulo 2^64 without a warning
 
 
 def fnv1a64(data: str, seed: int = 0) -> int:
@@ -36,6 +43,35 @@ def fnv1a64(data: str, seed: int = 0) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def fnv1a64_many(data: list[str], seed: int = 0) -> np.ndarray:
+    """:func:`fnv1a64` of every string, as one uint64 array.
+
+    The strings are sorted longest first, so the ones that hold a k-th
+    byte are a prefix; step k folds those bytes, gathered for all k up
+    front, into the prefix's states, so every state sees its own bytes
+    in order.
+    """
+    encoded = [s.encode("utf-8") for s in data]
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    order = np.argsort(-lengths)
+    starts = (np.cumsum(lengths) - lengths)[order]
+    # live[k]: how many strings are longer than k bytes
+    live = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left")
+    # byte k of each of the live[k] longest strings, for k = 0, 1, ...
+    first = np.cumsum(live) - live
+    k = np.repeat(np.arange(len(live)), live)
+    flat = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    column = flat[starts[np.arange(len(k)) - first[k]] + k]
+    h = np.full(len(encoded), np.uint64(_FNV_OFFSET ^ (seed & _MASK64)))
+    for a, n in zip(first.tolist(), live.tolist()):
+        state = h[:n]
+        state ^= column[a : a + n]
+        state *= _PRIME64
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
 def ngrams(token: str, min_n: int, max_n: int) -> list[str]:
@@ -94,23 +130,25 @@ class EmbeddingTable:
         self._bucket_cache: dict[str, np.ndarray] = {}
 
     def bucket_ids(self, token: str) -> np.ndarray:
-        """Bucket index per n-gram of the token (cached per token string)."""
-        ids = self._bucket_cache.get(token)
-        if ids is None:
-            mask = self.bucket_count - 1
-            ids = np.array(
-                [fnv1a64(g, self.seed) & mask for g in ngrams(token, *self.ngram_range)],
-                dtype=np.int64,
-            )
-            self._bucket_cache[token] = ids
-        return ids
+        """Bucket index per n-gram of the token, a batch of one."""
+        return self.batch_bucket_ids([token])[0]
 
-    def embed(self, token: str) -> np.ndarray:
-        """d-vector for a token: pretrained if mapped, else hashed n-gram sum."""
-        vec = self.pretrained.get(token)
-        if vec is not None:
-            return vec
-        return self.rows[self.bucket_ids(token)].sum(axis=0)
+    def batch_bucket_ids(self, tokens: list[str]) -> list[np.ndarray]:
+        """Bucket index per n-gram of each token, in ``ngrams`` order.
+
+        Tokens the table has not seen are hashed together in one
+        :func:`fnv1a64_many` pass; each token's ids are cached on the
+        table, keyed by the token string.
+        """
+        cache = self._bucket_cache
+        new = [t for t in dict.fromkeys(tokens) if t not in cache]
+        if new:
+            grams = [ngrams(t, *self.ngram_range) for t in new]
+            hashed = fnv1a64_many([g for token_grams in grams for g in token_grams], self.seed)
+            ids = (hashed & np.uint64(self.bucket_count - 1)).astype(np.int64)
+            ends = list(accumulate(map(len, grams)))
+            cache.update(zip(new, (ids[a:b] for a, b in zip([0, *ends], ends))))
+        return [cache[t] for t in tokens]
 
 
 def load_pretrained(

@@ -92,6 +92,20 @@ class TrainingConfig:
             raise ValueError(f"ngram_min must be at least 1, got {self.ngram_min}")
         if self.ngram_min > self.ngram_max:
             raise ValueError("ngram_min must not exceed ngram_max")
+        for name, rho in self.rho_overrides.items():
+            if not 0.0 <= rho <= 1.0:  # NaN fails too
+                raise ValueError(f"rho_{name} must lie in [0, 1], got {rho}")
+
+    def check_schema(self, schema: Sequence[str]) -> None:
+        """Refuse a ``primary_attribute`` or ``rho_<name>`` that names no
+        attribute of ``schema``; the message names the key."""
+        named = [(f"rho_{name}", name) for name in self.rho_overrides]
+        if self.primary_attribute is not None:
+            named.insert(0, ("primary_attribute", self.primary_attribute))
+        for key, name in named:
+            if name not in schema:
+                known = ", ".join(schema)
+                raise ValueError(f"{key}: no attribute {name!r} in the schema ({known})")
 
     def rho_for(self, attribute: str, schema: Sequence[str]) -> float:
         if attribute in self.rho_overrides:
@@ -195,6 +209,7 @@ class SignatureTrainer:
         table: EmbeddingTable | None = None,
     ):
         config.validate()
+        config.check_schema(dataset.schema)
         if len(labels) < config.batch_size:
             raise ValueError(
                 f"need at least batch_size={config.batch_size} labels, have {len(labels)}"

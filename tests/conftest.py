@@ -16,6 +16,7 @@ from sigblock.data_model import (
     Table,
     canonical_pair,
 )
+from sigblock.text_embedding import EmbeddingTable
 
 # HYPOTHESIS_PROFILE=ci makes every property test draw the same examples
 # on every run, so a random draw cannot fail CI; local runs stay random.
@@ -79,6 +80,15 @@ def duplicated_dataset(
         f"noise{j}" for j in range(attrs_noise)
     ]
     return Dataset(schema, (Table(records),)), LabelSet(frozenset(pairs))
+
+
+def token_vector(table: EmbeddingTable, token: str) -> np.ndarray:
+    """A token's d-vector, the reference for the encoder's vocabulary sum:
+    its pretrained vector if mapped, else the sum of its n-gram rows."""
+    vec = table.pretrained.get(token)
+    if vec is not None:
+        return vec
+    return table.rows[table.bucket_ids(token)].sum(axis=0)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:

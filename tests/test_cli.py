@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import sigblock.cli as cli
 from sigblock.cli import main
 
 CONFIG = """\
@@ -423,6 +424,31 @@ def test_max_tokens_not_positive_exits_2(workspace, tmp_path, capsys, value):
     ],
 )
 def test_untrainable_setting_exits_2(workspace, tmp_path, capsys, setting, message):
+    _, config = workspace
+    out = tmp_path / "m.bin"
+    rc = main(["train", "--config", str(config), "--set", setting, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("model.primary_attribute=titel", "primary_attribute: no attribute 'titel' in the schema"),
+        ("model.rho_albm=0.3", "rho_albm: no attribute 'albm' in the schema"),
+        ("model.rho_album=1.5", "rho_album must lie in [0, 1], got 1.5"),
+        ("model.rho_album=-0.1", "rho_album must lie in [0, 1], got -0.1"),
+        ("model.rho_album=nan", "rho_album must lie in [0, 1], got nan"),
+    ],
+)
+def test_bad_attribute_setting_exits_2_before_training(
+    workspace, tmp_path, capsys, monkeypatch, setting, message
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", no_training)
     _, config = workspace
     out = tmp_path / "m.bin"
     rc = main(["train", "--config", str(config), "--set", setting, "--out", str(out)])

@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -799,3 +800,84 @@ class TestBatchedJoin:
         for r in range(20):
             want = ref_query(index, vecs[r], 0.9, 5)
             assert [index.entries[e] for e in entry[row == r]] == [h[:2] for h in want]
+
+
+def unique_rerank(index, q, start, size, theta, max_results, signature):
+    """``LshIndex._rerank`` as first written: the (row, entry) codes
+    deduplicated by ``np.unique``, then the signature filter."""
+    n = len(index.entries)
+    rows = np.repeat(np.arange(len(size)) // (len(size) // len(q)), size)
+    first = np.repeat(start - (np.cumsum(size) - size), size)
+    pairs = rows * n + index._members[first + np.arange(len(first))]
+    row, entry = np.divmod(np.unique(pairs), n)
+    if signature is not None:
+        keep = index._signatures[entry] == signature
+        row, entry = row[keep], entry[keep]
+    cos = np.einsum("ij,ij->i", q[row], index.vectors[entry])
+    keep = cos >= theta
+    row, entry, cos = row[keep], entry[keep], cos[keep]
+    order = np.lexsort((index._rank[entry], -cos, row))
+    row, entry, cos = row[order], entry[order], cos[order]
+    keep = np.arange(len(row)) - np.searchsorted(row, row) < max_results
+    return row[keep], entry[keep], cos[keep]
+
+
+def assert_same_hits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestSortedDedup:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 80),
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([None, 1, 3]),
+        st.sampled_from([None, 0, 1, 2]),
+        st.sampled_from([None, 1, 5, 64]),
+        st.sampled_from([-1.0, 0.0, 0.6]),
+    )
+    def test_search_matches_unique_oracle_bitwise(
+        self, n, dim, tables, hashes, mp, seed, tied, max_results, signature, chunk, theta
+    ):
+        rng = np.random.default_rng(seed)
+        if tied:  # few distinct integer vectors: shared buckets, tied cosines
+            vecs = rng.integers(-1, 2, (n + 12, dim)).astype(float)
+            vecs[~vecs.any(axis=1), 0] = 1.0
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        else:
+            vecs = random_units(n + 12, dim, rng)
+        # mixed signatures; ids drawn so that (id, signature) order is not entry order
+        ids = rng.permutation(n)
+        sigs = rng.integers(0, 3, n)
+        items = [(f"v{ids[i]:02d}", int(sigs[i]), vecs[i]) for i in range(n)]
+        params = LshParams(tables=tables, hashes_per_table=hashes, multiprobe=mp, seed=seed)
+        index = LshIndex.build(items, dim, params)
+        queries = vecs[n // 2 :]  # some indexed vectors, some not
+        for run in (
+            lambda: index.search(queries, theta, max_results, signature),
+            lambda: index.search_self(theta, max_results, signature),
+        ):
+            got = run()
+            with patch.object(LshIndex, "_rerank", unique_rerank):
+                want = run()
+            assert_same_hits(got, want)
+            if chunk is not None:  # rows re-ranked in several parts
+                with patch("sigblock.lsh._CHUNK_PAIRS", chunk):
+                    assert_same_hits(run(), want)
+                    with patch.object(LshIndex, "_rerank", unique_rerank):
+                        assert_same_hits(run(), want)
+
+    def test_empty_index(self, rng):
+        index = LshIndex.build([], 5)
+        queries = random_units(3, 5, rng)
+        got = index.search(queries, 0.0, 1)
+        with patch.object(LshIndex, "_rerank", unique_rerank):
+            assert_same_hits(got, index.search(queries, 0.0, 1))
+        assert all(len(a) == 0 for a in got + index.search_self(0.0))

@@ -1,12 +1,23 @@
 """Hashed n-gram embeddings and pretrained vector loading."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigblock.data_model import DatasetError
-from sigblock.text_embedding import EmbeddingTable, fnv1a64, load_pretrained, ngrams
+from sigblock.text_embedding import (
+    EmbeddingTable,
+    fnv1a64,
+    fnv1a64_many,
+    load_pretrained,
+    ngrams,
+)
+
+from conftest import token_vector
 
 
 def brute_force_ngrams(token: str, min_n: int, max_n: int) -> list[str]:
@@ -58,11 +69,11 @@ class TestHash:
 class TestEmbeddingTable:
     def test_zero_rows_give_zero_vector(self):
         table = EmbeddingTable(dim=4, bucket_count=8, rows=np.zeros((8, 4)))
-        assert np.array_equal(table.embed("anything"), np.zeros(4))
+        assert np.array_equal(token_vector(table, "anything"), np.zeros(4))
 
     def test_pure_function(self):
         table = EmbeddingTable(dim=8, bucket_count=64, seed=3)
-        np.testing.assert_array_equal(table.embed("jones"), table.embed("jones"))
+        np.testing.assert_array_equal(token_vector(table, "jones"), token_vector(table, "jones"))
 
     def test_order_independent_sum(self):
         table = EmbeddingTable(dim=8, bucket_count=64, seed=3)
@@ -76,7 +87,7 @@ class TestEmbeddingTable:
     def test_every_string_embeds_finite(self):
         table = EmbeddingTable(dim=8, bucket_count=64, seed=3)
         for token in ["", "zzxq", "misspeled", "ünïcode", "a" * 100]:
-            v = table.embed(token)
+            v = token_vector(table, token)
             assert v.shape == (8,) and np.isfinite(v).all()
 
     def test_neighbor_tokens_more_similar_in_expectation(self):
@@ -88,7 +99,7 @@ class TestEmbeddingTable:
             table = EmbeddingTable(dim=16, bucket_count=256, seed=seed)
 
             def cos(a, b):
-                va, vb = table.embed(a), table.embed(b)
+                va, vb = token_vector(table, a), token_vector(table, b)
                 return va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb))
 
             if cos("blowin", "blowing") > cos("blowin", "irresponsible"):
@@ -107,14 +118,14 @@ class TestPretrained:
         table = load_pretrained(f)
         assert table.dim == 4
         assert len(table.pretrained) == 2
-        np.testing.assert_allclose(table.embed("jones"), [0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_allclose(token_vector(table, "jones"), [0.1, 0.2, 0.3, 0.4])
         assert table.trainable is False
 
     def test_oov_falls_back_to_hashing(self, tmp_path):
         f = tmp_path / "vec.txt"
         f.write_text("jones 0.1 0.2 0.3 0.4\n", encoding="utf-8")
         table = load_pretrained(f)
-        v = table.embed("notinfile")
+        v = token_vector(table, "notinfile")
         assert v.shape == (4,) and np.isfinite(v).all()
 
     def test_empty_file_errors(self, tmp_path):
@@ -144,3 +155,54 @@ class TestPretrained:
         want = rf"^{re.escape(str(f))}: line 2: byte 10: not UTF-8"
         with pytest.raises(DatasetError, match=want):
             load_pretrained(f)
+
+
+# ASCII, the boundary markers, two- and three-byte UTF-8 and astral-plane
+# characters (four bytes, a surrogate pair in UTF-16)
+CHARS = st.one_of(
+    st.sampled_from(list("ab<>é中😀𝄞 ")),
+    st.characters(codec="utf-8"),
+)
+
+
+class TestBatchHash:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(CHARS, max_size=9), max_size=8),
+        st.integers(1, 6),
+        st.integers(0, 3),
+        st.one_of(st.just(0), st.integers(2**63, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    )
+    def test_batch_ids_equal_per_gram_fnv1a64(self, tokens, ngram_min, extra, seed):
+        ngram_range = (ngram_min, ngram_min + extra)
+        mask = 255
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = EmbeddingTable(2, 256, ngram_range, seed=seed, rows=np.zeros((256, 2)))
+            got = table.batch_bucket_ids(tokens)
+            single = EmbeddingTable(2, 256, ngram_range, seed=seed, rows=np.zeros((256, 2)))
+            one_by_one = [single.bucket_ids(t) for t in tokens]
+        assert len(got) == len(tokens)
+        for token, ids, alone in zip(tokens, got, one_by_one):
+            want = [fnv1a64(g, seed) & mask for g in ngrams(token, *ngram_range)]
+            assert ids.dtype == np.int64 and ids.tolist() == want
+            assert alone.dtype == np.int64 and alone.tolist() == want
+            assert table._bucket_cache[token] is table.bucket_ids(token)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(CHARS, max_size=12), max_size=10),
+        st.one_of(st.just(0), st.integers(2**63, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    )
+    def test_fnv1a64_many_equals_fnv1a64(self, data, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fnv1a64_many(data, seed)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [fnv1a64(s, seed) for s in data]
+
+    def test_known_values(self):
+        # FNV-1a 64 reference values: "" is the offset basis, "a" and "foobar"
+        # are published test vectors
+        got = fnv1a64_many(["", "a", "foobar"])
+        assert got.tolist() == [0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigblock import autodiff as ad
+from sigblock import training
 from sigblock.data_model import AttributeValue, Dataset, LabelSet, Record, Table
 from sigblock.text_embedding import EmbeddingTable
 from sigblock.training import (
@@ -366,6 +367,24 @@ class TestTrain:
         ds, labels = two_attr_dataset(seed=9, entities=3)
         with pytest.raises(ValueError, match="batch_size"):
             train(ds, labels, small_config(batch_size=100))
+
+    @pytest.mark.parametrize(
+        "settings_, message",
+        [
+            ({"primary_attribute": "nme"}, "primary_attribute: no attribute 'nme'"),
+            ({"rho_overrides": {"nme": 0.5}}, "rho_nme: no attribute 'nme'"),
+            ({"rho_overrides": {"info0": float("nan")}}, r"rho_info0 must lie in \[0, 1\], got nan"),
+        ],
+    )
+    def test_attribute_settings_checked_before_any_work(self, monkeypatch, settings_, message):
+        ds, labels = two_attr_dataset(seed=9)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("values prepared")
+
+        monkeypatch.setattr(training, "prepare_values", no_work)
+        with pytest.raises(ValueError, match=message):
+            train(ds, labels, small_config(**settings_))
 
 
 def gappy_dataset(seed=0):
