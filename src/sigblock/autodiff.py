@@ -1,14 +1,22 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A :class:`Tensor` wraps a float64 ndarray and records, for every derived
+A :class:`Tensor` wraps a float ndarray and records, for every derived
 value, the parent tensors and a closure that accumulates adjoints into
 them. Calling :func:`backward` on a scalar walks the recorded graph in
 reverse topological order, leaving ``grad`` arrays on every tensor that
 requires gradients. Only the operations needed by the training pipeline
 are implemented, as module functions (``add``, ``mul``, ``matmul``, ...)
 rather than operators; the one operator a :class:`Tensor` keeps is
-indexing by integers and slices (:func:`getitem`). All of them support
-float64 data exclusively.
+indexing by integers and slices (:func:`getitem`).
+
+Two precisions run through the same functions. A tensor that requires
+gradients holds float64, so training and its finite-difference
+gradient checks stay in double precision; a constant holds float32 when
+it is given float32 (:func:`float_array`), and an op over float32
+inputs computes and returns float32: scalar constants take the dtype of
+the array they meet, on every numpy version, and the step buffers of
+:func:`bilstm` and the sums of :func:`embedding_bag` follow their
+input. Inference therefore runs in float32 from float32 parameters.
 
 Graph recording is skipped entirely when no input requires gradients, so
 the same functions double as the inference path. Each call still costs
@@ -26,13 +34,24 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+def float_array(data) -> np.ndarray:
+    """``data`` as an ndarray: float32 stays float32, anything else
+    becomes float64. No copy is made when the dtype already fits."""
+    data = np.asarray(data)
+    return data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
+
+
 class Tensor:
-    """Node in the computation graph: a value plus adjoint bookkeeping."""
+    """Node in the computation graph: a value plus adjoint bookkeeping.
+
+    A tensor that requires gradients holds float64 (float32 data is
+    widened to a float64 copy); a constant keeps float32 data as it is.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64) if requires_grad else float_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -146,7 +165,14 @@ def div(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
+def _const(a: Tensor, c):
+    """The scalar ``c`` in ``a``'s dtype, so that a float64 scalar (a numpy
+    one promotes under NEP 50) never widens a float32 tensor."""
+    return a.data.dtype.type(c)
+
+
 def scale(a: Tensor, c: float) -> Tensor:
+    c = _const(a, c)
     data = a.data * c
 
     def backward(g):
@@ -155,8 +181,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    data = a.data + c
+def add_const(a: Tensor, c: float) -> Tensor:
+    data = a.data + _const(a, c)
 
     def backward(g):
         a.accumulate(g)
@@ -343,10 +369,11 @@ def _bag_sum(
     branch: there the summed axis would be the inner loop, which numpy
     sums pairwise. Otherwise the loop runs over id positions: the bags are
     sorted longest first, so the bags holding a k-th id form a prefix, and
-    step k adds those rows into that prefix.
+    step k adds those rows into that prefix. Both branches add in the
+    dtype of ``rows``.
     """
     if not len(indices):
-        return np.zeros((len(counts), rows.shape[1]))
+        return np.zeros((len(counts), rows.shape[1]), dtype=rows.dtype)
     longest = int(counts.max())
     if len(counts) < longest and rows.shape[1] > 1:
         k = np.arange(longest)
@@ -354,7 +381,7 @@ def _bag_sum(
         rows_in = rows[indices[np.where(past, 0, starts[:, None] + k)]]
         rows_in[past] = 0.0
         return rows_in.sum(axis=1) + 0.0
-    out = np.zeros((len(counts), rows.shape[1]))
+    out = np.zeros((len(counts), rows.shape[1]), dtype=rows.dtype)
     order = np.argsort(-counts, kind="stable")
     starts = starts[order]
     # live[k]: how many bags hold more than k ids
@@ -405,7 +432,8 @@ def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     Step k runs forward position k beside backward position L - 1 - k as
     stacked (2, n, .) @ (2, ., 4H) products. numpy makes the same BLAS
     call for each item of a stack as for that matrix alone, so each
-    direction gets the bits it would get on its own.
+    direction gets the bits it would get on its own. The step buffers
+    take the dtype of ``x``, so float32 inputs step in float32.
 
     One tape node stands for the whole sequence. It keeps the gates and
     cell states of every step only when an input requires gradients; its
@@ -418,8 +446,9 @@ def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
     track = x.requires_grad or wx.requires_grad or wh.requires_grad or b.requires_grad
     bias = b.data[:, None, :]
+    dtype = x.data.dtype  # every buffer computes in the input's precision
     # step k writes forward position k and backward position L - 1 - k
-    data = np.empty((length, n, 2 * hidden))
+    data = np.empty((length, n, 2 * hidden), dtype)
     if track:
         gates = np.empty((length, 2, n, 4 * hidden))  # i, f, g, o per step
         cells = np.zeros((length + 1, 2, n, hidden))  # cells[k] enters step k
@@ -427,13 +456,13 @@ def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     # step buffers, reused, and views of their gate blocks, made once: new
     # temporaries of both directions every step would add to the peak
     # memory of a large batch
-    xk = np.empty((n, 2, dim))
-    z = np.empty((2, n, 4 * hidden))  # pre-activations, then the gates
+    xk = np.empty((n, 2, dim), dtype)
+    z = np.empty((2, n, 4 * hidden), dtype)  # pre-activations, then the gates
     work = np.empty_like(z)
     i_gate, f_gate, g_gate, o_gate = (z[:, :, a : a + hidden] for a in (0, h1, h2, h3))
-    g = np.empty((2, n, hidden))
-    h = np.zeros((2, n, hidden))
-    c = np.zeros((2, n, hidden))
+    g = np.empty((2, n, hidden), dtype)
+    h = np.zeros((2, n, hidden), dtype)
+    c = np.zeros((2, n, hidden), dtype)
     for k in range(length):
         # mode="wrap" (the indices are in range) lets take write to xk unbuffered
         np.take(x.data, (k, length - 1 - k), axis=1, out=xk, mode="wrap")

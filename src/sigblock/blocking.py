@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .data_model import Dataset, DatasetError, Record, canonical_pair, read_text
 from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by name
-    embed_vocabulary,
+    INFERENCE_DTYPE,
     encode_sequences_tape,
-    encoder_tensors,
+    inference_tensors,
+    inference_vectors,
     prepare_sequence,
     prepare_values,
 )
@@ -64,16 +64,19 @@ def signature_matrix(
     form one vocabulary-level batch whose token vectors are summed once;
     each attribute's present values then run through the batched
     encoder without gradient recording, which encodes each distinct
-    value of the attribute once.
+    value of the attribute once. Encoding runs in float32 from the
+    parameters rounded as the model file stores them, the signature
+    weights included, so a model and its saved copy give the same bytes;
+    the weighted sum of the widened attribute embeddings is float64.
     """
     n = len(records)
     m = len(model.schema)
-    weights = model.weights.matrix
+    weights = model.weights.matrix.astype(INFERENCE_DTYPE).astype(np.float64)
     batch = prepare_values(
         model.table, [rec.attributes for rec in records], [e.max_tokens for e in model.encoders]
     )
     present = batch.lengths.reshape(n, m) > 0
-    vectors = embed_vocabulary(ad.Tensor(model.table.rows), batch)
+    vectors = inference_vectors(model.table, batch)
     attr_emb = np.zeros((n, m, model.table.dim))
     for j, enc in enumerate(model.encoders):
         rows = np.flatnonzero(present[:, j])
@@ -81,7 +84,7 @@ def signature_matrix(
             continue
         encoded = encode_sequences_tape(
             vectors,
-            encoder_tensors(enc, requires_grad=False),
+            inference_tensors(enc),
             enc.smoothing_rho,
             batch,
             rows * m + j,

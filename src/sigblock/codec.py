@@ -137,20 +137,22 @@ class Reader:
         """``count`` raw numbers of ``dtype``, read-only."""
         return np.frombuffer(self.take(np.dtype(dtype).itemsize * count, field), dtype=dtype)
 
-    def finite(self, values: np.ndarray, offsets, field: str) -> np.ndarray:
-        """f32 ``values``, row i read from byte ``offsets[i]`` as part of
-        ``field.format(i)``, as float64; a non-finite value fails."""
+    def finite(self, values: np.ndarray, offsets, field: str) -> None:
+        """Fail on the first non-finite value of the f32 ``values``, row i
+        read from byte ``offsets[i]`` as part of ``field.format(i)``."""
         bad = _first_non_finite(values)
         if bad is not None:
             i, j = divmod(bad, max(values.shape[-1], 1))
             raise self.fail(
                 f"non-finite value {values.flat[bad]}", field.format(i), int(offsets[i]) + 4 * j
             )
-        return values.astype(np.float64)
 
     def f32(self, shape: tuple[int, ...], field: str) -> np.ndarray:
+        """The next f32 values as a new float32 array of ``shape``; a
+        non-finite value fails."""
         values = self.array("<f4", math.prod(shape), field)
-        return self.finite(values.reshape(1, -1), [self.last], field).reshape(shape)
+        self.finite(values.reshape(1, -1), [self.last], field)
+        return values.astype(np.float32).reshape(shape)
 
     def records(
         self, n: int, width: int, text_field: str, row_field: str, floats: int | None = None

@@ -428,7 +428,7 @@ class LshIndex:
                 hashed = [a[lo : lo + _CHUNK_ROWS] for a in hashes]
             probes = self._probes(*hashed).ravel()
             per_row = len(probes) // len(q)
-            pos = np.searchsorted(self._keys, probes)
+            pos = self._locate(probes)
             pos[pos == len(self._keys)] = 0
             size = np.where(self._keys[pos] == probes, self._sizes[pos], 0)
             # re-rank rows in parts of about _CHUNK_PAIRS bucket entries
@@ -445,6 +445,15 @@ class LshIndex:
                 hits.append((row + lo + a, entry, cos))
         row, entry, cos = (np.concatenate(part) for part in zip(*hits))
         return row, entry, cos
+
+    def _locate(self, probes: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self._keys, probes)``, searched in key order,
+        where numpy starts each binary search from the previous answer,
+        and scattered back to probe order."""
+        order = np.argsort(probes)
+        pos = np.empty_like(order)
+        pos[order] = np.searchsorted(self._keys, probes[order])
+        return pos
 
     def _probes(self, best: np.ndarray, second: np.ndarray, gap: np.ndarray) -> np.ndarray:
         """Packed keys of the buckets each hashed query row probes.
@@ -573,7 +582,7 @@ class LshIndex:
             _key_shifts(dp, hashes, tables)
         except ValueError as exc:
             raise r.fail(str(exc), "header", 8) from None
-        rotations = r.f32((tables, hashes, dp, dp), "rotations")
+        rotations = r.f32((tables, hashes, dp, dp), "rotations").astype(np.float64)
         ids, rows, starts = r.records(
             n, 4 + 4 * dim, "entry {} id", "entry {} signature and vector", floats=4
         )

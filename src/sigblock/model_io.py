@@ -32,6 +32,14 @@ outside [0, 1], a repeated pretrained token, a config snapshot not in
 the form ``save_model`` writes) or trailing bytes raise ``ValueError``
 naming the path, the byte offset and the field. What loads re-saves to
 the same bytes.
+
+``load_model`` keeps the f32 values as float32 arrays: the table rows,
+the pretrained vectors and the encoder blocks, which inference uses as
+they are (``encoder.INFERENCE_DTYPE``). The smoothing rhos and the
+signature weights load as the float64 widening of their f32 values. A
+model built in the process holds float64 and is rounded to the same
+f32 values wherever inference reads it, so it encodes bitwise like its
+saved copy.
 """
 
 from __future__ import annotations
@@ -128,7 +136,7 @@ def load_model(path: str | Path) -> SignatureModel:
         ngram_range=(nmin, nmax),
         seed=seed,
         trainable=bool(trainable),
-        pretrained=dict(zip(tokens, vectors.view("<f4").astype(np.float64))),
+        pretrained=dict(zip(tokens, vectors.view("<f4").astype(np.float32))),
         rows=rows,
     )
     hidden, max_tokens, cell = r.unpack("<IIB", "encoder shape")

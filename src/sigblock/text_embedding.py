@@ -10,6 +10,12 @@ Optionally a table can carry pretrained word vectors loaded from a text
 file; mapped tokens return their pretrained vector unchanged while
 unseen tokens fall back to the hashed n-gram sum.
 
+A table built in the process holds float64 rows and pretrained vectors;
+one loaded from a model file keeps the float32 values the file stores,
+half the memory of a widened copy. Inference reads either at float32
+(``encoder.inference_vectors``); training widens a float32 table to
+float64 before it starts (:meth:`EmbeddingTable.widen`).
+
 The encoder reaches the table once per batch, with the batch's distinct
 tokens (``encoder.prepare_values``): :meth:`EmbeddingTable.batch_bucket_ids`
 hashes every token the table has not seen yet in one vectorised pass and
@@ -28,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .data_model import read_text
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -97,7 +104,11 @@ def ngrams(token: str, min_n: int, max_n: int) -> list[str]:
 
 
 class EmbeddingTable:
-    """Hashed n-gram bucket rows with an optional pretrained token map."""
+    """Hashed n-gram bucket rows with an optional pretrained token map.
+
+    Given ``rows`` stay float32 when they are float32 and become float64
+    otherwise.
+    """
 
     def __init__(
         self,
@@ -122,12 +133,18 @@ class EmbeddingTable:
         if rows is None:
             rng = np.random.Generator(np.random.PCG64(seed))
             rows = rng.uniform(-1.0 / dim, 1.0 / dim, size=(bucket_count, dim))
-        self.rows = np.asarray(rows, dtype=np.float64)
+        self.rows = ad.float_array(rows)
         if self.rows.shape != (bucket_count, dim):
             raise ValueError(
                 f"rows shape {self.rows.shape} != ({bucket_count}, {dim})"
             )
         self._bucket_cache: dict[str, np.ndarray] = {}
+
+    def widen(self) -> None:
+        """Make the rows and pretrained vectors float64, in place; a
+        float64 table is left as it is."""
+        self.rows = np.asarray(self.rows, dtype=np.float64)
+        self.pretrained = {t: np.asarray(v, dtype=np.float64) for t, v in self.pretrained.items()}
 
     def bucket_ids(self, token: str) -> np.ndarray:
         """Bucket index per n-gram of the token, a batch of one."""

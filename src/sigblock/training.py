@@ -238,6 +238,7 @@ class SignatureTrainer:
                 seed=int(s_table.generate_state(1)[0]),
                 trainable=True,
             )
+        table.widen()  # a table loaded from a model file trains in float64
         self.table = table
         enc_rng = np.random.Generator(np.random.PCG64(s_enc))
         self.encoders = [

@@ -91,6 +91,12 @@ def token_vector(table: EmbeddingTable, token: str) -> np.ndarray:
     return table.rows[table.bucket_ids(token)].sum(axis=0)
 
 
+# One unit in the last place of 1.0 in float32, the precision inference
+# computes in: the unit of every bound between float32 results that sum
+# or multiply in a different order, or between them and a float64 path.
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
 def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     """Max elementwise |a - b| / max(|a|, |b|, floor)."""
     a = np.asarray(a, dtype=np.float64)

@@ -18,13 +18,15 @@ from sigblock.encoder import (
     embed_vocabulary,
     encode_sequences_tape,
     encoder_tensors,
+    inference_tensors,
+    inference_vectors,
     prepare_sequence,
     prepare_values,
     token_attention,
 )
 from sigblock.text_embedding import EmbeddingTable
 
-from conftest import relative_error, token_vector
+from conftest import F32_EPS, relative_error, token_vector
 
 
 def make_encoder(dim=6, hidden=4, rho=1.0, seed=0):
@@ -33,8 +35,8 @@ def make_encoder(dim=6, hidden=4, rho=1.0, seed=0):
 
 
 def encode(enc, table, values):
-    """Embeddings (n, d) of one batch, and each value's attention weights
-    as :func:`token_attention` reads them."""
+    """Embeddings (n, d) of one batch in float64, and each value's
+    attention weights as :func:`token_attention` reads them, in float32."""
     batch = prepare_values(table, [(v,) for v in values], [enc.max_tokens])
     out = encode_sequences_tape(
         embed_vocabulary(ad.Tensor(table.rows), batch),
@@ -173,7 +175,7 @@ class TestAttentionWeights:
 
     def test_token_attention_reads_batched_weights(self):
         # the weights of the value's kept tokens, as the batched group
-        # routine computes them for a batch of one
+        # routine computes them for a batch of one at inference precision
         enc = make_encoder(rho=0.6, seed=2)
         enc.max_tokens = 3
         table = EmbeddingTable(dim=6, bucket_count=64, seed=0)
@@ -181,9 +183,9 @@ class TestAttentionWeights:
         pairs = token_attention(enc, table, value)
         assert [t for t, _ in pairs] == ["me", "and", "mrs."]
         batch = prepare_sequence(table, value, enc.max_tokens)
-        tensors = encoder_tensors(enc, False)
+        tensors = inference_tensors(enc)
         _, beta = _encode_group(
-            embed_vocabulary(ad.Tensor(table.rows), batch),
+            inference_vectors(table, batch),
             batch.tokens[None, :],
             tensors,
             ad.reshape(tensors["attn"], (-1, 1)),
@@ -191,7 +193,7 @@ class TestAttentionWeights:
         )
         assert [w for _, w in pairs] == beta.data[0].tolist()
         _, want = oracle(enc, token_vectors(table, value, 3))
-        np.testing.assert_allclose([w for _, w in pairs], want, atol=1e-12)
+        np.testing.assert_allclose([w for _, w in pairs], want, rtol=0, atol=16 * F32_EPS)
         assert token_attention(enc, table, AttributeValue(())) == []
 
 
@@ -281,7 +283,7 @@ class TestTapeConsistency:
             for k, v in enumerate(values):
                 want, want_beta = oracle(enc, token_vectors(table, v))
                 np.testing.assert_allclose(out[k], want, atol=1e-12)
-                np.testing.assert_allclose(weights[k], want_beta, atol=1e-12)
+                np.testing.assert_allclose(weights[k], want_beta, rtol=0, atol=16 * F32_EPS)
 
     @pytest.mark.parametrize("length", [8, 12])
     def test_long_values_match_per_position_scores_bitwise(self, length):

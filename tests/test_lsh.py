@@ -2,6 +2,7 @@
 
 import math
 import re
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -822,6 +823,20 @@ def unique_rerank(index, q, start, size, theta, max_results, signature):
     return row[keep], entry[keep], cos[keep]
 
 
+def plain_locate(index, probes):
+    """``LshIndex._locate`` as first written: the probes searched in
+    their own order."""
+    return np.searchsorted(index._keys, probes)
+
+
+@contextmanager
+def first_written_search():
+    """``search`` with the bucket join and the re-rank as first written."""
+    with patch.object(LshIndex, "_rerank", unique_rerank):
+        with patch.object(LshIndex, "_locate", plain_locate):
+            yield
+
+
 def assert_same_hits(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -865,19 +880,19 @@ class TestSortedDedup:
             lambda: index.search_self(theta, max_results, signature),
         ):
             got = run()
-            with patch.object(LshIndex, "_rerank", unique_rerank):
+            with first_written_search():
                 want = run()
             assert_same_hits(got, want)
             if chunk is not None:  # rows re-ranked in several parts
                 with patch("sigblock.lsh._CHUNK_PAIRS", chunk):
                     assert_same_hits(run(), want)
-                    with patch.object(LshIndex, "_rerank", unique_rerank):
+                    with first_written_search():
                         assert_same_hits(run(), want)
 
     def test_empty_index(self, rng):
         index = LshIndex.build([], 5)
         queries = random_units(3, 5, rng)
         got = index.search(queries, 0.0, 1)
-        with patch.object(LshIndex, "_rerank", unique_rerank):
+        with first_written_search():
             assert_same_hits(got, index.search(queries, 0.0, 1))
         assert all(len(a) == 0 for a in got + index.search_self(0.0))

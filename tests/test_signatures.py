@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from sigblock import autodiff as ad
 from sigblock.blocking import signature_matrix
 from sigblock.data_model import AttributeValue, Record
 from sigblock.encoder import (
     AttentionalEncoder,
-    embed_vocabulary,
     encode_sequences_tape,
-    encoder_tensors,
+    inference_tensors,
+    inference_vectors,
     prepare_sequence,
 )
 from sigblock.signatures import (
@@ -23,11 +22,12 @@ from sigblock.text_embedding import EmbeddingTable
 
 
 def attribute_embedding(model, j, value):
+    """One value's embedding at inference precision, as a batch of one."""
     enc = model.encoders[j]
     batch = prepare_sequence(model.table, value, enc.max_tokens)
     out = encode_sequences_tape(
-        embed_vocabulary(ad.Tensor(model.table.rows), batch),
-        encoder_tensors(enc, False),
+        inference_vectors(model.table, batch),
+        inference_tensors(enc),
         enc.smoothing_rho,
         batch,
         np.zeros(1, dtype=np.int64),

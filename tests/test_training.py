@@ -23,7 +23,7 @@ from sigblock.training import (
     train,
 )
 
-from conftest import duplicated_dataset, relative_error
+from conftest import F32_EPS, duplicated_dataset, relative_error
 
 
 class TestSelectionProbability:
@@ -257,7 +257,8 @@ class TestBatchLoss:
         ]
         id_negs = [[tr.records[u].record_id for u in us] for us in negs]
         public = minibatch_loss(model, id_pairs, id_negs, 0, ds, tau=cfg.temperature)
-        assert abs(float(loss.data) - public) < 1e-9
+        # the trainer's loss is float64, the public one encodes in float32
+        assert abs(float(loss.data) - public) <= 16 * F32_EPS * abs(public)
 
 
 class TestTrainingGradient:
