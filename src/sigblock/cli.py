@@ -144,18 +144,16 @@ def cmd_baseline(args) -> int:
             config.minhash_theta = args.theta
         theta = check_threshold("minhash.theta", config.minhash_theta)
         params = checked(config.minhash)
+    named = tuple(args.key_attributes.split(",")) if args.key_attributes else ()
+    if args.method == "key" and args.key_kind == "single" and len(named) > 1:
+        raise ConfigError(f"--key-kind single takes one attribute, got {','.join(named)}")
     dataset = config.load_dataset()
     t0 = time.perf_counter()
     if args.method == "key":
-        attributes = (
-            tuple(args.key_attributes.split(","))
-            if args.key_attributes
-            else tuple(dataset.schema)
-        )
-        kind = args.key_kind
-        if kind == "single" and len(attributes) > 1:
-            attributes = attributes[:1]
-        candidates = key_block(dataset, KeySpec(kind, attributes))
+        attributes = named or tuple(dataset.schema)
+        if args.key_kind == "single":
+            attributes = attributes[:1]  # default: the first schema attribute
+        candidates = key_block(dataset, KeySpec(args.key_kind, attributes))
     elif args.method == "minhash":
         attributes = config.minhash_attributes or tuple(dataset.schema)
         candidates = minhash_block(dataset, attributes, theta, params)

@@ -10,14 +10,15 @@ winner margin is smallest to its runner-up axis. Candidates are then
 re-ranked by exact cosine, so results are always a subset of a
 brute-force scan at the same threshold.
 
-An index keeps its tables as sorted arrays only: one stable argsort
-of every (entry, table) key, packed with its table number into an
-int64, gives the bucket keys, sizes and members (ascending per bucket);
-``LshIndex.tables`` derives the per-table dicts from them. Queries run
-in batches (``search``; ``query`` is a batch of one), hashed under all
-rotations in one matrix product, joined to the keys by binary search,
-then filtered by signature, deduplicated by sorting their (query, entry)
-codes and dropping repeats, re-ranked and cut with array operations.
+An index keeps each entry's bucket keys and its tables as sorted arrays
+derived from them: one stable argsort of every (entry, table) key,
+packed with its table number into an int64, gives the bucket keys,
+sizes and members (ascending per bucket); ``LshIndex.tables`` derives
+the per-table dicts from them. Queries run in batches (``search``;
+``query`` is a batch of one), hashed under all rotations in one matrix
+product, joined to the keys by binary search, then filtered by
+signature, deduplicated by sorting their (query, entry) codes and
+dropping repeats, re-ranked and cut with array operations.
 ``build`` keeps its hashes, so a self-join (``search_self``) needs no
 second pass.
 
@@ -27,25 +28,27 @@ which leaves cosines unchanged.
 Index file layout (all integers little-endian)::
 
     magic  6 bytes  b"XPLSH1"
-    u16    version (currently 1)
+    u16    version (currently 2)
     u32    dim, u32 dim_padded, u32 tables, u32 hashes_per_table
     u32    multiprobe, u64 seed, u32 n_entries, u32 max_results (0 = auto)
     f32 x  tables * hashes_per_table * dim_padded^2   rotation matrices,
            row-major, table-major
     per entry: u16 id-length, UTF-8 id bytes, u32 signature_id,
            dim x f32 unit vector
-    per table: u32 n_buckets, then per bucket: hashes_per_table x i32
-           key components, u32 count, count x u32 entry indices
+    i32 x  n_entries * tables * hashes_per_table   bucket keys as signed
+           axes +/-1..+/-dim_padded, row-major (entry, table, hash)
+
+The file stores each entry's keys, not the buckets: ``load`` builds the
+buckets from the keys as ``build`` does. Version-1 files, which listed
+the buckets, are refused; ``sigblock index`` rebuilds them.
 
 Files go through ``codec``: ``save`` checks every field before the
 path is opened, and ``load`` raises ``ValueError`` naming the path, the
 byte offset and the field for a file cut short or overlong, a
 non-finite float, a header the layout rules out, an entry ``build``
-refuses (a repeated (id, signature), a vector off unit norm), or tables
-other than the partition ``save`` writes (buckets by first entry,
-members ascending and below n_entries, keys distinct, components in
-+/-1..+/-dim_padded). ``save`` checks the vectors as ``load`` will read
-them, rounded to f32, so every file it writes loads.
+refuses (a repeated (id, signature), a vector off unit norm), or a key
+component outside +/-1..+/-dim_padded. ``save`` checks the vectors as
+``load`` will read them, rounded to f32, so every file it writes loads.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ UNIT_TOL = 1e-6
 _CHUNK_ROWS = 256
 _CHUNK_PAIRS = 1 << 13
 _MAGIC = b"XPLSH1"
-_VERSION = 1
+_VERSION = 2
 _HEADER = "dim dim_padded tables hashes_per_table multiprobe seed n_entries max_results"
 _HEADER_FORMATS = "IIIIIQII"
 
@@ -172,38 +175,6 @@ def _entry_fault(entries: list[tuple[str, int]], vectors: np.ndarray) -> tuple[i
     return None
 
 
-def _read_table(r: Reader, k: int, n: int, hashes: int, dp: int) -> np.ndarray:
-    """Table ``k`` of an index file as each entry's axis codes, (n, hashes).
-
-    Only the key components are checked here. Whether the buckets are
-    the partition ``save`` writes is left to the caller, which compares
-    the table with the index's own (members at or above ``n`` skipped).
-    """
-    (count,) = r.unpack("<I", f"table {k} bucket count")
-    words = r.array("<u4", count * (hashes + 1) + n, f"table {k} buckets")
-    listed, end, at, heads = words.tolist(), len(words), 0, []
-    for _ in range(count):
-        if at + hashes >= end:
-            break
-        heads.append(at)
-        at += hashes + 1 + listed[at + hashes]
-    if len(heads) < count or at != end:
-        where = r.last + 4 * min(at, end)
-        raise r.fail(f"bucket sizes do not add up to {n}", f"table {k} buckets", where)
-    heads = np.array(heads, dtype=np.int64)
-    signed = words[heads[:, None] + np.arange(hashes)].view("<i4").astype(np.int64)
-    bad = (signed == 0) | (np.abs(signed) > dp)
-    if bad.any():
-        b, j = divmod(int(bad.argmax()), hashes)
-        what = f"key component {signed[b, j]} outside +/-1..+/-{dp}"
-        raise r.fail(what, f"table {k} bucket {b} key", r.last + 4 * int(heads[b] + j))
-    members = np.delete(words, heads[:, None] + np.arange(hashes + 1)).astype(np.int64)
-    fill = np.repeat(2 * (np.abs(signed) - 1) + (signed < 0), words[heads + hashes], axis=0)
-    codes = np.zeros((n, hashes), dtype=np.int64)
-    codes[members[members < n]] = fill[members < n]
-    return codes
-
-
 @dataclass
 class LshParams:
     tables: int = 10  # K independent tables
@@ -297,6 +268,7 @@ class LshIndex:
         self.rotations = rotations  # (tables, hashes_per_table, dp, dp)
         self.entries = entries
         self.vectors = vectors  # (n, dim) unit rows
+        self._codes = codes  # what save writes
         self._hashes = hashes
         self._tables: list[dict[tuple[int, ...], list[int]]] | None = None
         self._shifts, self._table_shift = _key_shifts(
@@ -332,24 +304,18 @@ class LshIndex:
     @property
     def tables(self) -> list[dict[tuple[int, ...], list[int]]]:
         """Per table, signed-axis key -> ascending entry indices, buckets
-        in order of their first entry as the file lists them; built from
-        the arrays on first use."""
+        in order of their first entry; built from the arrays on first use."""
         if self._tables is None:
-            order, table, keys = self._file_buckets()
+            table = self._keys >> self._table_shift
+            order = np.lexsort((self._members[self._starts], table))
+            mask = (1 << self.dim_padded.bit_length()) - 1
+            keys = _signed((self._keys[order, None] >> self._shifts) & mask)
             members = self._members.tolist()
             bounds = zip(self._starts[order].tolist(), self._sizes[order].tolist())
             self._tables = [{} for _ in range(self.params.tables)]
-            for k, key, (a, size) in zip(table.tolist(), keys.tolist(), bounds):
+            for k, key, (a, size) in zip(table[order].tolist(), keys.tolist(), bounds):
                 self._tables[k][tuple(key)] = members[a : a + size]
         return self._tables
-
-    def _file_buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bucket numbers in file order (table by table, each table's
-        buckets by first entry), their tables and signed-axis keys."""
-        table = self._keys >> self._table_shift
-        order = np.lexsort((self._members[self._starts], table))
-        mask = (1 << self.dim_padded.bit_length()) - 1
-        return order, table[order], _signed((self._keys[order, None] >> self._shifts) & mask)
 
     @classmethod
     def build(
@@ -525,20 +491,6 @@ class LshIndex:
 
     # -- persistence ---------------------------------------------------
 
-    def _table_words(self) -> np.ndarray:
-        """The per-table part of the file as little-endian u32 words."""
-        order, table, keys = self._file_buckets()
-        n, sizes = len(self.entries), self._sizes[order]
-        first = np.repeat(self._starts[order] - (np.cumsum(sizes) - sizes), sizes)
-        members = self._members[first + np.arange(len(first))]  # file order
-        # each table's bucket count before its first member, each bucket's
-        # key and size before its members
-        at = np.arange(self.params.tables) * n
-        at = np.append(at, np.repeat(np.cumsum(sizes) - sizes, self.params.hashes_per_table + 1))
-        heads = np.column_stack([keys, sizes]).ravel()
-        counts = np.bincount(table, minlength=self.params.tables)
-        return np.insert(members, at, np.append(counts, heads)).astype("<u4")
-
     def save(self, path: str | Path) -> None:
         """Write the index file. A value that does not fit its field
         raises ``ValueError`` naming it, and no file is created."""
@@ -560,7 +512,7 @@ class LshIndex:
         if fault is not None:
             raise ValueError(f"{fault[1]} once stored as f32")
         w.records([rid for rid, _ in self.entries], rows, "entry id")
-        w.raw(self._table_words())
+        w.raw(_signed(self._codes).astype("<i4"))
         w.write(path)
 
     @classmethod
@@ -591,15 +543,14 @@ class LshIndex:
         fault = _entry_fault(entries, vectors)
         if fault is not None:
             raise r.fail(fault[1], f"entry {fault[0]}", starts[fault[0]])
-        section = r.pos
-        codes = np.stack([_read_table(r, k, n, hashes, dp) for k in range(tables)], axis=1)
+        keys = r.array("<i4", n * tables * hashes, "bucket keys").astype(np.int64)
+        axis = np.abs(keys)  # in int64, as abs(-2**31) stays negative in i32
+        bad = (axis == 0) | (axis > dp)
+        if bad.any():
+            at = int(bad.argmax())
+            e, k = divmod(at // hashes, tables)
+            what = f"key component {keys[at]} outside +/-1..+/-{dp}"
+            raise r.fail(what, f"entry {e} table {k} key", r.last + 4 * at)
         r.finish()
-        index = cls(dim, params, rotations, entries, vectors, codes)
-        # a valid file lists the buckets exactly as the index writes them
-        read, written = np.frombuffer(r.data[section:], dtype="<u4"), index._table_words()
-        if not np.array_equal(read, written):
-            common = min(len(read), len(written))
-            i = int(np.argmax(np.append(read[:common] != written[:common], True)))
-            rule = "buckets partition the entries, by first entry, members ascending, keys distinct"
-            raise r.fail(f"not a valid table ({rule})", "tables", section + 4 * i)
-        return index
+        codes = (2 * (axis - 1) + (keys < 0)).reshape(n, tables, hashes)
+        return cls(dim, params, rotations, entries, vectors, codes)

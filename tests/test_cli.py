@@ -306,6 +306,21 @@ def test_workers_zero_exits_2(workspace, tmp_path):
     assert not out.exists()
 
 
+def test_single_key_of_several_attributes_exits_2(workspace, tmp_path, capsys):
+    _, config = workspace
+    base = ["baseline", "--config", str(config), "--method", "key", "--key-kind", "single"]
+    out = tmp_path / "two.csv"
+    assert main([*base, "--key-attributes", "album,title", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --key-kind single takes one attribute, got album,title\n"
+    assert not out.exists()
+    # with no --key-attributes the key is the first schema attribute, title
+    default, title = tmp_path / "default.csv", tmp_path / "title.csv"
+    assert main([*base, "--out", str(default)]) == 0
+    assert main([*base, "--key-attributes", "title", "--out", str(title)]) == 0
+    assert default.read_bytes() == title.read_bytes()
+
+
 def test_missing_label_file_exits_2(workspace, tmp_path):
     root, config = workspace
     bad = tmp_path / "bad.ini"

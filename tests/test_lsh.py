@@ -358,115 +358,98 @@ class TestPersistence:
         path = tmp_path / "index.bin"
         index.save(path)
         raw = bytearray(path.read_bytes())
-        raw[6:8] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="version"):
-            LshIndex.load(path)
+        for version in (1, 99):  # 1: the layout that listed buckets
+            raw[6:8] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(raw))
+            want = f"{path}: unsupported index version {version} (want 2)"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                LshIndex.load(path)
+
+    def test_file_length_is_the_documented_layout(self, rng, tmp_path):
+        dim, tables, hashes = 5, 3, 2
+        vecs = random_units(7, dim, rng)
+        items = [(f"r\u00e9c-{i // 2}", i % 2, vecs[i]) for i in range(7)]
+        params = LshParams(tables=tables, hashes_per_table=hashes, seed=3)
+        index = LshIndex.build(items, dim, params)
+        path = tmp_path / "index.bin"
+        index.save(path)
+        dp = next_pow2(dim)
+        header = 6 + 2 + 4 * 5 + 8 + 4 + 4
+        rotations = 4 * tables * hashes * dp * dp
+        records = sum(2 + len(rid.encode("utf-8")) + 4 + 4 * dim for rid, _, _ in items)
+        keys = 4 * len(items) * tables * hashes
+        assert path.stat().st_size == header + rotations + records + keys
 
 
-def encode_tables(tables):
-    """The per-table part of an index file, laid out from each table's
-    (key, members) pairs in the order given."""
-    words = []
-    for buckets in tables:
-        words.append(len(buckets))
-        for key, members in buckets:
-            words += [*key, len(members), *members]
-    return np.array(words, dtype=np.int64).astype("<u4").tobytes()
-
-
-def bucket_lists(index):
-    return [[(key, list(members)) for key, members in t.items()] for t in index.tables]
+def tables_of(keys):
+    """Dict tables of signed-axis keys (n, tables, hashes), each bucket
+    added when its first entry is seen."""
+    tables = [{} for _ in range(keys.shape[1])]
+    for e, row in enumerate(keys.tolist()):
+        for k, key in enumerate(row):
+            tables[k].setdefault(tuple(key), []).append(e)
+    return tables
 
 
 class TestIndexFile:
-    """What ``LshIndex.load`` refuses, against tables written from dicts."""
+    """What ``LshIndex.load`` makes of the bucket keys a file stores."""
+
+    N, TABLES, HASHES = 12, 2, 2
 
     @pytest.fixture
     def saved(self, rng, tmp_path):
-        vecs = random_units(12, 2, rng)
-        params = LshParams(tables=2, hashes_per_table=1, seed=7)
+        vecs = random_units(self.N, 2, rng)
+        params = LshParams(tables=self.TABLES, hashes_per_table=self.HASHES, seed=7)
         index = LshIndex.build([(f"v{i:02d}", 0, v) for i, v in enumerate(vecs)], 2, params)
         path = tmp_path / "index.bin"
         index.save(path)
         data = path.read_bytes()
-        tail = encode_tables(bucket_lists(index))
-        assert data.endswith(tail)  # save writes what the dicts say, in their order
-        return index, path, data[: len(data) - len(tail)]
+        keys = _signed(ref_codes(index.tables, self.N, self.HASHES))
+        tail = keys.astype("<i4").tobytes()
+        assert data.endswith(tail)  # each entry's key as the dicts hold it
+        return path, data[: len(data) - len(tail)], keys
 
-    def corrupt(self, saved, edit):
-        index, path, head = saved
-        tables = bucket_lists(index)
-        tables[0] = edit(tables[0])
-        path.write_bytes(head + encode_tables(tables))
+    @pytest.mark.parametrize("component", [0, 3, -3, 2**31 - 1, -(2**31)])
+    def test_key_component_out_of_range(self, saved, component):
+        # dim_padded is 2: +/-3 are the nearest values out of range
+        path, head, keys = saved
+        keys[5, 1, 1] = component
+        path.write_bytes(head + keys.astype("<i4").tobytes())
         with pytest.raises(ValueError) as info:
             LshIndex.load(path)
-        message = str(info.value)
-        assert message.startswith(f"{path}: ") and "\n" not in message
-        return message
+        where = len(head) + 4 * ((5 * self.TABLES + 1) * self.HASHES + 1)
+        want = f"{path}: key component {component} outside +/-1..+/-2 at byte {where}"
+        assert str(info.value) == f"{want} while reading entry 5 table 1 key"
 
-    def test_bucket_order_must_be_first_entry_order(self, saved):
-        got = self.corrupt(saved, lambda t: t[::-1])
-        assert "not a valid table" in got and "while reading tables" in got
-
-    def test_members_must_ascend(self, saved):
-        def edit(t):
-            i = next(i for i, (_, members) in enumerate(t) if len(members) > 1)
-            t[i] = (t[i][0], t[i][1][::-1])
-            return t
-
-        assert "not a valid table" in self.corrupt(saved, edit)
-
-    @pytest.mark.parametrize("component", [0, 3, -3, 2**31 - 1])
-    def test_key_component_out_of_range(self, saved, component):
-        _, _, head = saved
-        got = self.corrupt(saved, lambda t: [((component,), t[0][1]), *t[1:]])
-        # the first key component sits right after table 0's bucket count
-        want = f"key component {component} outside +/-1..+/-2 at byte {len(head) + 4}"
-        assert got.endswith(f"{want} while reading table 0 bucket 0 key")
-
-    @pytest.mark.parametrize("member", [12, 13, 2**32 - 1])
-    def test_member_index_out_of_range(self, saved, member):
-        def edit(t):
-            t[0] = (t[0][0], t[0][1][:-1] + [member])
-            return t
-
-        assert "not a valid table" in self.corrupt(saved, edit)
-
-    def test_entry_in_two_buckets(self, saved):
-        def edit(t):
-            t[1] = (t[1][0], sorted(t[1][1][:-1] + [t[0][1][0]]))
-            return t
-
-        assert "not a valid table" in self.corrupt(saved, edit)
-
-    def test_keys_must_be_distinct(self, saved):
-        def edit(t):
-            t[1] = (t[0][0], t[1][1])
-            return t
-
-        assert "not a valid table" in self.corrupt(saved, edit)
-
-    def test_empty_bucket(self, saved):
-        assert "not a valid table" in self.corrupt(saved, lambda t: [*t, ((-2,), [])])
-
-    def test_sizes_must_add_up(self, saved):
-        index, path, head = saved
-        words = np.frombuffer(encode_tables(bucket_lists(index)), "<u4").copy()
-        last = list(index.tables[1].values())[-1]
-        words[-len(last) - 1] += 1  # the size of the last bucket
-        path.write_bytes(head + words.tobytes())
-        end = len(head) + 4 * len(words)
-        want = f"bucket sizes do not add up to 12 at byte {end} while reading table 1 buckets"
-        with pytest.raises(ValueError, match=want):
-            LshIndex.load(path)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_in_range_keys_load_as_their_partition(self, saved, seed):
+        # buckets by first entry, members ascending, every entry in one
+        # bucket per table, keys distinct, no empty bucket: by construction
+        path, head, _ = saved
+        rng = np.random.default_rng(seed)
+        keys = rng.choice([-2, -1, 1, 2], (self.N, self.TABLES, self.HASHES))
+        if seed == 0:
+            keys[:] = keys[0]  # one bucket per table
+        data = head + keys.astype("<i4").tobytes()
+        path.write_bytes(data)
+        loaded = LshIndex.load(path)
+        assert [list(t.items()) for t in loaded.tables] == [
+            list(t.items()) for t in tables_of(keys)
+        ]
+        again = path.with_suffix(".again")
+        loaded.save(again)
+        assert again.read_bytes() == data
 
     def test_truncation_and_trailing_bytes_name_offset_and_field(self, saved):
-        index, path, head = saved
-        data = head + encode_tables(bucket_lists(index))
+        path, head, _ = saved
+        data = path.read_bytes()
+        size = 4 * self.N * self.TABLES * self.HASHES
         cases = {
             10: "truncated (4 bytes needed, 2 left) at byte 8 while reading dim",
-            len(data) - 1: "truncated (",
+            len(data) - 1: (
+                f"truncated ({size} bytes needed, {size - 1} left) at byte {len(head)}"
+                " while reading bucket keys"
+            ),
         }
         for cut, want in cases.items():
             path.write_bytes(data[:cut])
@@ -477,7 +460,7 @@ class TestIndexFile:
             LshIndex.load(path)
 
     def test_header_the_layout_rules_out(self, saved):
-        _, path, head = saved
+        path, _, _ = saved
         data = path.read_bytes()
         for at, value in ((12, 4), (16, 0), (20, 0), (20, 40)):  # dim_padded, tables, hashes
             bad = bytearray(data)
