@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .data_model import Dataset, DatasetError, Record, canonical_pair, read_text
 from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by name
-    INFERENCE_DTYPE,
+    embed_vocabulary,
     encode_sequences_tape,
-    inference_tensors,
-    inference_vectors,
+    encoder_tensors,
     prepare_sequence,
     prepare_values,
 )
@@ -64,19 +64,18 @@ def signature_matrix(
     form one vocabulary-level batch whose token vectors are summed once;
     each attribute's present values then run through the batched
     encoder without gradient recording, which encodes each distinct
-    value of the attribute once. Encoding runs in float32 from the
-    parameters rounded as the model file stores them, the signature
-    weights included, so a model and its saved copy give the same bytes;
-    the weighted sum of the widened attribute embeddings is float64.
+    value of the attribute once. Encoding runs in float32, the dtype of
+    the model's parameters; the weighted sum of the widened attribute
+    embeddings is float64.
     """
     n = len(records)
     m = len(model.schema)
-    weights = model.weights.matrix.astype(INFERENCE_DTYPE).astype(np.float64)
+    weights = model.weights.matrix
     batch = prepare_values(
         model.table, [rec.attributes for rec in records], [e.max_tokens for e in model.encoders]
     )
     present = batch.lengths.reshape(n, m) > 0
-    vectors = inference_vectors(model.table, batch)
+    vectors = embed_vocabulary(ad.Tensor(model.table.rows), batch)
     attr_emb = np.zeros((n, m, model.table.dim))
     for j, enc in enumerate(model.encoders):
         rows = np.flatnonzero(present[:, j])
@@ -84,7 +83,7 @@ def signature_matrix(
             continue
         encoded = encode_sequences_tape(
             vectors,
-            inference_tensors(enc),
+            encoder_tensors(enc, requires_grad=False),
             enc.smoothing_rho,
             batch,
             rows * m + j,

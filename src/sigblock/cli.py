@@ -138,22 +138,31 @@ def cmd_block(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    # the flags only the other method reads
+    foreign = {
+        "key": {"--theta": args.theta},
+        "minhash": {"--key-kind": args.key_kind, "--key-attributes": args.key_attributes},
+    }
+    for flag, value in foreign[args.method].items():
+        if value is not None:
+            raise ConfigError(f"{flag} does not apply to --method {args.method}")
     config = _config(args)
+    kind = args.key_kind or "disjunction"
     if args.method == "minhash":
         if args.theta is not None:
             config.minhash_theta = args.theta
         theta = check_threshold("minhash.theta", config.minhash_theta)
         params = checked(config.minhash)
     named = tuple(args.key_attributes.split(",")) if args.key_attributes else ()
-    if args.method == "key" and args.key_kind == "single" and len(named) > 1:
+    if args.method == "key" and kind == "single" and len(named) > 1:
         raise ConfigError(f"--key-kind single takes one attribute, got {','.join(named)}")
     dataset = config.load_dataset()
     t0 = time.perf_counter()
     if args.method == "key":
         attributes = named or tuple(dataset.schema)
-        if args.key_kind == "single":
+        if kind == "single":
             attributes = attributes[:1]  # default: the first schema attribute
-        candidates = key_block(dataset, KeySpec(args.key_kind, attributes))
+        candidates = key_block(dataset, KeySpec(kind, attributes))
     elif args.method == "minhash":
         attributes = config.minhash_attributes or tuple(dataset.schema)
         candidates = minhash_block(dataset, attributes, theta, params)
@@ -186,10 +195,17 @@ def cmd_index(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     config = _config(args)
     dataset = config.load_dataset()
     model = _load_model_for(args.model)
     model.validate_schema(dataset)
+    if args.attribute is not None and args.attribute not in model.schema:
+        raise ConfigError(
+            f"--attribute {args.attribute!r} names no attribute of the schema"
+            f" ({', '.join(model.schema)})"
+        )
     records = list(dataset.all_records())
     if args.record_id is not None:
         records = [r for r in records if r.record_id == args.record_id]
@@ -202,7 +218,7 @@ def cmd_inspect(args) -> int:
         writer.writerow(["record_id", "attribute", "token", "weight"])
         for rec in records:
             for j, name in enumerate(model.schema):
-                if args.attribute and name != args.attribute:
+                if args.attribute is not None and name != args.attribute:
                     continue
                 pairs = token_attention(model.encoders[j], model.table, rec.attributes[j])
                 for token, weight in pairs:
@@ -301,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--key-kind",
         choices=["single", "conjunction", "disjunction"],
-        default="disjunction",
+        help="key kind of --method key (default: disjunction)",
     )
     p.add_argument("--key-attributes", help="comma-separated attribute names")
     p.add_argument("--theta", type=float, help="override minhash.theta")

@@ -30,19 +30,14 @@ gradients through it; blocking, single-record signatures and
 run the same routines on tensors that do not require gradients, so they
 record nothing.
 
-Training computes in float64. Inference computes in float32
-(:data:`INFERENCE_DTYPE`) from every parameter rounded to float32 as
-``model_io.save_model`` stores it: :func:`inference_tensors` and
-:func:`inference_vectors` give float32 tensors, and the smoothing rho
-is rounded to the precision of the token vectors. An encoder or table
-loaded from a model file already holds float32 arrays, which inference
-uses as they are; one built in the process holds float64 and is
-rounded on the way in, so the two encode bitwise alike.
+Every routine computes in the dtype of the arrays it is given: float64
+in training, float32 for the encoders and table of a
+``signatures.SignatureModel``, which holds the f32 values of its file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,7 +59,6 @@ BLOCKS = (
     ("attn", "attn", ...),
 )
 FIELDS = tuple(dict.fromkeys(field for _, field, _ in BLOCKS))  # wx, wh, b, attn
-INFERENCE_DTYPE = np.float32  # the precision of the model file's parameters
 
 
 def block_shapes(dim: int, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -82,7 +76,7 @@ class AttentionalEncoder:
     ``wx`` (2, d, 4H), ``wh`` (2, H, 4H) and ``b`` (2, 4H) hold the
     LSTM weights of the forward direction, then the backward one;
     ``attn`` (2H,) is the attention vector. ``dim`` and ``hidden`` are
-    read off these shapes. A field given as float32 (a loaded model)
+    read off these shapes. A field given as float32, as a model's are,
     stays float32; any other becomes float64.
     """
 
@@ -268,23 +262,13 @@ def encoder_tensors(encoder: AttentionalEncoder, requires_grad: bool) -> dict[st
     """The encoder's fields ``wx``, ``wh``, ``b`` and ``attn`` as new
     tensors sharing their memory, so an in-place optimizer step on a
     tensor is a step on the encoder. A tensor that requires gradients
-    holds float64, so a float32 (loaded) encoder raises ``ValueError``
-    then: the step would update a widened copy."""
+    holds float64, so a float32 encoder, such as a model's, raises
+    ``ValueError`` then: the step would update a widened copy."""
     if requires_grad:
         narrow = [name for name in FIELDS if getattr(encoder, name).dtype != np.float64]
         if narrow:
             raise ValueError(f"cannot train an encoder whose {', '.join(narrow)} are not float64")
     return {name: ad.Tensor(getattr(encoder, name), requires_grad) for name in FIELDS}
-
-
-def inference_tensors(encoder: AttentionalEncoder) -> dict[str, ad.Tensor]:
-    """:func:`encoder_tensors` at :data:`INFERENCE_DTYPE`, with no
-    gradients: a loaded encoder's own float32 arrays, or float32 copies
-    of a float64 encoder's, rounded as the model file stores them."""
-    return {
-        name: ad.Tensor(getattr(encoder, name).astype(INFERENCE_DTYPE, copy=False))
-        for name in FIELDS
-    }
 
 
 def embed_vocabulary(emb: ad.Tensor, batch: PreparedBatch) -> ad.Tensor:
@@ -299,21 +283,6 @@ def embed_vocabulary(emb: ad.Tensor, batch: PreparedBatch) -> ad.Tensor:
     if batch.const is not None:
         vectors = ad.add(vectors, batch.const.astype(vectors.data.dtype, copy=False))
     return vectors
-
-
-def inference_vectors(table: EmbeddingTable, batch: PreparedBatch) -> ad.Tensor:
-    """:func:`embed_vocabulary` at :data:`INFERENCE_DTYPE`, with no gradients.
-
-    A loaded table's float32 rows are used as they are. Of a float64
-    table only the rows the batch names are rounded, as a compact table
-    the batch's ids are renumbered into; every bag sums the same values
-    in the same order either way.
-    """
-    rows = table.rows
-    if rows.dtype != INFERENCE_DTYPE:
-        used, ids = np.unique(batch.ids, return_inverse=True)
-        rows, batch = rows[used].astype(INFERENCE_DTYPE), replace(batch, ids=ids)
-    return embed_vocabulary(ad.Tensor(rows), batch)
 
 
 def encode_sequences_tape(
@@ -379,9 +348,7 @@ def _encode_group(
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """Encode n sequences of one length L, ``tokens`` (n, L) holding their
     rows of ``vectors``: the (n, d) embeddings and the (n, L) smoothed
-    attention weights. ``attn_col`` is ``enc["attn"]`` as a column;
-    ``rho`` is rounded to the precision of ``vectors``."""
-    rho = float(vectors.data.dtype.type(rho))
+    attention weights. ``attn_col`` is ``enc["attn"]`` as a column."""
     n, length = tokens.shape
     v3 = ad.reshape(ad.take_rows(vectors, tokens.reshape(-1)), (n, length, vectors.data.shape[1]))
     states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])  # (length, n, 2H)
@@ -403,9 +370,9 @@ def token_attention(
     batch = prepare_sequence(table, value, encoder.max_tokens)
     if batch is None:
         return []
-    enc = inference_tensors(encoder)
+    enc = encoder_tensors(encoder, requires_grad=False)
     _, beta = _encode_group(
-        inference_vectors(table, batch),
+        embed_vocabulary(ad.Tensor(table.rows), batch),
         batch.tokens[None, :],
         enc,
         ad.reshape(enc["attn"], (-1, 1)),

@@ -33,13 +33,10 @@ the form ``save_model`` writes) or trailing bytes raise ``ValueError``
 naming the path, the byte offset and the field. What loads re-saves to
 the same bytes.
 
-``load_model`` keeps the f32 values as float32 arrays: the table rows,
-the pretrained vectors and the encoder blocks, which inference uses as
-they are (``encoder.INFERENCE_DTYPE``). The smoothing rhos and the
-signature weights load as the float64 widening of their f32 values. A
-model built in the process holds float64 and is rounded to the same
-f32 values wherever inference reads it, so it encodes bitwise like its
-saved copy.
+``load_model`` keeps the table rows, the pretrained vectors and the
+encoder blocks as float32 arrays, the smoothing rhos and the signature
+weights as the float64 widening of their f32 values: the values any
+``SignatureModel`` holds.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ zero.
 A :class:`SignatureModel` is the token table, one attribute encoder per
 schema attribute, whose embeddings :func:`encoder.encode_sequences_tape`
 returns as (values, d) rows, and the (S, m) signature weight matrix.
+Building one rounds every parameter to the f32 value the model file
+stores, so inference reads a model as it is and a model encodes
+bitwise like its saved copy; float64 parameters exist only inside
+training.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import to_f32
 from .data_model import Dataset, Record
-from .encoder import AttentionalEncoder
+from .encoder import FIELDS, AttentionalEncoder
 from .text_embedding import EmbeddingTable
 
 SUPPORT_EPS = 1e-3
@@ -70,13 +75,32 @@ def cosine(f: np.ndarray | None, g: np.ndarray | None) -> float:
 class SignatureModel:
     """Everything needed to map records to signature vectors: the token
     table, one encoder per attribute of ``schema`` and the signature
-    weights."""
+    weights.
+
+    Construction rounds, in place, the table rows, the pretrained
+    vectors and every encoder field to float32 arrays, each smoothing
+    rho to its f32 value and the signature weights to the float64
+    widening of theirs; a value that is no finite f32 raises
+    ``ValueError`` naming its field. Float32 arrays are kept, not copied.
+    """
 
     schema: tuple[str, ...]
     table: EmbeddingTable
     encoders: list[AttentionalEncoder]
     weights: SignatureWeights
     config_snapshot: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        table = self.table
+        table.rows = to_f32(table.rows, "embedding rows")
+        table.pretrained = {
+            t: to_f32(v, f"pretrained vector {t!r}") for t, v in table.pretrained.items()
+        }
+        for a, enc in enumerate(self.encoders):
+            for name in FIELDS:
+                setattr(enc, name, to_f32(getattr(enc, name), f"encoder {a} {name}"))
+            enc.smoothing_rho = to_f32(enc.smoothing_rho, f"encoder {a} rho").item()
+        self.weights.matrix = to_f32(self.weights.matrix, "signature weights").astype(np.float64)
 
     @property
     def num_signatures(self) -> int:

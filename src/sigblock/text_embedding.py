@@ -10,11 +10,8 @@ Optionally a table can carry pretrained word vectors loaded from a text
 file; mapped tokens return their pretrained vector unchanged while
 unseen tokens fall back to the hashed n-gram sum.
 
-A table built in the process holds float64 rows and pretrained vectors;
-one loaded from a model file keeps the float32 values the file stores,
-half the memory of a widened copy. Inference reads either at float32
-(``encoder.inference_vectors``); training widens a float32 table to
-float64 before it starts (:meth:`EmbeddingTable.widen`).
+A new table holds float64 rows and pretrained vectors; the table of a
+``signatures.SignatureModel`` holds their f32 values as float32.
 
 The encoder reaches the table once per batch, with the batch's distinct
 tokens (``encoder.prepare_values``): :meth:`EmbeddingTable.batch_bucket_ids`
@@ -139,16 +136,6 @@ class EmbeddingTable:
                 f"rows shape {self.rows.shape} != ({bucket_count}, {dim})"
             )
         self._bucket_cache: dict[str, np.ndarray] = {}
-
-    def widen(self) -> None:
-        """Make the rows and pretrained vectors float64, in place; a
-        float64 table is left as it is."""
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        self.pretrained = {t: np.asarray(v, dtype=np.float64) for t, v in self.pretrained.items()}
-
-    def bucket_ids(self, token: str) -> np.ndarray:
-        """Bucket index per n-gram of the token, a batch of one."""
-        return self.batch_bucket_ids([token])[0]
 
     def batch_bucket_ids(self, tokens: list[str]) -> list[np.ndarray]:
         """Bucket index per n-gram of each token, in ``ngrams`` order.

@@ -238,7 +238,6 @@ class SignatureTrainer:
                 seed=int(s_table.generate_state(1)[0]),
                 trainable=True,
             )
-        table.widen()  # a table loaded from a model file trains in float64
         self.table = table
         enc_rng = np.random.Generator(np.random.PCG64(s_enc))
         self.encoders = [
@@ -257,7 +256,8 @@ class SignatureTrainer:
         # every value of every record at vocabulary level, its bucket ids
         # renumbered to positions in `reachable`, the sorted table rows
         # some value names: the trainer optimises those rows as the
-        # compact `emb_t`, since no other row can ever get a gradient
+        # compact float64 `emb_t`, since no other row can ever get a
+        # gradient, and writes them back to the table when it is done
         batch = prepare_values(
             table, [r.attributes for r in self.records], [e.max_tokens for e in self.encoders]
         )
@@ -265,7 +265,8 @@ class SignatureTrainer:
         self.prepared_values = replace(batch, ids=local)
         self.presence = batch.lengths.reshape(self.n, self.m) > 0
         self.emb_t = ad.Tensor(
-            self.table.rows[self.reachable], requires_grad=self.table.trainable
+            table.rows[self.reachable].astype(np.float64, copy=False),
+            requires_grad=table.trainable,
         )
         self.enc_t = [encoder_tensors(e, requires_grad=True) for e in self.encoders]
 

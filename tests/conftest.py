@@ -82,13 +82,18 @@ def duplicated_dataset(
     return Dataset(schema, (Table(records),)), LabelSet(frozenset(pairs))
 
 
+def bucket_ids(table: EmbeddingTable, token: str) -> np.ndarray:
+    """Bucket index per n-gram of one token, a batch of one."""
+    return table.batch_bucket_ids([token])[0]
+
+
 def token_vector(table: EmbeddingTable, token: str) -> np.ndarray:
     """A token's d-vector, the reference for the encoder's vocabulary sum:
     its pretrained vector if mapped, else the sum of its n-gram rows."""
     vec = table.pretrained.get(token)
     if vec is not None:
         return vec
-    return table.rows[table.bucket_ids(token)].sum(axis=0)
+    return table.rows[bucket_ids(table, token)].sum(axis=0)
 
 
 # One unit in the last place of 1.0 in float32, the precision inference

@@ -37,7 +37,7 @@ from sigblock.signatures import SignatureModel, SignatureWeights
 from sigblock.text_embedding import EmbeddingTable
 from sigblock.training import TrainingConfig, train
 
-from conftest import F32_EPS, duplicated_dataset
+from conftest import F32_EPS, bucket_ids, duplicated_dataset
 
 
 def record(rid, *texts):
@@ -512,7 +512,7 @@ def oracle_signature_matrix(model, records, dtype=np.float32):
                 if t in model.table.pretrained:
                     vec = vec + model.table.pretrained[t].astype(dtype)
                 else:
-                    for row in model.table.bucket_ids(t):
+                    for row in bucket_ids(model.table, t):
                         vec = vec + rows[row]
                 vectors.append(vec)
             # one value whose vocabulary is its token occurrences

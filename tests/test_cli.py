@@ -321,6 +321,33 @@ def test_single_key_of_several_attributes_exits_2(workspace, tmp_path, capsys):
     assert default.read_bytes() == title.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["baseline", "--method", "minhash", "--key-attributes", "album,foo"], "--key-attributes"),
+        (["baseline", "--method", "minhash", "--key-kind", "disjunction"], "--key-kind"),
+        (["baseline", "--method", "key", "--theta", "0.5"], "--theta"),
+        (["inspect", "--attribute", "nosuch"], "--attribute"),
+        (["inspect", "--attribute", ""], "--attribute"),
+        (["inspect", "--limit", "-5"], "--limit"),
+        (["inspect", "--limit", "0"], "--limit"),
+    ],
+    ids=[
+        "minhash-key-attributes", "minhash-key-kind", "key-theta",
+        "unknown-attribute", "empty-attribute", "negative-limit", "zero-limit",
+    ],
+)
+def test_flag_that_names_nothing_exits_2(workspace, trained, tmp_path, capsys, command, flag):
+    _, config = workspace
+    if command[0] == "inspect":
+        command = [*command, "--model", str(trained)]
+    out = tmp_path / "out.csv"
+    assert main([*command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_label_file_exits_2(workspace, tmp_path):
     root, config = workspace
     bad = tmp_path / "bad.ini"

@@ -14,16 +14,21 @@ from sigblock.signatures import SignatureModel, SignatureWeights
 from sigblock.text_embedding import EmbeddingTable
 
 
-def tiny_model(schema=("title", "artist"), token="dylan"):
+def tiny_parts(schema=("title", "artist"), token="dylan"):
+    """The fields of :func:`tiny_model`, before the model rounds them."""
     rng = np.random.default_rng(0)
     table = EmbeddingTable(dim=2, bucket_count=4, seed=1, pretrained={token: np.array([0.5, -1.0])})
-    return SignatureModel(
+    return dict(
         schema=schema,
         table=table,
         encoders=[AttentionalEncoder.initialize(2, 1, 0.5, rng) for _ in schema],
         weights=SignatureWeights(np.eye(len(schema))),
         config_snapshot={"note": "tiny", "theta": 0.8},
     )
+
+
+def tiny_model(schema=("title", "artist"), token="dylan"):
+    return SignatureModel(**tiny_parts(schema, token))
 
 
 def tiny_index(ids=("a", "b", "é", "d", "a")):
@@ -151,7 +156,27 @@ def test_model_save_rejects_long_text_and_leaves_no_file(tmp_path, schema, token
     assert not path.exists()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
+@pytest.mark.parametrize(
+    "field",
+    ["embedding rows", "pretrained vector 'dylan'", "encoder 1 wh", "signature weights"],
+    ids=["rows", "pretrained", "encoder", "weights"],
+)
+def test_model_build_refuses_value_over_f32_range(field):
+    parts = tiny_parts()
+    table, encoders, weights = parts["table"], parts["encoders"], parts["weights"]
+    target = {
+        "embedding rows": table.rows,
+        "pretrained vector 'dylan'": table.pretrained["dylan"],
+        "encoder 1 wh": encoders[1].wh,
+        "signature weights": weights.matrix,
+    }[field]
+    target.flat[1] = 1e39
+    want = rf"^{re.escape(field)}: value 1e\+39 at flat index 1 is not a finite f32$"
+    with pytest.raises(ValueError, match=want):
+        SignatureModel(**parts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_model_save_rejects_non_finite_f32_and_leaves_no_file(tmp_path, bad):
     model = tiny_model()
     model.encoders[1].wh[1, 0, 2] = bad

@@ -18,15 +18,13 @@ from sigblock.encoder import (
     embed_vocabulary,
     encode_sequences_tape,
     encoder_tensors,
-    inference_tensors,
-    inference_vectors,
     prepare_sequence,
     prepare_values,
     token_attention,
 )
 from sigblock.text_embedding import EmbeddingTable
 
-from conftest import F32_EPS, relative_error, token_vector
+from conftest import F32_EPS, bucket_ids, relative_error, token_vector
 
 
 def make_encoder(dim=6, hidden=4, rho=1.0, seed=0):
@@ -36,7 +34,7 @@ def make_encoder(dim=6, hidden=4, rho=1.0, seed=0):
 
 def encode(enc, table, values):
     """Embeddings (n, d) of one batch in float64, and each value's
-    attention weights as :func:`token_attention` reads them, in float32."""
+    attention weights as :func:`token_attention` reads them."""
     batch = prepare_values(table, [(v,) for v in values], [enc.max_tokens])
     out = encode_sequences_tape(
         embed_vocabulary(ad.Tensor(table.rows), batch),
@@ -175,7 +173,7 @@ class TestAttentionWeights:
 
     def test_token_attention_reads_batched_weights(self):
         # the weights of the value's kept tokens, as the batched group
-        # routine computes them for a batch of one at inference precision
+        # routine computes them for a batch of one
         enc = make_encoder(rho=0.6, seed=2)
         enc.max_tokens = 3
         table = EmbeddingTable(dim=6, bucket_count=64, seed=0)
@@ -183,9 +181,9 @@ class TestAttentionWeights:
         pairs = token_attention(enc, table, value)
         assert [t for t, _ in pairs] == ["me", "and", "mrs."]
         batch = prepare_sequence(table, value, enc.max_tokens)
-        tensors = inference_tensors(enc)
+        tensors = encoder_tensors(enc, False)
         _, beta = _encode_group(
-            inference_vectors(table, batch),
+            embed_vocabulary(ad.Tensor(table.rows), batch),
             batch.tokens[None, :],
             tensors,
             ad.reshape(tensors["attn"], (-1, 1)),
@@ -257,7 +255,7 @@ class TestEncodeAttribute:
             dim=6, bucket_count=32, seed=0, rows=table.rows[inv]
         )
 
-        ids = {t: perm[table.bucket_ids(t)] for t in value.tokens}
+        ids = {t: perm[bucket_ids(table, t)] for t in value.tokens}
         permuted._bucket_cache.update({t: np.asarray(v) for t, v in ids.items()})
         got = embed(enc, permuted, value)
         np.testing.assert_allclose(got, base, atol=1e-12)

@@ -89,12 +89,12 @@ def hand_model(dataset, rho=0.9, seed=4, dim=32, hidden=16, trainable=True):
     return SignatureModel(tuple(dataset.schema), table, encoders, SignatureWeights(weights))
 
 
-def trained_model(dataset, labels):
+def trained_model(dataset, labels, table=None):
     cfg = TrainingConfig(
         iterations=4, batch_size=16, negatives=5, embedding_dim=24, hidden_size=12,
         bucket_count=2**10, seed=3, log_every=1000,
     )
-    return train(dataset, labels, cfg)
+    return train(dataset, labels, cfg, table)
 
 
 def saved_copy(model, path):
@@ -110,7 +110,7 @@ class TestSavedCopy:
         dataset, labels = corpus()
         model = trained_model(dataset, labels) if kind == "trained" else hand_model(dataset)
         loaded = saved_copy(model, tmp_path / "model.bin")
-        assert loaded.table.rows.dtype == np.float32 and model.table.rows.dtype == np.float64
+        assert loaded.table.rows.dtype == np.float32 and model.table.rows.dtype == np.float32
         records = list(dataset.all_records())
         sig, ok = signature_matrix(model, records)
         got_sig, got_ok = signature_matrix(loaded, records)
@@ -124,13 +124,29 @@ class TestSavedCopy:
             loaded.encoders[0], loaded.table, value
         )
 
-    def test_load_keeps_float32(self, tmp_path):
-        dataset, _ = corpus(entities=20)
-        loaded = saved_copy(hand_model(dataset), tmp_path / "model.bin")
-        assert loaded.table.rows.dtype == np.float32
-        assert {v.dtype for v in loaded.table.pretrained.values()} == {np.dtype(np.float32)}
-        for enc in loaded.encoders:
-            assert {getattr(enc, name).dtype for name in FIELDS} == {np.dtype(np.float32)}
+    @pytest.mark.parametrize("kind", ["hand", "trained", "loaded"])
+    def test_model_holds_f32_values(self, tmp_path, kind):
+        # however a model is made, it holds what its file stores
+        dataset, labels = corpus(entities=40)
+        if kind == "trained":
+            first = next(dataset.all_records()).attributes[0].tokens
+            rng = np.random.default_rng(4)
+            pretrained = {t: rng.standard_normal(24) / 3 for t in first}
+            model = trained_model(dataset, labels, EmbeddingTable(24, 2**10, pretrained=pretrained))
+        else:
+            model = hand_model(dataset)
+        if kind == "loaded":
+            model = saved_copy(model, tmp_path / "model.bin")
+        f32 = {np.dtype(np.float32)}
+        assert model.table.rows.dtype == np.float32
+        assert {v.dtype for v in model.table.pretrained.values()} == f32
+        for enc in model.encoders:
+            assert {getattr(enc, name).dtype for name in FIELDS} == f32
+            assert type(enc.smoothing_rho) is float
+            assert float(np.float32(enc.smoothing_rho)) == enc.smoothing_rho
+        weights = model.weights.matrix
+        assert weights.dtype == np.float64
+        assert weights.astype(np.float32).astype(np.float64).tobytes() == weights.tobytes()
 
 
 class TestTrainingStaysFloat64:
@@ -217,8 +233,8 @@ class TestAgainstFloat64:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_within_float32_ulps_of_float64_path(self, seed):
-        # the rounded parameters and the float32 arithmetic move a
-        # signature row by a few float32 ulps of its norm
+        # both paths read the model's f32 parameter values; the float32
+        # arithmetic moves a signature row by a few float32 ulps of its norm
         dataset, labels = corpus(seed)
         records = list(dataset.all_records())
         for model in (hand_model(dataset, seed=seed), trained_model(dataset, labels)):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from sigblock import autodiff as ad
 from sigblock.blocking import signature_matrix
 from sigblock.data_model import AttributeValue, Record
 from sigblock.encoder import (
     AttentionalEncoder,
+    embed_vocabulary,
     encode_sequences_tape,
-    inference_tensors,
-    inference_vectors,
+    encoder_tensors,
     prepare_sequence,
 )
 from sigblock.signatures import (
@@ -22,12 +23,12 @@ from sigblock.text_embedding import EmbeddingTable
 
 
 def attribute_embedding(model, j, value):
-    """One value's embedding at inference precision, as a batch of one."""
+    """One value's embedding, as a batch of one."""
     enc = model.encoders[j]
     batch = prepare_sequence(model.table, value, enc.max_tokens)
     out = encode_sequences_tape(
-        inference_vectors(model.table, batch),
-        inference_tensors(enc),
+        embed_vocabulary(ad.Tensor(model.table.rows), batch),
+        encoder_tensors(enc, False),
         enc.smoothing_rho,
         batch,
         np.zeros(1, dtype=np.int64),

@@ -17,7 +17,7 @@ from sigblock.text_embedding import (
     ngrams,
 )
 
-from conftest import token_vector
+from conftest import bucket_ids, token_vector
 
 
 def brute_force_ngrams(token: str, min_n: int, max_n: int) -> list[str]:
@@ -77,7 +77,7 @@ class TestEmbeddingTable:
 
     def test_order_independent_sum(self):
         table = EmbeddingTable(dim=8, bucket_count=64, seed=3)
-        ids = table.bucket_ids("jones")
+        ids = bucket_ids(table, "jones")
         rng = np.random.default_rng(0)
         shuffled = ids[rng.permutation(len(ids))]
         np.testing.assert_allclose(
@@ -181,13 +181,13 @@ class TestBatchHash:
             table = EmbeddingTable(2, 256, ngram_range, seed=seed, rows=np.zeros((256, 2)))
             got = table.batch_bucket_ids(tokens)
             single = EmbeddingTable(2, 256, ngram_range, seed=seed, rows=np.zeros((256, 2)))
-            one_by_one = [single.bucket_ids(t) for t in tokens]
+            one_by_one = [bucket_ids(single, t) for t in tokens]
         assert len(got) == len(tokens)
         for token, ids, alone in zip(tokens, got, one_by_one):
             want = [fnv1a64(g, seed) & mask for g in ngrams(token, *ngram_range)]
             assert ids.dtype == np.int64 and ids.tolist() == want
             assert alone.dtype == np.int64 and alone.tolist() == want
-            assert table._bucket_cache[token] is table.bucket_ids(token)
+            assert table._bucket_cache[token] is bucket_ids(table, token)
 
     @settings(max_examples=200, deadline=None)
     @given(
