@@ -22,7 +22,7 @@ from .text_embedding import EmbeddingTable, load_pretrained, ngrams
 from .encoder import AttentionalEncoder
 from .signatures import SignatureModel, SignatureWeights, cosine
 from .training import TrainingConfig, train
-from .lsh import LshIndex, LshParams, LshTheoryParams, rho_exponent
+from .lsh import LshIndex, LshParams, rho_exponent
 from .blocking import CandidateSet, block, block_brute_force, pe_ratio
 from .baselines import KeySpec, MinHashParams, key_block, minhash_block
 from .evaluation import RunRecord, SplitSpec, SynthSpec, recall, split, synthesize
@@ -41,7 +41,6 @@ __all__ = [
     "LabelSet",
     "LshIndex",
     "LshParams",
-    "LshTheoryParams",
     "MinHashParams",
     "Record",
     "RunRecord",

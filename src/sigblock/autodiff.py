@@ -6,8 +6,7 @@ them. Calling :func:`backward` on a scalar walks the recorded graph in
 reverse topological order, leaving ``grad`` arrays on every tensor that
 requires gradients. Only the operations needed by the training pipeline
 are implemented, as module functions (``add``, ``mul``, ``matmul``, ...)
-rather than operators; the one operator a :class:`Tensor` keeps is
-indexing by integers and slices (:func:`getitem`).
+rather than operators.
 
 Two precisions run through the same functions. A tensor that requires
 gradients holds float64, so training and its finite-difference
@@ -75,9 +74,6 @@ class Tensor:
             self.grad[rows] = g
         else:
             self.grad[rows] += g
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -235,18 +231,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             a.accumulate(np.broadcast_to(g, a.data.shape))
         else:
             a.accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
-
-    return _node(data, (a,), backward)
-
-
-def getitem(a: Tensor, key) -> Tensor:
-    """``a[key]`` for a basic index: integers and slices."""
-    data = a.data[key]
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        buf[key] = g
-        a.accumulate(buf)
 
     return _node(data, (a,), backward)
 

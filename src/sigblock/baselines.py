@@ -123,6 +123,8 @@ class MinHashParams:
     def validate(self) -> None:
         if self.bands <= 0 or self.band_size <= 0:
             raise ValueError("minhash.bands and minhash.band_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"minhash.seed must be non-negative, got {self.seed}")
 
     @property
     def num_hashes(self) -> int:

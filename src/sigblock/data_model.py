@@ -352,7 +352,13 @@ def ingest(
         for lineno, obj in objs:
             if id_column not in obj:
                 raise DatasetError(f"{path}: line {lineno}: missing {id_column!r}")
-            rid = str(obj[id_column])
+            rid = obj[id_column]
+            if isinstance(rid, bool) or not isinstance(rid, (str, int)) or rid == "":
+                raise DatasetError(
+                    f"{path}: line {lineno}: {id_column!r} must be a non-empty string "
+                    f"or an integer, got {json.dumps(rid)}"
+                )
+            rid = str(rid)
             values = tuple(
                 tokenize(_cell_text(obj.get(name))) for name in schema
             )

@@ -190,34 +190,8 @@ class LshParams:
             raise ValueError("multiprobe must be nonnegative")
         if self.max_results is not None and self.max_results <= 0:
             raise ValueError("max_results must be positive when set")
-
-
-@dataclass
-class LshTheoryParams:
-    """Threshold pair mapped to the Euclidean guarantee parameters."""
-
-    theta: float
-    theta_prime: float
-
-    def __post_init__(self):
-        if not (-1.0 < self.theta_prime < self.theta < 1.0):
-            raise ValueError("need -1 < theta_prime < theta < 1")
-
-    @property
-    def rho(self) -> float:
-        return rho_exponent(self.theta, self.theta_prime)
-
-    @property
-    def euclid_r(self) -> float:
-        return cosine_to_euclidean(self.theta)
-
-    @property
-    def factor_c(self) -> float:
-        return approx_factor(self.theta, self.theta_prime)
-
-    @property
-    def failure_bound(self) -> float:
-        return 1.0 / 3.0 + 1.0 / np.e
+        if not 0 <= self.seed < 2**64:  # the index file stores it as u64
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def rho_exponent(theta: float, theta_prime: float) -> float:
@@ -229,19 +203,6 @@ def rho_exponent(theta: float, theta_prime: float) -> float:
     if not (-1.0 < theta_prime < theta < 1.0):
         raise ValueError("need -1 < theta_prime < theta < 1")
     return (1.0 - theta) / (1.0 - theta_prime) * (1.0 + theta_prime) / (1.0 + theta)
-
-
-def cosine_to_euclidean(theta: float) -> float:
-    """Distance between unit vectors at cosine ``theta``."""
-    if not (-1.0 < theta <= 1.0):
-        raise ValueError("theta must lie in (-1, 1]")
-    return float(np.sqrt(max(2.0 - 2.0 * theta, 0.0)))
-
-
-def approx_factor(theta: float, theta_prime: float) -> float:
-    if not (-1.0 < theta_prime < theta < 1.0):
-        raise ValueError("need -1 < theta_prime < theta < 1")
-    return float(np.sqrt((1.0 - theta_prime) / (1.0 - theta)))
 
 
 class LshIndex:

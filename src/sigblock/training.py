@@ -11,10 +11,12 @@ empties or the signature budget is reached.
 
 Each positive pair is scored against freshly sampled irrelevant records:
 the loss is the negative mean log-probability of picking the positive
-pair out of the ``2|U| + 1`` pairs formed with the sampled records.
-Records on which the current signature is inapplicable (all positively
-weighted attributes missing) are dropped: dropped negatives shrink the
-denominator, a dropped endpoint removes its pair from the batch.
+pair out of the ``2|U| + 1`` pairs formed with the sampled records. A
+minibatch is one softmax row per pair. A record on which the current
+signature is inapplicable (all positively weighted attributes missing)
+takes no part: an inapplicable endpoint removes its pair from the
+batch, and an inapplicable negative is masked to ``-inf`` in its row,
+so it leaves the denominator.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class TrainingConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be at least 1, got {self.log_every}")
         if not (0 <= self.adam_betas[0] < 1 and 0 <= self.adam_betas[1] < 1):
@@ -277,10 +281,6 @@ class SignatureTrainer:
             return None
         return self.prepared_values.select(np.array([rec_idx * self.m + attr]))
 
-    def applicable(self, rec_idx: int, active: np.ndarray) -> bool:
-        """True when some positively weighted attribute is present."""
-        return bool(self.presence[rec_idx, active].any())
-
     def batch_loss(
         self,
         w_t: ad.Tensor,
@@ -288,91 +288,51 @@ class SignatureTrainer:
         pair_idx: list[tuple[int, int]],
         negatives: list[np.ndarray],
     ) -> tuple[ad.Tensor | None, int]:
-        """Tape loss for one minibatch; None when the batch filters empty."""
-        active = np.array(
-            [j for j in usable if w_t.data[j] > 0.0], dtype=np.int64
-        )
-        if active.size == 0:
-            return None, 0
-        kept_pairs: list[tuple[int, int]] = []
-        kept_negs: list[list[int]] = []
-        for (a, b), negs in zip(pair_idx, negatives):
-            if not (self.applicable(a, active) and self.applicable(b, active)):
-                continue
-            kept_pairs.append((a, b))
-            kept_negs.append([u for u in negs if self.applicable(u, active)])
-        if not kept_pairs:
-            return None, 0
+        """Tape loss for one minibatch; None when the batch filters empty.
 
-        needed: list[int] = []
-        pos_of: dict[int, int] = {}
-        for (a, b), negs in zip(kept_pairs, kept_negs):
-            for r in (a, b, *negs):
-                if r not in pos_of:
-                    pos_of[r] = len(needed)
-                    needed.append(r)
+        One softmax row per kept pair: the positive cosine, then (a, u) and
+        (b, u) for each negative u. An inapplicable negative reads the
+        pair's a instead and is masked to ``-inf``."""
+        active = [j for j in usable if w_t.data[j] > 0.0]
+        applicable = self.presence[:, active].any(axis=1)
+        pairs = np.asarray(pair_idx, dtype=np.int64).reshape(-1, 2)
+        kept = applicable[pairs].all(axis=1)
+        if not kept.any():
+            return None, 0
+        # per kept pair: a, b, then its negatives
+        slots = np.concatenate([pairs, np.asarray(negatives, dtype=np.int64)], axis=1)[kept]
+        live = applicable[slots]
+        slots = np.where(live, slots, slots[:, :1])
+        # the records in first-seen order, and each slot's position among them
+        needed, first, inverse = np.unique(slots.ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        at = np.argsort(order)[inverse].reshape(slots.shape)
 
-        sig = self._signatures_tape(w_t, usable, needed)
+        sig = self._signatures_tape(w_t, usable, needed[order])
         sq = ad.tsum(ad.mul(sig, sig), axis=1, keepdims=True)
         norm = ad.sqrt(ad.add_const(sq, _NORM_GUARD))
         unit = ad.div(sig, norm)
 
-        ia = np.array([pos_of[a] for a, _ in kept_pairs], dtype=np.int64)
-        ib = np.array([pos_of[b] for _, b in kept_pairs], dtype=np.int64)
-        cos_pos = ad.tsum(
-            ad.mul(ad.take_rows(unit, ia), ad.take_rows(unit, ib)), axis=1
-        )
+        def cosines(left: np.ndarray, right: np.ndarray) -> ad.Tensor:
+            """The cosines of the rows ``left`` and ``right`` name, shaped like them."""
+            products = ad.mul(ad.take_rows(unit, left.ravel()), ad.take_rows(unit, right.ravel()))
+            return ad.reshape(ad.tsum(products, axis=1), left.shape)
 
-        q_rows: list[int] = []
-        u_rows: list[int] = []
-        counts: list[int] = []
-        for (a, b), negs in zip(kept_pairs, kept_negs):
-            counts.append(len(negs))
-            for u in negs:
-                q_rows.extend((pos_of[a], pos_of[b]))
-                u_rows.extend((pos_of[u], pos_of[u]))
-        if q_rows:
-            cos_neg = ad.tsum(
-                ad.mul(
-                    ad.take_rows(unit, np.array(q_rows, dtype=np.int64)),
-                    ad.take_rows(unit, np.array(u_rows, dtype=np.int64)),
-                ),
-                axis=1,
-            )
-        else:
-            cos_neg = None
-
+        k = slots.shape[1] - 2
+        pos = cosines(at[:, :1], at[:, 1:2])
+        neg = cosines(np.tile(at[:, :2], k), np.repeat(at[:, 2:], 2, axis=1))
+        allowed = np.concatenate([live[:, :1], np.repeat(live[:, 2:], 2, axis=1)], axis=1)
         tau = self.config.temperature
-        flat_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(np.array(counts) * 2, out=flat_offsets[1:])
-        by_count: dict[int, list[int]] = {}
-        for p, c in enumerate(counts):
-            by_count.setdefault(c, []).append(p)
-
-        total: ad.Tensor | None = None
-        for c, members in sorted(by_count.items()):
-            sel = np.array(members, dtype=np.int64)
-            pos_c = ad.reshape(ad.take_rows(ad.reshape(cos_pos, (-1, 1)), sel), (-1, 1))
-            if c == 0:
-                contrib = ad.scale(ad.tsum(pos_c), 0.0)  # log P = 0 exactly
-            else:
-                idx = np.stack(
-                    [np.arange(flat_offsets[p], flat_offsets[p + 1]) for p in members]
-                )
-                neg_c = ad.take_rows(ad.reshape(cos_neg, (-1, 1)), idx.reshape(-1))
-                neg_c = ad.reshape(neg_c, (len(members), 2 * c))
-                scores = ad.scale(ad.concat([pos_c, neg_c], axis=1), 1.0 / tau)
-                lse = ad.logsumexp(scores, axis=1)
-                contrib = ad.sub(ad.tsum(ad.scale(pos_c, 1.0 / tau)), ad.tsum(lse))
-            total = contrib if total is None else ad.add(total, contrib)
-        loss = ad.scale(total, -1.0 / len(kept_pairs))
-        return loss, len(kept_pairs)
+        scores = ad.scale(ad.concat([pos, neg], axis=1), 1.0 / tau)
+        scores = ad.add(scores, np.where(allowed, 0.0, -np.inf))
+        lse = ad.logsumexp(scores, axis=1)
+        total = ad.sub(ad.tsum(ad.scale(pos, 1.0 / tau)), ad.tsum(lse))
+        return ad.scale(total, -1.0 / len(slots)), len(slots)
 
     def _signatures_tape(
-        self, w_t: ad.Tensor, usable: Sequence[int], rec_idx: list[int]
+        self, w_t: ad.Tensor, usable: Sequence[int], records: np.ndarray
     ) -> ad.Tensor:
-        """Signature vectors (len(rec_idx), d) under the current weights."""
-        records = np.array(rec_idx, dtype=np.int64)
+        """Signature vectors (len(records), d) under the current weights."""
         usable = sorted(usable)
         # the records' usable values as one batch, value k * len(usable) + u
         step = self.prepared_values.select((records[:, None] * self.m + usable).reshape(-1))
@@ -389,8 +349,8 @@ class SignatureTrainer:
                 step,
                 rows * len(usable) + u,
             )
-            weighted = ad.mul(encoded, ad.reshape(w_t[j], (1, 1)))
-            part = ad.scatter_rows(weighted, rows, len(rec_idx))
+            weighted = ad.mul(encoded, ad.take_rows(ad.reshape(w_t, (-1, 1)), np.array([j])))
+            part = ad.scatter_rows(weighted, rows, len(records))
             total = part if total is None else ad.add(total, part)
         if total is None:
             raise ValueError("no applicable attribute among the requested records")

@@ -463,6 +463,7 @@ def test_max_tokens_not_positive_exits_2(workspace, tmp_path, capsys, value):
         ("training.learning_rate=nan", "learning_rate must be finite and positive, got nan"),
         ("model.ngram_min=0", "ngram_min must be at least 1, got 0"),
         ("training.temperature=inf", "temperature must be finite and positive, got inf"),
+        ("training.seed=-1", "seed must be non-negative, got -1"),
     ],
 )
 def test_untrainable_setting_exits_2(workspace, tmp_path, capsys, setting, message):
@@ -543,17 +544,25 @@ def test_baseline_theta_flag_beats_invalid_file_value(workspace, tmp_path):
         ("block", "lsh.tables=0"),
         ("minhash", "minhash.theta=5"),
         ("minhash", "minhash.bands=0"),
+        ("block", "lsh.seed=-1"),
+        ("index", "lsh.seed=-1"),
+        ("index", "lsh.seed=18446744073709551616"),  # 2**64: no u64 in the index file
+        ("index", "lsh.tables=0"),
+        ("minhash", "minhash.seed=-1"),
     ],
 )
-def test_invalid_setting_a_command_reads_exits_2(workspace, trained, tmp_path, command, setting):
+def test_invalid_setting_a_command_reads_exits_2(
+    workspace, trained, tmp_path, capsys, command, setting
+):
     _, config = workspace
-    if command == "block":
-        command = ["block", "--model", str(trained)]
+    if command in ("block", "index"):
+        command = [command, "--model", str(trained)]
     else:
         command = ["baseline", "--method", command]
     out = tmp_path / "out.csv"
     rc = main([*command, "--config", str(config), "--set", setting, "--out", str(out)])
     assert rc == 2
+    assert setting.split("=")[0].split(".")[1] in capsys.readouterr().err  # the key is named
     assert not out.exists()
 
 

@@ -89,6 +89,9 @@ class TestTokenize:
         assert tokenize(raw).tokens == four_pass_tokens(raw)
 
 
+BAD_ID = "'id' must be a non-empty string or an integer, got"
+
+
 class TestIngest:
     def _write(self, path, text):
         path.write_text(text, encoding="utf-8")
@@ -134,6 +137,10 @@ class TestIngest:
         rec = ds.tables[0].records[0]
         assert rec.attributes[1].tokens == ("bob", "dylan", "joan", "baez")
 
+    def test_jsonl_integer_id_is_its_decimal_text(self, tmp_path):
+        f = self._write(tmp_path / "d.jsonl", '{"id": 7, "title": "x"}\n{"id": "8"}\n')
+        assert [r.record_id for r in ingest(f, "jsonl").all_records()] == ["7", "8"]
+
     def test_round_trip_jsonl(self, tmp_path):
         f = self._write(
             tmp_path / "d.jsonl",
@@ -176,6 +183,13 @@ class TestIngest:
             ('{"id": "a", "t": "x"}\r\n\r\n\r\n{"t": "y"}\r\n', "line 4: missing 'id'"),
             ('\n{"id": "a"}\n\n{"id": "b", \n', "line 4: invalid JSON"),
             ('{"id": "a"}\n\n[1, 2]\n', "line 3: expected a JSON object"),
+            # an id is a non-empty string or an integer
+            ('{"id": "a"}\n{"id": null}\n', f"line 2: {BAD_ID} null"),
+            ('{"id": ""}\n', f'line 1: {BAD_ID} ""'),
+            ('{"id": {"x": 1}}\n', f'line 1: {BAD_ID} {{"x": 1}}'),
+            ('{"id": [1, 2]}\n', f"line 1: {BAD_ID} [1, 2]"),
+            ('{"id": true}\n', f"line 1: {BAD_ID} true"),
+            ('{"id": 1.5}\n', f"line 1: {BAD_ID} 1.5"),
         ],
     )
     def test_jsonl_errors_name_path_and_file_line(self, tmp_path, body, message):

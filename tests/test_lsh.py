@@ -11,12 +11,9 @@ import pytest
 from sigblock.lsh import (
     LshIndex,
     LshParams,
-    LshTheoryParams,
     _hash,
     _signed,
     _top2,
-    approx_factor,
-    cosine_to_euclidean,
     next_pow2,
     pad_to,
     random_rotations,
@@ -131,20 +128,6 @@ class TestTheory:
             rho_exponent(0.4, 0.8)
         with pytest.raises(ValueError):
             rho_exponent(1.0, 0.4)
-
-    def test_euclidean_mapping(self):
-        assert cosine_to_euclidean(1.0) == 0.0
-        assert abs(cosine_to_euclidean(0.8) - math.sqrt(0.4)) < 1e-12
-        assert abs(approx_factor(0.8, 0.4) - math.sqrt(3.0)) < 1e-12
-
-    def test_theory_params_bundle(self):
-        params = LshTheoryParams(0.8, 0.4)
-        assert abs(params.rho - 7.0 / 27.0) < 1e-12
-        assert abs(params.euclid_r - math.sqrt(0.4)) < 1e-12
-        assert abs(params.factor_c - math.sqrt(3.0)) < 1e-12
-        assert params.failure_bound < 0.702
-        with pytest.raises(ValueError):
-            LshTheoryParams(0.4, 0.8)
 
 
 class TestIndex:

@@ -25,6 +25,18 @@ def tape_tanh(a: ad.Tensor) -> ad.Tensor:
     return ad._node(data, (a,), lambda g: a.accumulate(g * (1.0 - data * data)))
 
 
+def tape_index(a: ad.Tensor, key) -> ad.Tensor:
+    """``a[key]`` for a basic index (integers and slices) as a tape node."""
+    data = a.data[key]
+
+    def backward(g):
+        buf = np.zeros_like(a.data)
+        buf[key] = g
+        a.accumulate(buf)
+
+    return ad._node(data, (a,), backward)
+
+
 def lstm_tape(v_steps, wx, wh, b, hidden, batch):
     h = ad.Tensor(np.zeros((batch, hidden)))
     c = ad.Tensor(np.zeros((batch, hidden)))
@@ -33,10 +45,10 @@ def lstm_tape(v_steps, wx, wh, b, hidden, batch):
         z = ad.add(ad.add(ad.matmul(v, wx), ad.matmul(h, wh)), b)
         # one elementwise sigmoid over all gates; the cell slice is unused
         gates = tape_sigmoid(z)
-        i = gates[:, :hidden]
-        f = gates[:, hidden : 2 * hidden]
-        g = tape_tanh(z[:, 2 * hidden : 3 * hidden])
-        o = gates[:, 3 * hidden :]
+        i = tape_index(gates, np.s_[:, :hidden])
+        f = tape_index(gates, np.s_[:, hidden : 2 * hidden])
+        g = tape_tanh(tape_index(z, np.s_[:, 2 * hidden : 3 * hidden]))
+        o = tape_index(gates, np.s_[:, 3 * hidden :])
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
         h = ad.mul(o, tape_tanh(c))
         states.append(h)
@@ -48,9 +60,13 @@ def oracle(x, wx, wh, b):
     LSTM, run per direction on the halves of the stacked weights."""
     n, length, _ = x.data.shape
     hidden = wh.data.shape[1]
-    v_steps = [x[:, k, :] for k in range(length)]
-    fwd = lstm_tape(v_steps, wx[0], wh[0], b[0], hidden, n)
-    bwd = lstm_tape(v_steps[::-1], wx[1], wh[1], b[1], hidden, n)[::-1]
+    v_steps = [tape_index(x, np.s_[:, k, :]) for k in range(length)]
+
+    def direction(d):
+        return [tape_index(t, d) for t in (wx, wh, b)]
+
+    fwd = lstm_tape(v_steps, *direction(0), hidden, n)
+    bwd = lstm_tape(v_steps[::-1], *direction(1), hidden, n)[::-1]
     return ad.concat(
         [ad.reshape(ad.concat([f, r], axis=1), (1, n, 2 * hidden)) for f, r in zip(fwd, bwd)],
         axis=0,

@@ -131,6 +131,21 @@ def two_attr_dataset(seed=0, entities=40):
     return duplicated_dataset(entities, attrs_informative=1, attrs_noise=1, seed=seed)
 
 
+def with_missing(ds, blanks):
+    """``ds`` with attributes ``blanks[k]`` of record ``k`` made missing."""
+    records = [
+        Record(
+            r.record_id,
+            tuple(
+                AttributeValue(()) if j in blanks.get(k, ()) else v
+                for j, v in enumerate(r.attributes)
+            ),
+        )
+        for k, r in enumerate(ds.all_records())
+    ]
+    return Dataset(ds.schema, (Table(records),))
+
+
 def small_config(**kw):
     base = dict(
         iterations=20,
@@ -236,45 +251,90 @@ class TestBatchLoss:
         with pytest.raises(ValueError, match="empty"):
             minibatch_loss(model, [("a", "b")], [["r2"]], 0, ds)
 
-    def test_matches_public_minibatch_loss(self):
-        ds, labels = two_attr_dataset(seed=3)
-        cfg = small_config(iterations=1, max_signatures=1)
+    @staticmethod
+    def trainer_and_model(ds, labels, cfg):
+        """A trained model and a trainer holding its parameters."""
         model = train(ds, labels, cfg)
-        # sync trainer parameters with the trained model
         tr = SignatureTrainer(ds, labels, cfg, table=model.table)
         for enc, trained in zip(tr.encoders, model.encoders):
             for (_, block), (_, value) in zip(enc.blocks(), trained.blocks()):
                 block[...] = value
+        return tr, model
+
+    @staticmethod
+    def assert_matches_public(tr, model, ds, pairs_idx, negs, used_pairs):
         w = ad.Tensor(model.weights.matrix[0].copy(), requires_grad=True)
+        loss, used = tr.batch_loss(w, [0, 1], pairs_idx, negs)
+        assert used == used_pairs
+        id_pairs = [
+            (tr.records[a].record_id, tr.records[b].record_id) for a, b in pairs_idx
+        ]
+        id_negs = [[tr.records[u].record_id for u in us] for us in negs]
+        public = minibatch_loss(model, id_pairs, id_negs, 0, ds, tau=tr.config.temperature)
+        # the trainer's loss is float64, the public one encodes in float32
+        assert abs(float(loss.data) - public) <= 16 * F32_EPS * abs(public)
+
+    def test_matches_public_minibatch_loss(self):
+        ds, labels = two_attr_dataset(seed=3)
+        tr, model = self.trainer_and_model(ds, labels, small_config(iterations=1, max_signatures=1))
         pairs_idx = tr.pairs[:3]
         negs = [
             sample_negatives(tr.n, a, b, 4, np.random.default_rng(i))
             for i, (a, b) in enumerate(pairs_idx)
         ]
-        loss, used = tr.batch_loss(w, [0, 1], pairs_idx, negs)
-        id_pairs = [
-            (tr.records[a].record_id, tr.records[b].record_id) for a, b in pairs_idx
+        self.assert_matches_public(tr, model, ds, pairs_idx, negs, 3)
+
+    def test_matches_public_minibatch_loss_with_masked_records(self):
+        # Signature 0 weighs info0 alone, so a record missing info0 is
+        # inapplicable: record 0 ends the first pair, records 10 and 12
+        # are two of the second pair's negatives and all of the third
+        # pair's negatives miss it too.
+        ds, labels = two_attr_dataset(seed=3)
+        ds = with_missing(ds, {k: (0,) for k in (0, 10, 12, 20, 22, 24, 26)})
+        tr, model = self.trainer_and_model(ds, labels, small_config(iterations=1, max_signatures=1))
+        model.weights.matrix[0] = [1.0, 0.0]
+        pairs_idx = tr.pairs[:4]
+        assert pairs_idx == [(0, 1), (2, 3), (4, 5), (6, 7)]
+        negs = [
+            np.array([30, 31, 32, 33]),
+            np.array([10, 11, 12, 13]),
+            np.array([20, 22, 24, 26]),
+            np.array([40, 41, 42, 43]),
         ]
-        id_negs = [[tr.records[u].record_id for u in us] for us in negs]
-        public = minibatch_loss(model, id_pairs, id_negs, 0, ds, tau=cfg.temperature)
-        # the trainer's loss is float64, the public one encodes in float32
-        assert abs(float(loss.data) - public) <= 16 * F32_EPS * abs(public)
+        self.assert_matches_public(tr, model, ds, pairs_idx, negs, 3)
 
 
 class TestTrainingGradient:
+    CONFIG = dict(
+        iterations=1, batch_size=2, negatives=2, embedding_dim=8, hidden_size=4, bucket_count=32
+    )
+
     def test_full_loss_gradcheck(self):
         ds, labels = two_attr_dataset(seed=1, entities=10)
-        cfg = small_config(
-            iterations=1, batch_size=2, negatives=2, embedding_dim=8,
-            hidden_size=4, bucket_count=32,
-        )
-        tr = SignatureTrainer(ds, labels, cfg)
-        w = ad.Tensor(np.array([0.6, 0.8]), requires_grad=True)
+        tr = SignatureTrainer(ds, labels, small_config(**self.CONFIG))
         batch = tr.pairs[:2]
         negs = [
             sample_negatives(tr.n, a, b, 2, np.random.default_rng(i))
             for i, (a, b) in enumerate(batch)
         ]
+        self.gradcheck(tr, batch, negs)
+
+    def test_gradcheck_with_masked_negatives(self):
+        # Records 10, 12 and 14 miss both attributes: the first pair keeps
+        # one of its two negatives, the second pair loses both.
+        ds, labels = two_attr_dataset(seed=1, entities=10)
+        ds = with_missing(ds, {k: (0, 1) for k in (10, 12, 14)})
+        tr = SignatureTrainer(ds, labels, small_config(**self.CONFIG))
+        batch = tr.pairs[:2]
+        negs = [np.array([10, 8]), np.array([12, 14])]
+        grads = self.gradcheck(tr, batch, negs)
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+    @staticmethod
+    def gradcheck(tr, batch, negs) -> dict[str, np.ndarray]:
+        """Analytic gradients of the batch loss against central finite
+        differences on 40 coordinates per parameter; returns them."""
+        w = ad.Tensor(np.array([0.6, 0.8]), requires_grad=True)
         params = {"w": w, "emb": tr.emb_t}
         for j in (0, 1):
             params.update({f"e{j}.{n}": t for n, t in tr.enc_t[j].items()})
@@ -289,9 +349,10 @@ class TestTrainingGradient:
         ad.backward(loss)
         eps = 1e-6
         rng = np.random.default_rng(0)
+        grads = {}
         for name, t in params.items():
             flat = t.data.reshape(-1)
-            grad = (
+            grad = grads[name] = (
                 t.grad.reshape(-1) if t.grad is not None else np.zeros(flat.size)
             )
             coords = rng.permutation(flat.size)[:40]
@@ -309,6 +370,7 @@ class TestTrainingGradient:
                     relative_error(np.array([grad[k]]), np.array([fd]), floor=1e-5)
                     < 1e-4
                 ), name
+        return grads
 
 
 class TestTrain:
