@@ -92,15 +92,14 @@ def key_block(dataset: Dataset, key_spec: KeySpec) -> CandidateSet:
 def representative_set(
     record: Record, attr_index: int, ngram_sizes: Sequence[int] = (2, 3)
 ) -> frozenset[str]:
-    """Tokens plus contiguous token n-grams (space-joined) of one attribute."""
+    """Tokens plus contiguous token n-grams (space-joined) of one
+    attribute, for n-gram sizes of at least 2."""
     value = record.attributes[attr_index]
     if value.is_missing:
         return frozenset()
     tokens = value.tokens
     out = set(tokens)
     for n in ngram_sizes:
-        if n < 2:
-            continue
         for i in range(len(tokens) - n + 1):
             out.add(" ".join(tokens[i : i + n]))
     return frozenset(out)
@@ -125,6 +124,8 @@ class MinHashParams:
             raise ValueError("minhash.bands and minhash.band_size must be positive")
         if self.seed < 0:
             raise ValueError(f"minhash.seed must be non-negative, got {self.seed}")
+        if not self.ngram_sizes or min(self.ngram_sizes) < 2:
+            raise ValueError(f"minhash.ngram_sizes must be at least 2, got {self.ngram_sizes}")
 
     @property
     def num_hashes(self) -> int:
@@ -169,11 +170,13 @@ def minhash_block(
     """Banded MinHash retrieval, unioned across attributes.
 
     A banding candidate is kept only when the exact Jaccard of its
-    representative sets reaches ``theta``.
+    representative sets reaches ``theta``. ``params`` that
+    ``MinHashParams.validate`` refuses raise ``ValueError``.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     params = params or MinHashParams()
+    params.validate()
     hasher = MinHasher(params.num_hashes, params.seed)
     pairs: set[tuple[str, str]] = set()
     for name in attributes:

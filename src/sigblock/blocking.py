@@ -8,7 +8,8 @@ candidate set, each pair with the best (signature, cosine) that found
 it. One engine does all of this for both blockers, which differ only
 in where the hits come from: ``block`` asks a cross-polytope
 ``LshIndex`` per signature, and ``block_brute_force``, the recall
-oracle of the hashed path, computes every cosine exactly.
+oracle of the hashed path, computes every cosine exactly. Both score a
+pair with ``lsh.pair_cosines``, so a pair both find has one cosine.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by n
     prepare_sequence,
     prepare_values,
 )
-from .lsh import LshIndex, LshParams
+from .lsh import LshIndex, LshParams, pair_cosines
 from .signatures import SignatureModel
 
 _EXACT_CHUNK = 512  # query rows per matrix product of the exact scan
@@ -122,14 +123,23 @@ def _lsh_hits(params: LshParams, s, ids, vectors, queries, theta):
 
 
 def _exact_hits(s, ids, vectors, queries, theta):
-    """Hit source of :func:`block_brute_force`: every cosine, one matrix
-    product per _EXACT_CHUNK query rows."""
+    """Hit source of :func:`block_brute_force`: one matrix product per
+    _EXACT_CHUNK query rows finds the hits, which ``pair_cosines`` scores
+    as it scores ``block``'s, and cuts at ``theta``.
+
+    The product filters at ``theta - 4*d*u`` (u = 2**-53): a d-term dot
+    product of unit rows is within d*u / (1 - d*u) of its exact value in
+    any summation order (Higham 2002, section 3.1), so the product and
+    ``pair_cosines`` differ by at most about 2*d*u, half the margin.
+    """
     queries = vectors if queries is None else queries
+    margin = 4 * vectors.shape[1] * 2.0**-53
     found = []
     for lo in range(0, len(queries), _EXACT_CHUNK):
-        cos = queries[lo : lo + _EXACT_CHUNK] @ vectors.T
-        row, entry = np.nonzero(cos >= theta)
-        found.append((row + lo, entry, cos[row, entry]))
+        row, entry = np.nonzero(queries[lo : lo + _EXACT_CHUNK] @ vectors.T >= theta - margin)
+        cos = pair_cosines(queries[row + lo], vectors[entry])
+        keep = cos >= theta
+        found.append((row[keep] + lo, entry[keep], cos[keep]))
     return tuple(np.concatenate(part) for part in zip(*found))
 
 
@@ -192,7 +202,7 @@ def block(
     """Hashed blocking: per signature, one ``LshIndex`` of the index side
     answers all queries in one batch (``search_self`` on a single table,
     probing from the build's hashes). A query's hits are capped at
-    ``max_results`` before its own record is dropped from them."""
+    ``LshParams.max_results`` before its own record is dropped from them."""
     return _candidates(dataset, model, theta, partial(_lsh_hits, lsh_params or LshParams()))
 
 

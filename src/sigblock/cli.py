@@ -51,6 +51,8 @@ def _config(args) -> RunConfig:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     spec = SynthSpec(
         entity_count=args.entities,
         duplicates_per_entity=args.duplicates,
@@ -120,8 +122,6 @@ def _print_summary(candidates, dataset, wall: float, out: str) -> None:
 
 def cmd_block(args) -> int:
     config = _config(args)
-    if args.theta is not None:
-        config.theta = args.theta
     theta = check_threshold("lsh.theta", config.theta)
     lsh_params = checked(config.lsh, "lsh: ")
     if args.workers < 1:
@@ -138,19 +138,13 @@ def cmd_block(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    # the flags only the other method reads
-    foreign = {
-        "key": {"--theta": args.theta},
-        "minhash": {"--key-kind": args.key_kind, "--key-attributes": args.key_attributes},
-    }
-    for flag, value in foreign[args.method].items():
-        if value is not None:
-            raise ConfigError(f"{flag} does not apply to --method {args.method}")
+    key_flags = {"--key-kind": args.key_kind, "--key-attributes": args.key_attributes}
+    for flag, value in key_flags.items():
+        if args.method == "minhash" and value is not None:
+            raise ConfigError(f"{flag} does not apply to --method minhash")
     config = _config(args)
     kind = args.key_kind or "disjunction"
     if args.method == "minhash":
-        if args.theta is not None:
-            config.minhash_theta = args.theta
         theta = check_threshold("minhash.theta", config.minhash_theta)
         params = checked(config.minhash)
     named = tuple(args.key_attributes.split(",")) if args.key_attributes else ()
@@ -229,12 +223,6 @@ def cmd_inspect(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _config(args)
-    if args.dataset:
-        config.dataset = args.dataset
-    if args.dataset_b:
-        config.dataset_b = args.dataset_b
-    if args.labels:
-        config.labels = args.labels
     dataset = config.load_dataset()
     labels = config.load_label_set(dataset)
     if len(labels) == 0:
@@ -300,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("block", help="generate candidate pairs with a model")
     _add_config_args(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--theta", type=float, help="override lsh.theta")
     p.add_argument(
         "--workers",
         type=int,
@@ -320,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="key kind of --method key (default: disjunction)",
     )
     p.add_argument("--key-attributes", help="comma-separated attribute names")
-    p.add_argument("--theta", type=float, help="override minhash.theta")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
@@ -341,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score candidate files against labels")
     _add_config_args(p)
-    p.add_argument("--dataset", help="dataset path (overrides config)")
-    p.add_argument("--dataset-b", help="second table for bipartite mode")
-    p.add_argument("--labels", help="label file (overrides config)")
     p.add_argument(
         "--candidates",
         nargs="+",
@@ -356,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
+    for p in sub.choices.values():  # no prefix matching: eval --dataset is not --dataset-name
+        p.allow_abbrev = False
     return parser
 
 

@@ -3,7 +3,8 @@
 A run is described by one declarative file with ``[data]``, ``[model]``,
 ``[training]``, ``[lsh]``, and ``[minhash]`` sections; any value can be
 overridden on the command line with ``--set section.key=value``.
-Precedence is flags over file over defaults.
+Precedence is ``--set`` over file over defaults; no other flag sets a
+configuration value.
 
 Each setting is declared once. ``RunConfig`` holds the library's own
 parameter objects: ``[model]`` and ``[training]`` fill a

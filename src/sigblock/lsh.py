@@ -124,6 +124,12 @@ def _hash(
     return tuple(a.reshape(shape) for a in _top2(u.reshape(-1, dp)))
 
 
+def pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosines ``a[i] . b[i]`` of paired unit rows: the one scorer of both
+    blockers. Swapping ``a`` and ``b`` gives the same bits."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _stack_vectors(items: list[tuple[str, int, np.ndarray]], dim: int) -> np.ndarray:
     """The items' vectors as (n, dim) float64 rows; an item of another
     shape fails with a message naming the first such id."""
@@ -307,45 +313,36 @@ class LshIndex:
         return cls(dim, params, rotations, entries, vectors, hashes[0], hashes)
 
     def search(
-        self,
-        queries: np.ndarray,
-        theta: float,
-        max_results: int | None = None,
-        signature: int | None = None,
+        self, queries: np.ndarray, theta: float, signature: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hits of a batch of unit queries as ``(row, entry, cosine)`` arrays.
 
         ``row`` indexes ``queries`` and ``entry`` indexes ``entries``.
         Each query's candidates are the union of its probed buckets
         across all tables, re-ranked by exact cosine, kept at or above
-        ``theta`` and cut to the ``max_results`` best. Hits come grouped
-        by row in input order; within a row the best come first, ties in
-        cosine going to the smaller (record_id, signature). When the
-        index mixes several signatures, pass ``signature`` to restrict
-        hits to one of them. Queries of another shape than (rows, dim)
-        and a ``max_results`` below 1 raise ``ValueError``.
+        ``theta`` and cut to the ``default_max_results`` best. Hits come
+        grouped by row in input order; within a row the best come first,
+        ties in cosine going to the smaller (record_id, signature). When
+        the index mixes several signatures, pass ``signature`` to
+        restrict hits to one of them. Queries of another shape than
+        (rows, dim) raise ``ValueError``.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(f"queries have shape {queries.shape}, want (rows, {self.dim})")
         if not np.all(np.abs(np.linalg.norm(queries, axis=1) - 1.0) <= UNIT_TOL):
             raise ValueError("query vector is not unit norm")
-        return self._search(queries, None, theta, max_results, signature)
+        return self._search(queries, None, theta, signature)
 
-    def search_self(
-        self, theta: float, max_results: int | None = None, signature: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def search_self(self, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``search`` with the indexed vectors as the queries (row i is
         entry i), probing from the hashes ``build`` kept when it has them."""
-        return self._search(self.vectors, self._hashes, theta, max_results, signature)
+        return self._search(self.vectors, self._hashes, theta, None)
 
-    def _search(self, queries, hashes, theta, max_results, signature):
+    def _search(self, queries, hashes, theta, signature):
         """``search`` of unit ``queries`` whose ``_hash`` is ``hashes``
         (computed here when None)."""
-        if max_results is None:
-            max_results = self.default_max_results
-        elif max_results <= 0:
-            raise ValueError(f"max_results must be positive, got {max_results}")
+        max_results = self.default_max_results
         hits = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
         for lo in range(0, len(queries) if self.entries else 0, _CHUNK_ROWS):
             q = queries[lo : lo + _CHUNK_ROWS]
@@ -421,7 +418,7 @@ class LshIndex:
         pairs.sort()
         row, entry = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n)
         # re-rank by exact cosine; a row keeps its max_results best
-        cos = np.einsum("ij,ij->i", q[row], self.vectors[entry])
+        cos = pair_cosines(q[row], self.vectors[entry])
         keep = cos >= theta
         row, entry, cos = row[keep], entry[keep], cos[keep]
         order = np.lexsort((self._rank[entry], -cos, row))
@@ -432,22 +429,18 @@ class LshIndex:
         return row[keep], entry[keep], cos[keep]
 
     def query(
-        self,
-        q: np.ndarray,
-        theta: float,
-        max_results: int | None = None,
-        signature: int | None = None,
+        self, q: np.ndarray, theta: float, signature: int | None = None
     ) -> list[tuple[str, int, float]]:
         """(record_id, signature_id, cosine) hits with cosine >= theta.
 
         A batch of one for ``search``: hits come best first, at most
-        ``max_results`` of them. A query of another shape than (dim,)
-        raises ``ValueError``.
+        ``default_max_results`` of them. A query of another shape than
+        (dim,) raises ``ValueError``.
         """
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValueError(f"query has shape {q.shape}, want ({self.dim},)")
-        _, entry, cos = self.search(q[None], theta, max_results, signature)
+        _, entry, cos = self.search(q[None], theta, signature)
         return [(*self.entries[e], c) for e, c in zip(entry.tolist(), cos.tolist())]
 
     # -- persistence ---------------------------------------------------

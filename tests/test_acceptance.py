@@ -6,12 +6,18 @@ nowhere else.
 """
 
 import filecmp
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sigblock
 from sigblock import autodiff as ad
 from sigblock.baselines import KeySpec, MinHasher, MinHashParams, estimate_jaccard, exact_jaccard, key_block, minhash_block
 from sigblock.blocking import block, pe_ratio
@@ -497,8 +503,7 @@ def test_criterion_08_end_to_end_ordering(dirty_corpus):
 # --------------------------------------------------------------------------
 
 
-def test_criterion_10_pipeline_determinism(tmp_path):
-    config_text = """\
+CRITERION_10_CONFIG = """\
 [data]
 dataset = {data}
 labels = {labels}
@@ -520,21 +525,24 @@ seed = 5
 theta = 0.8
 seed = 3
 """
+CRITERION_10_SYNTH = [
+    "synth", "--entities", "120", "--duplicates", "2",
+    "--typo-rate", "0.3", "--missing-attr-rate", "0.3",
+    "--attr-swap-rate", "0.2", "--version-suffix-rate", "0.2", "--seed", "5",
+]
+
+
+def test_criterion_10_pipeline_determinism(tmp_path):
     outputs = []
     for run in ("one", "two"):
         d = tmp_path / run
         d.mkdir()
         data, labels = d / "data.csv", d / "labels.csv"
         assert cli_main(
-            [
-                "synth", "--entities", "120", "--duplicates", "2",
-                "--typo-rate", "0.3", "--missing-attr-rate", "0.3",
-                "--attr-swap-rate", "0.2", "--version-suffix-rate", "0.2",
-                "--seed", "5", "--out", str(data), "--labels-out", str(labels),
-            ]
+            [*CRITERION_10_SYNTH, "--out", str(data), "--labels-out", str(labels)]
         ) == 0
         cfg = d / "run.ini"
-        cfg.write_text(config_text.format(data=data, labels=labels), encoding="utf-8")
+        cfg.write_text(CRITERION_10_CONFIG.format(data=data, labels=labels), encoding="utf-8")
         model = d / "model.bin"
         cands = d / "cands.csv"
         metrics = d / "metrics.csv"
@@ -557,6 +565,45 @@ seed = 3
         f"metrics identical={same_metrics}"
     )
     assert same_model and same_cands and same_metrics
+
+
+_PIPELINE = """\
+import json, sys
+from sigblock.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"sigblock {argv[0]} failed")
+"""
+
+
+def test_criterion_10_reruns_across_string_hash_seeds(tmp_path):
+    """Criterion 10's synth -> train -> block in two fresh interpreters
+    whose string hashes differ: set and dict orders keyed by strings
+    must not reach the model or the candidate file."""
+    src = str(Path(sigblock.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        d = tmp_path / f"hashseed-{hash_seed}"
+        d.mkdir()
+        data, labels, cfg = d / "data.csv", d / "labels.csv", d / "run.ini"
+        model, cands = d / "model.bin", d / "cands.csv"
+        cfg.write_text(CRITERION_10_CONFIG.format(data=data, labels=labels), encoding="utf-8")
+        commands = [
+            [*CRITERION_10_SYNTH, "--out", str(data), "--labels-out", str(labels)],
+            ["train", "--config", str(cfg), "--out", str(model)],
+            ["block", "--config", str(cfg), "--model", str(model), "--out", str(cands)],
+        ]
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", _PIPELINE, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append((model.read_bytes(), cands.read_bytes()))
+    (m0, c0), (m1, c1) = outputs
+    assert m0 == m1
+    assert c0 == c1 and c0.count(b"\n") > 100  # a header and many pairs
 
 
 # --------------------------------------------------------------------------

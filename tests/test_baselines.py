@@ -238,3 +238,9 @@ class TestMinhashBlock:
         ds = Dataset(("title",), (Table(recs),))
         got = minhash_block(ds, ("title",), 0.3)
         assert len(got) == 0
+
+    @pytest.mark.parametrize("sizes", [(), (0,), (-2,), (2, 1)])
+    def test_ngram_size_below_two_rejected(self, sizes):
+        # a size below 2 used to be skipped without a word
+        with pytest.raises(ValueError, match=r"minhash.ngram_sizes must be at least 2, got \("):
+            minhash_block(self._dataset(), ("title",), 0.5, MinHashParams(ngram_sizes=sizes))

@@ -8,6 +8,7 @@ import pytest
 from sigblock import autodiff as ad
 from sigblock.blocking import (
     CandidateSet,
+    _exact_hits,
     block,
     block_brute_force,
     pe_ratio,
@@ -32,7 +33,7 @@ from sigblock.encoder import (
     PreparedBatch,
     encode_sequences_tape,
 )
-from sigblock.lsh import LshIndex, LshParams
+from sigblock.lsh import LshIndex, LshParams, pair_cosines
 from sigblock.signatures import SignatureModel, SignatureWeights
 from sigblock.text_embedding import EmbeddingTable
 from sigblock.training import TrainingConfig, train
@@ -325,8 +326,10 @@ class TestBatchedEquivalence:
 def per_hit_exact_block(dataset, model, theta, chunk=512):
     """The exact scan as it was before it shared ``block``'s engine: the
     first table is the index side, every hit goes through a Python loop
-    and a dict keeps the first best cosine per pair. Both tables are
-    encoded as the engine encodes them: in one batch, the larger first."""
+    and a dict keeps the first best cosine per pair. A matrix product with
+    a loose margin finds the hits and ``pair_cosines``, the scorer both
+    blockers share, gives their cosines. Both tables are encoded as the
+    engine encodes them: in one batch, the larger first."""
     if dataset.is_bipartite:
         index_records = list(dataset.tables[0])
         query_records = list(dataset.tables[1])
@@ -351,14 +354,14 @@ def per_hit_exact_block(dataset, model, theta, chunk=512):
             cos = q_sig[lo:hi, s] @ I.T
             cos *= q_ok[lo:hi, s][:, None]
             cos *= idx_ok[:, s][None, :]
-            qi, ii = np.nonzero(cos >= theta)
-            for a, b in zip(qi, ii):
+            qi, ii = np.nonzero(cos >= theta - 1e-9)
+            scored = pair_cosines(q_sig[lo + qi, s], I[ii])
+            for a, b, c in zip(qi, ii, scored.tolist()):
                 rid_q = ids_query[lo + a]
                 rid_i = ids_index[b]
-                if rid_q == rid_i:
+                if rid_q == rid_i or c < theta:
                     continue
                 pair = canonical_pair(rid_q, rid_i)
-                c = float(cos[a, b])
                 prev = best.get(pair)
                 if prev is None or c > prev[1]:
                     best[pair] = (s, c)
@@ -415,8 +418,30 @@ class TestExactScan:
         hashed = block(ds, model, 0.85, LshParams(seed=3))
         assert len(hashed) > 0.9 * len(exact)
         assert hashed.pairs <= exact.pairs
+        same = 0
         for pair, (s, cos) in hashed.provenance.items():
-            assert exact.provenance[pair][1] >= cos - 1e-12
+            # one scorer: a pair's cosine under one signature is one float
+            if exact.provenance[pair][0] == s:
+                assert exact.provenance[pair][1].hex() == cos.hex()
+                same += 1
+            else:
+                assert exact.provenance[pair][1] >= cos
+        assert same > 0.9 * len(hashed)
+
+
+    def test_filter_margin_keeps_a_pair_the_product_rounds_below_theta(self, rng):
+        vecs = rng.standard_normal((200, 64))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        i, j = np.triu_indices(200, 1)
+        scored = pair_cosines(vecs[i], vecs[j])
+        low = np.flatnonzero((vecs @ vecs.T)[i, j] < scored)
+        if not low.size:
+            pytest.skip("this BLAS rounds no product below pair_cosines")
+        # theta is the pair's own cosine, which the product misses by an ulp
+        k = low[np.argmax(scored[low])]
+        row, entry, cos = _exact_hits(0, [], vecs, None, scored[k])
+        hit = (row == i[k]) & (entry == j[k])
+        assert cos[hit].tolist() == [scored[k]]
 
 
 class TestPeRatio:

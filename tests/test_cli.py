@@ -1,7 +1,10 @@
 """Command-line behavior: pipeline wiring, determinism, exit codes."""
 
+import argparse
 import filecmp
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -140,11 +143,11 @@ def test_block_theta_monotone(workspace, tmp_path):
     hi = tmp_path / "hi.csv"
     assert main(
         ["block", "--config", str(config), "--model", str(model),
-         "--theta", "0.8", "--out", str(lo)]
+         "--set", "lsh.theta=0.8", "--out", str(lo)]
     ) == 0
     assert main(
         ["block", "--config", str(config), "--model", str(model),
-         "--theta", "0.99", "--out", str(hi)]
+         "--set", "lsh.theta=0.99", "--out", str(hi)]
     ) == 0
     n_lo = len(lo.read_text().splitlines())
     n_hi = len(hi.read_text().splitlines())
@@ -158,7 +161,7 @@ def test_minhash_theta_monotone(workspace, tmp_path):
     for theta, out in ((0.5, loose), (0.99, tight)):
         assert main(
             ["baseline", "--config", str(config), "--method", "minhash",
-             "--theta", str(theta), "--out", str(out)]
+             "--set", f"minhash.theta={theta}", "--out", str(out)]
         ) == 0
     pairs = lambda p: set(p.read_text().splitlines()[1:])
     assert pairs(tight) <= pairs(loose)
@@ -196,7 +199,7 @@ def test_eval_recall_hand_computed(workspace, tmp_path):
     small_labels.write_text("id_a,id_b\n" + "\n".join(label_rows[:4]) + "\n", encoding="utf-8")
     metrics = tmp_path / "metrics.csv"
     assert main(
-        ["eval", "--config", str(config), "--labels", str(small_labels),
+        ["eval", "--config", str(config), "--set", f"data.labels={small_labels}",
          "--candidates", f"sub={subset}", f"full={full}", "--out", str(metrics)]
     ) == 0
     rows = {ln.split(",")[0]: ln.split(",") for ln in metrics.read_text().splitlines()[1:]}
@@ -239,7 +242,7 @@ def test_eval_repeats_make_metric_rows(workspace, tmp_path):
         out = tmp_path / f"auto-{theta}.csv"
         assert main(
             ["block", "--config", str(config), "--model", str(model),
-             "--theta", theta, "--out", str(out)]
+             "--set", f"lsh.theta={theta}", "--out", str(out)]
         ) == 0
         key_out = tmp_path / f"key-{theta}.csv"
         assert main(
@@ -326,14 +329,13 @@ def test_single_key_of_several_attributes_exits_2(workspace, tmp_path, capsys):
     [
         (["baseline", "--method", "minhash", "--key-attributes", "album,foo"], "--key-attributes"),
         (["baseline", "--method", "minhash", "--key-kind", "disjunction"], "--key-kind"),
-        (["baseline", "--method", "key", "--theta", "0.5"], "--theta"),
         (["inspect", "--attribute", "nosuch"], "--attribute"),
         (["inspect", "--attribute", ""], "--attribute"),
         (["inspect", "--limit", "-5"], "--limit"),
         (["inspect", "--limit", "0"], "--limit"),
     ],
     ids=[
-        "minhash-key-attributes", "minhash-key-kind", "key-theta",
+        "minhash-key-attributes", "minhash-key-kind",
         "unknown-attribute", "empty-attribute", "negative-limit", "zero-limit",
     ],
 )
@@ -517,24 +519,49 @@ def trained(workspace, tmp_path_factory):
     return model
 
 
-def test_block_theta_flag_beats_invalid_file_value(workspace, trained, tmp_path):
-    _, config = workspace
-    base = ["block", "--config", str(config), "--model", str(trained), "--theta", "0.7"]
-    flag = tmp_path / "flag.csv"
-    both = tmp_path / "both.csv"
-    assert main([*base, "--out", str(flag)]) == 0
-    assert main([*base, "--set", "lsh.theta=1.5", "--out", str(both)]) == 0
-    assert flag.read_bytes() == both.read_bytes()
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["block", "--model", "m.bin", "--theta", "0.7"],
+        ["baseline", "--method", "minhash", "--theta", "0.4"],
+        ["eval", "--candidates", "a=c.csv", "--dataset", "d.csv"],
+        ["eval", "--candidates", "a=c.csv", "--dataset-b", "d.csv"],
+        ["eval", "--candidates", "a=c.csv", "--labels", "l.csv"],
+    ],
+    ids=["block-theta", "baseline-theta", "eval-dataset", "eval-dataset-b", "eval-labels"],
+)
+def test_no_flag_shadows_a_config_key(tmp_path, capsys, command):
+    # lsh.theta, minhash.theta and data.* are set in the file or by --set only
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {command[-2]}" in capsys.readouterr().err
 
 
-def test_baseline_theta_flag_beats_invalid_file_value(workspace, tmp_path):
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_synth_negative_seed_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "data.csv"
+    rc = main(
+        ["synth", "--entities", "5", "--seed", seed, "--out", str(out),
+         "--labels-out", str(tmp_path / "labels.csv")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --seed must be non-negative, got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", ["0", "-2", "", "2,1"])
+def test_minhash_ngram_size_below_two_exits_2(workspace, tmp_path, capsys, sizes):
     _, config = workspace
-    base = ["baseline", "--config", str(config), "--method", "minhash", "--theta", "0.4"]
-    flag = tmp_path / "flag.csv"
-    both = tmp_path / "both.csv"
-    assert main([*base, "--out", str(flag)]) == 0
-    assert main([*base, "--set", "minhash.theta=5", "--out", str(both)]) == 0
-    assert flag.read_bytes() == both.read_bytes()
+    out = tmp_path / "mh.csv"
+    rc = main(
+        ["baseline", "--config", str(config), "--method", "minhash",
+         "--set", f"minhash.ngram_sizes={sizes}", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: minhash.ngram_sizes must be at least 2, got (")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -583,3 +610,41 @@ def test_theta_prime_is_an_unknown_key(workspace, tmp_path, capsys):
     )
     assert rc == 2
     assert "unknown configuration key lsh.theta_prime" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every ``sigblock ...`` command of the README: the lines of its code
+    blocks, with continued lines joined, then its inline code spans."""
+    text = README.read_text(encoding="utf-8")
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+    lines = [
+        line.strip()
+        for body in fence.findall(text)
+        for line in body.replace("\\\n", " ").splitlines()
+    ]
+    inline = re.findall(r"`(sigblock [^`]*)`", fence.sub("", text))
+    return [line for line in lines if line.startswith("sigblock ")] + inline
+
+
+def test_readme_commands_parse():
+    """A README command may leave out required options (the prose names
+    ``sigblock block`` alone); those get a placeholder before parsing, so
+    only a flag, choice or subcommand the parser lacks fails."""
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    failed = []
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        for action in sub.choices[argv[0]]._actions if argv[0] in sub.choices else ():
+            if action.required and not set(action.option_strings) & set(argv):
+                argv += [action.option_strings[0], action.choices[0] if action.choices else "1"]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            failed.append(command)
+    assert failed == []

@@ -1,5 +1,6 @@
 """Cross-polytope hashing, index behavior, theory formulas, persistence."""
 
+import dataclasses
 import math
 import re
 from contextlib import contextmanager
@@ -199,14 +200,9 @@ class TestIndex:
     @pytest.mark.parametrize("cap", [0, -1])
     def test_max_results_below_one_rejected(self, rng, cap):
         vs = random_units(3, 8, rng)
-        index = LshIndex.build([(f"v{i}", 0, vs[i]) for i in range(3)], dim=8)
-        msg = f"max_results must be positive, got {cap}"
-        with pytest.raises(ValueError, match=msg):
-            index.query(vs[0], 0.5, max_results=cap)
-        with pytest.raises(ValueError, match=msg):
-            index.search(vs, 0.5, max_results=cap)
-        with pytest.raises(ValueError, match=msg):
-            index.search_self(0.5, max_results=cap)
+        items = [(f"v{i}", 0, vs[i]) for i in range(3)]
+        with pytest.raises(ValueError, match="max_results must be positive when set"):
+            LshIndex.build(items, dim=8, params=LshParams(max_results=cap))
 
     def test_total_stored_entries(self, rng):
         n = 500
@@ -256,8 +252,8 @@ class TestIndex:
             w = unit(w)
             psi = 0.05 + 0.01 * i
             items.append((f"v{i:02d}", 0, math.cos(psi) * base + math.sin(psi) * w))
-        index = LshIndex.build(items, dim=16)
-        got = index.query(base, theta=0.5, max_results=5)
+        index = LshIndex.build(items, dim=16, params=LshParams(max_results=5))
+        got = index.query(base, theta=0.5)
         assert len(got) == 5
         cosines = [c for _, _, c in got]
         assert cosines == sorted(cosines, reverse=True)
@@ -457,13 +453,12 @@ class TestIndexFile:
 class TestSearchSelf:
     def test_reuses_build_hashes_bitwise(self, rng):
         vecs = random_units(700, 8, rng)
-        index = LshIndex.build([(f"v{i:03d}", i % 2, v) for i, v in enumerate(vecs)], 8)
-        for kept, fresh in zip(index._hashes, _hash(index.rotations, index.vectors)):
-            np.testing.assert_array_equal(kept, fresh)
-        for cap, sig in ((None, None), (3, 1)):
-            got = index.search_self(0.5, cap, sig)
-            want = index.search(index.vectors, 0.5, cap, sig)
-            for a, b in zip(got, want):
+        items = [(f"v{i:03d}", i % 2, v) for i, v in enumerate(vecs)]
+        for cap in (None, 3):
+            index = LshIndex.build(items, 8, LshParams(max_results=cap))
+            for kept, fresh in zip(index._hashes, _hash(index.rotations, index.vectors)):
+                np.testing.assert_array_equal(kept, fresh)
+            for a, b in zip(index.search_self(0.5), index.search(index.vectors, 0.5)):
                 np.testing.assert_array_equal(a, b)
 
     def test_loaded_index_hashes_its_vectors(self, rng, tmp_path):
@@ -615,6 +610,13 @@ def ref_codes(tables, n, hashes):
     return codes
 
 
+def with_cap(index, cap):
+    """``index`` with ``max_results`` set to ``cap``: the same arrays,
+    rebuilt from its keys."""
+    params = dataclasses.replace(index.params, max_results=cap)
+    return LshIndex(index.dim, params, index.rotations, index.entries, index.vectors, index._codes)
+
+
 def ref_query(index, q, theta, max_results, signature=None):
     """Union of the reference probes' buckets, re-ranked and cut."""
     cand = set()
@@ -736,34 +738,35 @@ class TestBatchedJoin:
     @given(tied_index(entries=30), st.sampled_from([None, 1, 3]), st.sampled_from([None, 0, 2]))
     def test_search_matches_reference_query(self, case, max_results, signature):
         index, queries = case
+        index = with_cap(index, max_results)
         theta = 0.3
-        cap = index.default_max_results if max_results is None else max_results
-        row, entry, cos = index.search(queries, theta, max_results, signature)
+        row, entry, cos = index.search(queries, theta, signature)
         for r, q in enumerate(queries):
-            want = ref_query(index, q, theta, cap, signature)
+            want = ref_query(index, q, theta, index.default_max_results, signature)
             got = [(*index.entries[e], c) for e, c in zip(entry[row == r], cos[row == r])]
             assert [h[:2] for h in got] == [h[:2] for h in want]
             assert np.allclose([h[2] for h in got], [h[2] for h in want], rtol=0, atol=1e-12)
-            assert index.query(q, theta, max_results, signature) == got
+            assert index.query(q, theta, signature) == got
 
     def test_batch_over_several_chunks_matches_single_queries(self, rng):
         vecs = random_units(700, 8, rng)
-        index = LshIndex.build([(f"v{i:03d}", 0, v) for i, v in enumerate(vecs)], 8)
-        row, entry, cos = index.search(vecs, 0.6, max_results=4)
+        items = [(f"v{i:03d}", 0, v) for i, v in enumerate(vecs)]
+        index = LshIndex.build(items, 8, LshParams(max_results=4))
+        row, entry, cos = index.search(vecs, 0.6)
         assert set(row.tolist()) == set(range(700))  # every row finds itself
         for r in range(700):
             got = [(*index.entries[e], c) for e, c in zip(entry[row == r], cos[row == r])]
-            assert index.query(vecs[r], 0.6, max_results=4) == got
+            assert index.query(vecs[r], 0.6) == got
 
     def test_large_bucket_searched_in_parts(self, rng):
         # every entry in one bucket: the re-rank runs in several parts
         v = random_units(1, 8, rng)[0]
         jitter = 1e-4 * random_units(3000, 8, rng)
         vecs = (v + jitter) / np.linalg.norm(v + jitter, axis=1, keepdims=True)
-        params = LshParams(tables=2, hashes_per_table=1, multiprobe=0)
+        params = LshParams(tables=2, hashes_per_table=1, multiprobe=0, max_results=5)
         index = LshIndex.build([(f"v{i:04d}", 0, x) for i, x in enumerate(vecs)], 8, params)
         assert max(len(b) for t in index.tables for b in t.values()) == 3000
-        row, entry, cos = index.search(vecs[:20], 0.9, max_results=5)
+        row, entry, cos = index.search(vecs[:20], 0.9)
         for r in range(20):
             want = ref_query(index, vecs[r], 0.9, 5)
             assert [index.entries[e] for e in entry[row == r]] == [h[:2] for h in want]
@@ -838,12 +841,12 @@ class TestSortedDedup:
         ids = rng.permutation(n)
         sigs = rng.integers(0, 3, n)
         items = [(f"v{ids[i]:02d}", int(sigs[i]), vecs[i]) for i in range(n)]
-        params = LshParams(tables=tables, hashes_per_table=hashes, multiprobe=mp, seed=seed)
+        params = LshParams(tables, hashes, mp, seed, max_results)
         index = LshIndex.build(items, dim, params)
         queries = vecs[n // 2 :]  # some indexed vectors, some not
         for run in (
-            lambda: index.search(queries, theta, max_results, signature),
-            lambda: index.search_self(theta, max_results, signature),
+            lambda: index.search(queries, theta, signature),
+            lambda: index.search_self(theta),
         ):
             got = run()
             with first_written_search():
@@ -856,9 +859,9 @@ class TestSortedDedup:
                         assert_same_hits(run(), want)
 
     def test_empty_index(self, rng):
-        index = LshIndex.build([], 5)
+        index = LshIndex.build([], 5, LshParams(max_results=1))
         queries = random_units(3, 5, rng)
-        got = index.search(queries, 0.0, 1)
+        got = index.search(queries, 0.0)
         with first_written_search():
-            assert_same_hits(got, index.search(queries, 0.0, 1))
+            assert_same_hits(got, index.search(queries, 0.0))
         assert all(len(a) == 0 for a in got + index.search_self(0.0))
