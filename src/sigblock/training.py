@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .codec import to_f32
 from .data_model import Dataset, LabelSet, Record
 from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by name
     AttentionalEncoder,
@@ -78,6 +79,8 @@ class TrainingConfig:
         # written as ``not 0 < x < inf`` so that NaN fails too
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be finite and positive, got {self.adam_eps}")
         if not 0.0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
         if self.seed < 0:
@@ -172,7 +175,13 @@ def sample_negatives(
 
 
 class Adam:
-    """Adam with bias-corrected moments; updates parameter data in place."""
+    """Adam with bias-corrected moments; updates parameter data in place.
+
+    Besides the parameters it holds only their two moments. A step
+    works in one scratch array per parameter and in the parameter's
+    spent gradient, so it consumes ``p.grad``: call :meth:`zero_grad`
+    after it.
+    """
 
     def __init__(self, params: list[ad.Tensor], lr: float, betas=(0.9, 0.999), eps=1e-8):
         self.params = params
@@ -190,12 +199,26 @@ class Adam:
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), every operation
+            # on the operands the out-of-place formula gives it, so the
+            # step is bitwise that formula's; `s` is the one temporary
             g = p.grad
+            s = np.empty_like(g)
+            np.multiply(g, 1.0 - self.b1, out=s)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += s
+            np.multiply(g, g, out=g)
+            g *= 1.0 - self.b2
             v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += g
+            np.divide(m, bc1, out=s)
+            s *= self.lr
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            s /= g
+            p.data -= s
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -203,7 +226,14 @@ class Adam:
 
 
 class SignatureTrainer:
-    """Holds the in-training state: parameter tensors, caches, rng streams."""
+    """Holds the in-training state: parameter tensors, caches, rng streams.
+
+    The table holds the f32 values of the model file: building a trainer
+    rounds ``table.rows`` in place, a given table too, and a value that
+    is no finite f32 raises ``ValueError`` then. Training works in
+    float64 only on the rows some value reaches (``emb_t``), their two
+    Adam moments and one step's tape; no gradient outlives its step.
+    """
 
     def __init__(
         self,
@@ -272,6 +302,9 @@ class SignatureTrainer:
             table.rows[self.reachable].astype(np.float64, copy=False),
             requires_grad=table.trainable,
         )
+        # only once `emb_t` holds the float64 rows: rounding first would
+        # start training from the f32 values
+        table.rows = to_f32(table.rows, "embedding rows")
         self.enc_t = [encoder_tensors(e, requires_grad=True) for e in self.encoders]
 
     def prepared(self, rec_idx: int, attr: int) -> PreparedBatch | None:
@@ -389,9 +422,9 @@ class SignatureTrainer:
                         "signature=%d step=%d skipped: batch empty after filtering", s, t
                     )
                     continue
-                opt.zero_grad()
                 ad.backward(loss)
                 opt.step()
+                opt.zero_grad()
                 w_t.data[...] = project_weights(w_t.data, sorted(usable))
                 if t % cfg.log_every == 0 or t == cfg.iterations:
                     logger.info(
@@ -415,7 +448,7 @@ class SignatureTrainer:
             if not usable:
                 break
         weights = SignatureWeights(np.stack(rows))
-        self.table.rows[self.reachable] = self.emb_t.data
+        self.table.rows[self.reachable] = to_f32(self.emb_t.data, "embedding rows")
         return SignatureModel(
             schema=tuple(self.dataset.schema),
             table=self.table,

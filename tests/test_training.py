@@ -449,6 +449,13 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             train(ds, labels, small_config(**settings_))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_adam_eps_must_be_finite_and_positive(self, eps):
+        # an eps of 0 made every row without a gradient compute 0 / 0
+        ds, labels = two_attr_dataset(seed=9)
+        with pytest.raises(ValueError, match=f"adam_eps must be finite and positive, got {eps}"):
+            train(ds, labels, small_config(adam_eps=eps))
+
 
 def gappy_dataset(seed=0):
     """Two attributes, one value in five missing, so some of every value's
@@ -481,7 +488,12 @@ class TestCompactTable:
                     want.update(bucket_ids(tr.table, t).tolist())
         assert tr.reachable.tolist() == sorted(want)
         assert len(want) < tr.table.bucket_count
-        assert tr.emb_t.data.tobytes() == tr.table.rows[tr.reachable].tobytes()
+        # the table holds the f32 rounding of the float64 rows `emb_t`
+        # starts from, and those are the seeded draw
+        assert tr.table.rows.dtype == np.float32
+        assert tr.table.rows[tr.reachable].tobytes() == tr.emb_t.data.astype(np.float32).tobytes()
+        drawn = EmbeddingTable(12, 2**12, (3, 5), tr.table.seed).rows
+        assert tr.emb_t.data.tobytes() == drawn[tr.reachable].tobytes()
 
     def test_pretrained_tokens_reach_no_rows(self):
         ds, labels = gappy_dataset(seed=12)
@@ -521,7 +533,79 @@ class TestCompactTable:
         assert not np.array_equal(model.table.rows[tr.reachable], before[tr.reachable])
 
 
+class TestTrainerMemory:
+    """The trainer holds only what training reads."""
+
+    def test_no_gradient_alive_between_steps(self):
+        ds, labels = gappy_dataset(seed=15)
+        tr = SignatureTrainer(ds, labels, small_config(iterations=4))
+        params = [tr.emb_t] + [t for tensors in tr.enc_t for t in tensors.values()]
+        forward = tr.batch_loss
+        calls = []
+
+        def checked(w_t, *args):
+            assert all(p.grad is None for p in [w_t, *params])
+            calls.append(w_t)
+            return forward(w_t, *args)
+
+        tr.batch_loss = checked
+        model = tr.train()
+        assert len(calls) == 4 * model.num_signatures
+        assert all(p.grad is None for p in [*calls, *params])
+
+    def test_non_f32_row_fails_when_built(self):
+        ds, labels = gappy_dataset(seed=16)
+        table = EmbeddingTable(12, 256, (3, 5), seed=3)
+        table.rows[0, 0] = 1e39
+        with pytest.raises(ValueError, match="embedding rows: value 1e\\+39"):
+            SignatureTrainer(ds, labels, small_config(), table=table)
+
+
+def reference_adam_step(opt, data, grads):
+    """One step of the out-of-place formula ``Adam.step`` must equal
+    bitwise, on copies of ``data`` and of the moments."""
+    t = opt.t + 1
+    bc1 = 1.0 - opt.b1**t
+    bc2 = 1.0 - opt.b2**t
+    out = []
+    for x, g, m, v in zip(data, grads, opt.m, opt.v):
+        if g is None:
+            out.append((x.copy(), m.copy(), v.copy()))
+            continue
+        m = m * opt.b1 + (1.0 - opt.b1) * g
+        v = v * opt.b2 + (1.0 - opt.b2) * (g * g)
+        x = x - opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        out.append((x, m, v))
+    return out
+
+
 class TestAdam:
+    def test_in_place_step_is_the_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        shapes_scales = [((7, 5), 1e-6), ((9,), 1.0), ((4, 3), 1e4), ((3, 2), 1.0)]
+        params = [
+            ad.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+            for shape, scale in shapes_scales
+        ]
+        params[0].data[2] = -0.0
+        opt = Adam(params, lr=0.03, betas=(0.8, 0.99), eps=1e-7)
+        for step in range(5):
+            grads = [rng.standard_normal(p.data.shape) * 10.0 ** rng.uniform(-6, 3) for p in params]
+            grads[0][1] = 0.0  # a row with no gradient
+            grads[0][3] = -0.0
+            if step % 2:
+                grads[3] = None  # a parameter this step never reached
+            want = reference_adam_step(opt, [p.data for p in params], grads)
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            opt.step()
+            assert opt.t == step + 1
+            for k, (p, (x, m, v)) in enumerate(zip(params, want)):
+                assert p.data.tobytes() == x.tobytes(), (step, k)
+                assert opt.m[k].tobytes() == m.tobytes(), (step, k)
+                assert opt.v[k].tobytes() == v.tobytes(), (step, k)
+            opt.zero_grad()
+
     def test_zero_grad_and_moments_leave_data_bitwise(self):
         # Why a dense step over the compact table is exact: a row with no
         # gradient and zero moments moves by lr * 0 / (0 + eps) = 0.
