@@ -521,8 +521,8 @@ def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar ``loss`` into every parameter.
 
-    The graph is released as it is consumed, so a tensor graph can be
-    backpropagated once per forward pass.
+    The graph is released node by node as it is consumed, so a tensor
+    graph can be backpropagated once per forward pass.
     """
     if loss.data.ndim != 0:
         raise ValueError("backward() expects a scalar loss")
@@ -542,7 +542,8 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node._parents = ()

@@ -8,20 +8,23 @@ MinHash blocking sketches each record's representative set (tokens
 plus contiguous token n-grams of an attribute) with banded min-hashes
 and verifies banding candidates by exact Jaccard, so no emitted pair
 falls below the threshold.
-"""
+
+Each key or band gives every record a group number, and the records of
+a group are paired as array code, in the blocking engine's pair codes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .blocking import CandidateSet
-from .data_model import Dataset, Record, canonical_pair
-from .text_embedding import fnv1a64
+from .blocking import CandidateSet, id_pairs
+from .data_model import Dataset, Record
+from .text_embedding import fnv1a64_many
 
-_MERSENNE31 = (1 << 31) - 1
+_MERSENNE31 = np.uint64((1 << 31) - 1)
+_SKETCH_CHUNK = 1024  # sets per hash-and-min product of MinHasher.sketches
 
 
 @dataclass(frozen=True)
@@ -43,50 +46,50 @@ class KeySpec:
 def _key_of(record: Record, attr_idx: Sequence[int]) -> tuple[str, ...] | None:
     parts = []
     for j in attr_idx:
-        value = record.attributes[j]
-        if value.is_missing:
+        tokens = record.attributes[j].tokens
+        if not tokens:  # missing
             return None
-        parts.append(value.text())
+        parts.append(" ".join(tokens))
     return tuple(parts)
 
 
-def _pairs_from_groups(
-    groups: dict, dataset: Dataset
-) -> set[tuple[str, str]]:
-    out: set[tuple[str, str]] = set()
-    if dataset.is_bipartite:
-        for members in groups.values():
-            left = [rid for t, rid in members if t == 0]
-            right = [rid for t, rid in members if t == 1]
-            for a in left:
-                for b in right:
-                    out.add(canonical_pair(a, b))
-    else:
-        for members in groups.values():
-            ids = [rid for _, rid in members]
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    out.add(canonical_pair(ids[i], ids[j]))
-    return out
+def _sorted_records(dataset: Dataset) -> tuple[list[str], list[Record], np.ndarray | None]:
+    """The sorted ids, their records and, on two tables, which are in the second."""
+    records = sorted(dataset.all_records(), key=lambda r: r.record_id)
+    ids = [r.record_id for r in records]
+    table = np.array([rid in dataset.tables[-1] for rid in ids]) if dataset.is_bipartite else None
+    return ids, records, table
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for every (s, c), concatenated."""
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+
+
+def _shared_group_pairs(group: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    """Pair codes ``i * n + j`` (i < j) of every two records i and j, by
+    position in the sorted ids, whose group numbers agree (-1: no group);
+    given which records are in the second table, only pairs across."""
+    # stable, so a group's members stay in ascending position: i < j
+    order = np.argsort(group, kind="stable")[np.count_nonzero(group < 0) :]
+    after = np.arange(1, len(order) + 1)
+    count = np.searchsorted(group[order], group[order], side="right") - after
+    a, b = order[np.repeat(after - 1, count)], order[_ranges(after, count)]
+    cross = slice(None) if table is None else table[a] != table[b]
+    return (a * len(group) + b)[cross]
 
 
 def key_block(dataset: Dataset, key_spec: KeySpec) -> CandidateSet:
     """Pairs agreeing exactly on the key; disjunction unions single keys."""
-    if key_spec.kind == "disjunction":
-        pairs: set[tuple[str, str]] = set()
-        for name in key_spec.attributes:
-            sub = key_block(dataset, KeySpec("single", (name,)))
-            pairs |= sub.pairs
-        return CandidateSet(frozenset(pairs))
-    attr_idx = [dataset.attribute_index(a) for a in key_spec.attributes]
-    groups: dict[tuple[str, ...], list[tuple[int, str]]] = {}
-    for t, table in enumerate(dataset.tables):
-        for rec in table:
-            key = _key_of(rec, attr_idx)
-            if key is None:
-                continue
-            groups.setdefault(key, []).append((t, rec.record_id))
-    return CandidateSet(frozenset(_pairs_from_groups(groups, dataset)))
+    ids, records, table = _sorted_records(dataset)
+    singles = key_spec.kind == "disjunction"
+    codes = []
+    for key in [(a,) for a in key_spec.attributes] if singles else [key_spec.attributes]:
+        attr_idx = [dataset.attribute_index(a) for a in key]
+        number: dict[tuple[str, ...] | None, int] = {None: -1}  # None: a key part is missing
+        group = [number.setdefault(_key_of(rec, attr_idx), len(number) - 1) for rec in records]
+        codes.append(_shared_group_pairs(np.array(group, np.int64), table))
+    return CandidateSet(frozenset(id_pairs(np.concatenate(codes), ids)))
 
 
 def representative_set(
@@ -94,15 +97,9 @@ def representative_set(
 ) -> frozenset[str]:
     """Tokens plus contiguous token n-grams (space-joined) of one
     attribute, for n-gram sizes of at least 2."""
-    value = record.attributes[attr_index]
-    if value.is_missing:
-        return frozenset()
-    tokens = value.tokens
-    out = set(tokens)
-    for n in ngram_sizes:
-        for i in range(len(tokens) - n + 1):
-            out.add(" ".join(tokens[i : i + n]))
-    return frozenset(out)
+    tokens = record.attributes[attr_index].tokens
+    grams = (" ".join(tokens[i : i + n]) for n in ngram_sizes for i in range(len(tokens) - n + 1))
+    return frozenset(tokens).union(grams)
 
 
 def exact_jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
@@ -143,15 +140,22 @@ class MinHasher:
 
     def sketch(self, elements: Iterable[str]) -> np.ndarray:
         """Per-row minimum hash values; raises on an empty set."""
-        xs = np.fromiter(
-            (fnv1a64(e) % _MERSENNE31 for e in elements), dtype=np.uint64
-        )
-        if xs.size == 0:
+        return self.sketches([list(elements)])[0]
+
+    def sketches(self, sets: Sequence[Collection[str]]) -> np.ndarray:
+        """:meth:`sketch` of every set, as rows: one ``fnv1a64_many`` pass
+        hashes all elements, then one segmented min per _SKETCH_CHUNK sets."""
+        size = np.fromiter(map(len, sets), np.int64, len(sets))
+        if not size.all():
             raise ValueError("cannot sketch an empty set")
-        vals = (self.a[:, None] * xs[None, :] + self.b[:, None]) % np.uint64(
-            _MERSENNE31
-        )
-        return vals.min(axis=1)
+        xs = fnv1a64_many([e for s in sets for e in s]) % _MERSENNE31
+        start = np.append(np.cumsum(size) - size, len(xs))
+        out = np.empty((len(sets), self.num_hashes), np.uint64)
+        for lo in range(0, len(sets), _SKETCH_CHUNK):
+            hi = min(lo + _SKETCH_CHUNK, len(sets))
+            vals = (self.a[:, None] * xs[start[lo] : start[hi]] + self.b[:, None]) % _MERSENNE31
+            out[lo:hi] = np.minimum.reduceat(vals, start[lo:hi] - start[lo], axis=1).T
+        return out
 
 
 def estimate_jaccard(sketch_a: np.ndarray, sketch_b: np.ndarray) -> float:
@@ -159,6 +163,19 @@ def estimate_jaccard(sketch_a: np.ndarray, sketch_b: np.ndarray) -> float:
     if sketch_a.shape != sketch_b.shape:
         raise ValueError("sketch length mismatch")
     return float(np.mean(sketch_a == sketch_b))
+
+
+def _jaccards(sets: Sequence[Collection[str]], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``exact_jaccard(sets[a[p]], sets[b[p]])`` for every p: each
+    element of ``sets[a[p]]`` is looked up among ``sets[b[p]]``'s."""
+    number: dict[str, int] = {}
+    elems = np.fromiter((number.setdefault(e, len(number)) for s in sets for e in s), np.int64)
+    size = np.fromiter(map(len, sets), np.int64, len(sets))
+    held = np.repeat(np.arange(len(sets)), size) * len(number) + elems
+    pair = np.repeat(np.arange(len(a)), size[a])
+    probe = b[pair] * len(number) + elems[_ranges(np.cumsum(size)[a] - size[a], size[a])]
+    inter = np.bincount(pair[np.isin(probe, held)], minlength=len(a))
+    return inter / (size[a] + size[b] - inter)
 
 
 def minhash_block(
@@ -178,42 +195,20 @@ def minhash_block(
     params = params or MinHashParams()
     params.validate()
     hasher = MinHasher(params.num_hashes, params.seed)
-    pairs: set[tuple[str, str]] = set()
+    ids, records, table = _sorted_records(dataset)
+    codes = [np.zeros(0, np.int64)]
     for name in attributes:
         j = dataset.attribute_index(name)
-        ids: list[str] = []
-        table_of: list[int] = []
-        sets: list[frozenset[str]] = []
-        sketches: list[np.ndarray] = []
-        for t, table in enumerate(dataset.tables):
-            for rec in table:
-                rep = representative_set(rec, j, params.ngram_sizes)
-                if not rep:
-                    continue
-                ids.append(rec.record_id)
-                table_of.append(t)
-                sets.append(rep)
-                sketches.append(hasher.sketch(rep))
-        cands: set[tuple[int, int]] = set()
-        for band in range(params.bands):
-            lo = band * params.band_size
-            hi = lo + params.band_size
-            buckets: dict[bytes, list[int]] = {}
-            for i, sk in enumerate(sketches):
-                buckets.setdefault(sk[lo:hi].tobytes(), []).append(i)
-            for members in buckets.values():
-                if len(members) < 2:
-                    continue
-                for x in range(len(members)):
-                    for y in range(x + 1, len(members)):
-                        a, b = members[x], members[y]
-                        if dataset.is_bipartite and table_of[a] == table_of[b]:
-                            continue
-                        cands.add((a, b) if a < b else (b, a))
-        for a, b in cands:
-            if ids[a] == ids[b]:
-                continue
-            if exact_jaccard(sets[a], sets[b]) < theta:
-                continue
-            pairs.add(canonical_pair(ids[a], ids[b]))
-    return CandidateSet(frozenset(pairs))
+        sets = [representative_set(rec, j, params.ngram_sizes) for rec in records]
+        present = np.flatnonzero([len(s) > 0 for s in sets])
+        # each band of a sketch row as one 8 * band_size byte string
+        bands = hasher.sketches([sets[i] for i in present]).view(f"V{8 * params.band_size}")
+        found = []
+        for band in bands.T:
+            group = np.full(len(sets), -1)
+            group[present] = np.unique(band, return_inverse=True)[1]
+            found.append(_shared_group_pairs(group, table))
+        pair = np.sort(np.concatenate(found))
+        pair = pair[np.diff(pair, prepend=-1) != 0]  # each banding candidate once
+        codes.append(pair[_jaccards(sets, *np.divmod(pair, len(sets))) >= theta])
+    return CandidateSet(frozenset(id_pairs(np.concatenate(codes), ids)))

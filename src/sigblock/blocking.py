@@ -168,8 +168,7 @@ def _candidates(dataset: Dataset, model: SignatureModel, theta: float, hits) -> 
         index_records = query_records = list(dataset.all_records())
         idx_sig, idx_ok = q_sig, q_ok = unit_signatures(model, index_records)
 
-    # records by position in the sorted ids, so the smaller position of a
-    # pair is its canonical first id
+    # records by position in the sorted ids, as ``id_pairs`` reads them
     ids = sorted({r.record_id for r in index_records + query_records})
     position = {rid: i for i, rid in enumerate(ids)}
     idx_rank = np.array([position[r.record_id] for r in index_records], dtype=np.int64)
@@ -189,11 +188,15 @@ def _candidates(dataset: Dataset, model: SignatureModel, theta: float, hits) -> 
     pair, sig, cos = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((sig, -cos, pair))
     first = order[np.unique(pair[order], return_index=True)[1]]
-    best = {
-        (ids[p // len(ids)], ids[p % len(ids)]): (s, c)
-        for p, s, c in zip(pair[first].tolist(), sig[first].tolist(), cos[first].tolist())
-    }
+    best = dict(zip(id_pairs(pair[first], ids), zip(sig[first].tolist(), cos[first].tolist())))
     return CandidateSet(frozenset(best), best)
+
+
+def id_pairs(codes: np.ndarray, ids: list[str]) -> list[tuple[str, str]]:
+    """The pairs ``(ids[i], ids[j])`` of the codes ``i * len(ids) + j``
+    with i < j: over the sorted ``ids``, the canonical id pairs."""
+    first, second = np.divmod(codes, len(ids))
+    return list(zip(map(ids.__getitem__, first.tolist()), map(ids.__getitem__, second.tolist())))
 
 
 def block(

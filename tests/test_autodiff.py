@@ -1,6 +1,7 @@
 """Finite-difference checks for every tape operation."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -327,6 +328,28 @@ def test_backward_requires_scalar():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         ad.backward(ad.mul(x, x))
+
+
+def test_backward_frees_consumed_nodes_during_the_pass():
+    # loss, then mid, then first: by the time first's backward runs, mid
+    # has been consumed and nothing but the tape held it
+    x = ad.Tensor(np.ones(4), requires_grad=True)
+    first = ad.scale(x, 2.0)
+    mid = ad.scale(first, 3.0)
+    loss = ad.tsum(mid)
+    mid_data = weakref.ref(mid.data)
+    del mid
+    mid_alive = []
+    first_backward = first._backward
+
+    def spy(g):
+        mid_alive.append(mid_data() is not None)
+        first_backward(g)
+
+    first._backward = spy
+    ad.backward(loss)
+    assert mid_alive == [False]
+    np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
 
 
 def test_no_graph_without_requires_grad():

@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from sigblock.baselines import (
+    _SKETCH_CHUNK,
     KeySpec,
     MinHasher,
     MinHashParams,
@@ -24,6 +26,8 @@ from sigblock.data_model import (
     make_bipartite,
     tokenize,
 )
+from sigblock.evaluation import SynthSpec, synthesize
+from sigblock.text_embedding import fnv1a64
 
 from conftest import phrase, pseudo_vocab
 
@@ -94,12 +98,23 @@ class TestKeyBlock:
             album = " ".join(phrase(rng, vocab, 1, 2)) if rng.random() > 0.2 else ""
             recs.append(record(f"r{i:03d}", title, album))
         ds = Dataset(("title", "album"), (Table(recs),))
-        for spec in (
-            KeySpec("single", ("title",)),
-            KeySpec("conjunction", ("title", "album")),
-        ):
-            attr_idx = [ds.attribute_index(a) for a in spec.attributes]
-            assert key_block(ds, spec).pairs == brute_force_key_join(ds, attr_idx)
+        split = make_bipartite(
+            Dataset(ds.schema, (Table(recs[::2]),)), Dataset(ds.schema, (Table(recs[1::2]),))
+        )
+        for data in (ds, split):
+            for spec in (
+                KeySpec("single", ("title",)),
+                KeySpec("conjunction", ("title", "album")),
+                KeySpec("disjunction", ("title", "album")),
+            ):
+                keys = [spec.attributes]
+                if spec.kind == "disjunction":
+                    keys = [(a,) for a in spec.attributes]
+                want = set()
+                for key in keys:
+                    want |= brute_force_key_join(data, [data.attribute_index(a) for a in key])
+                assert want
+                assert key_block(data, spec).pairs == want
 
     def test_bipartite_crosses_tables(self):
         left = Dataset(("t",), (Table([record("a1", "same"), record("a2", "same")]),))
@@ -176,6 +191,16 @@ class TestMinHash:
         sigma = math.sqrt(true_j * (1 - true_j) / rows)
         assert abs(est - true_j) < 3 * sigma
 
+    def test_batch_equals_per_set_formula_across_chunks(self, rng):
+        vocab = pseudo_vocab(rng, 40)
+        sets = [frozenset(phrase(rng, vocab, 1, 6)) for _ in range(2 * _SKETCH_CHUNK + 7)]
+        h = MinHasher(16, seed=5)
+        got = h.sketches(sets)
+        m = np.uint64((1 << 31) - 1)
+        for row, s in zip(got, sets):
+            xs = np.array([fnv1a64(e) for e in s], np.uint64) % m
+            assert np.array_equal(row, ((h.a[:, None] * xs + h.b[:, None]) % m).min(axis=1))
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             MinHasher(8).sketch(frozenset())
@@ -244,3 +269,52 @@ class TestMinhashBlock:
         # a size below 2 used to be skipped without a word
         with pytest.raises(ValueError, match=r"minhash.ngram_sizes must be at least 2, got \("):
             minhash_block(self._dataset(), ("title",), 0.5, MinHashParams(ngram_sizes=sizes))
+
+
+def banding_oracle(dataset, attributes, theta, params):
+    """Independent oracle: every pair of per-record sketches compared band
+    by band, and a pair sharing a band kept at exact Jaccard >= theta."""
+    hasher = MinHasher(params.num_hashes, params.seed)
+    recs = list(dataset.all_records())
+    table = [dataset.table_of(r.record_id) for r in recs]
+    out = set()
+    for name in attributes:
+        j = dataset.attribute_index(name)
+        reps = [representative_set(r, j, params.ngram_sizes) for r in recs]
+        bands = {
+            i: hasher.sketch(rep).reshape(params.bands, params.band_size)
+            for i, rep in enumerate(reps)
+            if rep
+        }
+        for x, y in itertools.combinations(bands, 2):
+            if dataset.is_bipartite and table[x] == table[y]:
+                continue
+            if (bands[x] == bands[y]).all(axis=1).any() and exact_jaccard(reps[x], reps[y]) >= theta:
+                out.add(canonical_pair(recs[x].record_id, recs[y].record_id))
+    return out
+
+
+class TestMinhashBlockOracle:
+    @pytest.mark.parametrize("bipartite", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_brute_force_banding(self, seed, bipartite):
+        ds, _ = synthesize(SynthSpec(60, 2, "dirty", 0.3, 0.0, 0.3, 0.2, 0.2), seed=seed)
+        extra = [
+            record("x-solo-a", "dylan", "", "", ""),  # one-token titles, equal sets
+            record("x-solo-b", "dylan", "", "", ""),
+            record("x-blank", "", "", "", ""),  # every attribute missing
+        ]
+        records = list(ds.all_records()) + extra
+        assert any(v.is_missing for r in records[:-3] for v in r.attributes)
+        if bipartite:
+            left = [r for r in records if r.record_id.endswith(("-0", "-a"))]
+            right = [r for r in records if not r.record_id.endswith(("-0", "-a"))]
+            ds = make_bipartite(
+                Dataset(ds.schema, (Table(left),)), Dataset(ds.schema, (Table(right),))
+            )
+        else:
+            ds = Dataset(ds.schema, (Table(records),))
+        params = MinHashParams(bands=16, band_size=3, seed=seed)
+        got = minhash_block(ds, ds.schema, 0.3, params)
+        assert ("x-solo-a", "x-solo-b") in got.pairs
+        assert got.pairs == banding_oracle(ds, ds.schema, 0.3, params)
