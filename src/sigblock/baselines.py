@@ -20,6 +20,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .blocking import CandidateSet, id_pairs
+from .codec import ranges
 from .data_model import Dataset, Record
 from .text_embedding import fnv1a64_many
 
@@ -61,11 +62,6 @@ def _sorted_records(dataset: Dataset) -> tuple[list[str], list[Record], np.ndarr
     return ids, records, table
 
 
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``arange(s, s + c)`` for every (s, c), concatenated."""
-    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
-
-
 def _shared_group_pairs(group: np.ndarray, table: np.ndarray | None) -> np.ndarray:
     """Pair codes ``i * n + j`` (i < j) of every two records i and j, by
     position in the sorted ids, whose group numbers agree (-1: no group);
@@ -74,7 +70,7 @@ def _shared_group_pairs(group: np.ndarray, table: np.ndarray | None) -> np.ndarr
     order = np.argsort(group, kind="stable")[np.count_nonzero(group < 0) :]
     after = np.arange(1, len(order) + 1)
     count = np.searchsorted(group[order], group[order], side="right") - after
-    a, b = order[np.repeat(after - 1, count)], order[_ranges(after, count)]
+    a, b = order[np.repeat(after - 1, count)], order[ranges(after, count)]
     cross = slice(None) if table is None else table[a] != table[b]
     return (a * len(group) + b)[cross]
 
@@ -173,7 +169,7 @@ def _jaccards(sets: Sequence[Collection[str]], a: np.ndarray, b: np.ndarray) -> 
     size = np.fromiter(map(len, sets), np.int64, len(sets))
     held = np.repeat(np.arange(len(sets)), size) * len(number) + elems
     pair = np.repeat(np.arange(len(a)), size[a])
-    probe = b[pair] * len(number) + elems[_ranges(np.cumsum(size)[a] - size[a], size[a])]
+    probe = b[pair] * len(number) + elems[ranges(np.cumsum(size)[a] - size[a], size[a])]
     inter = np.bincount(pair[np.isin(probe, held)], minlength=len(a))
     return inter / (size[a] + size[b] - inter)
 

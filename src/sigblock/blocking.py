@@ -14,16 +14,18 @@ pair with ``lsh.pair_cosines``, so a pair both find has one cosine.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .data_model import Dataset, DatasetError, Record, canonical_pair, read_text
+from .data_model import (  # noqa: F401  candidates are labels' pair set, reader and writer
+    Dataset,
+    LabelSet as CandidateSet,
+    Record,
+    read_pairs as read_candidates,
+    write_labels as write_candidates,
+)
 from .encoder import (  # noqa: F401  perfbench wraps prepare_sequence here by name
     embed_vocabulary,
     encode_sequences_tape,
@@ -35,24 +37,6 @@ from .lsh import LshIndex, LshParams, pair_cosines
 from .signatures import SignatureModel
 
 _EXACT_CHUNK = 512  # query rows per matrix product of the exact scan
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Canonical record-id pairs, optionally annotated with the best
-    (signature, cosine) that produced each pair."""
-
-    pairs: frozenset[tuple[str, str]]
-    provenance: dict[tuple[str, str], tuple[int, float]] | None = None
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return canonical_pair(*pair) in self.pairs
-
-    def sorted_pairs(self) -> list[tuple[str, str]]:
-        return sorted(self.pairs)
 
 
 def signature_matrix(
@@ -219,54 +203,3 @@ def pe_ratio(candidates: CandidateSet, dataset: Dataset) -> float:
     if dataset.n == 0:
         raise ValueError("dataset is empty")
     return len(candidates.pairs) / dataset.n
-
-
-def write_candidates(candidates: CandidateSet, path: str | Path) -> None:
-    """Sorted candidate CSV, with provenance columns exactly when the set carries them."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if candidates.provenance is not None:
-            writer.writerow(["id_a", "id_b", "signature_id", "cosine"])
-            for a, b in candidates.sorted_pairs():
-                s, cos = candidates.provenance[(a, b)]
-                writer.writerow([a, b, s, repr(cos)])
-        else:
-            writer.writerow(["id_a", "id_b"])
-            for a, b in candidates.sorted_pairs():
-                writer.writerow([a, b])
-
-
-def read_candidates(path: str | Path) -> CandidateSet:
-    """Read a candidate CSV as :func:`write_candidates` writes it.
-
-    A file without the ``id_a,id_b`` header raises ``DatasetError``
-    naming the path; so does a row with fewer fields than the header
-    names (two, or four with provenance), or whose ``signature_id`` or
-    ``cosine`` is no number, naming the line too, and bytes that are not
-    UTF-8, naming the line and the byte offset.
-    """
-    pairs: set[tuple[str, str]] = set()
-    provenance: dict[tuple[str, str], tuple[int, float]] = {}
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, [])
-    if header[:2] != ["id_a", "id_b"]:
-        raise DatasetError(f"{path}: expected candidate CSV with id_a,id_b header")
-    has_prov = len(header) >= 4
-    fields = 4 if has_prov else 2
-    for row in reader:
-        if len(row) < fields:
-            raise DatasetError(
-                f"{path}: line {reader.line_num}: expected {','.join(header[:fields])},"
-                f" got {len(row)} field(s)"
-            )
-        pair = canonical_pair(row[0], row[1])
-        pairs.add(pair)
-        if has_prov:
-            try:
-                provenance[pair] = (int(row[2]), float(row[3]))
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: line {reader.line_num}: signature_id and cosine must be"
-                    f" numbers, got {row[2]!r} and {row[3]!r}"
-                ) from None
-    return CandidateSet(frozenset(pairs), provenance if has_prov else None)

@@ -12,7 +12,9 @@ line.
 
 Both sides share one record shape, a run of ``u16 length, UTF-8 text,
 fixed-width row`` records (attribute names, pretrained tokens, index
-entries), which they lay out and parse as arrays.
+entries), which they lay out and parse as arrays. The layout's
+:func:`ranges` is also the one such helper of the package's other
+array code.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from pathlib import Path
 import numpy as np
 
 _TEXT_LIMIT = 0xFFFF
+
+
+def ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for every (s, c), concatenated."""
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
 
 
 def _clip(text: str, keep: int = 40) -> str:
@@ -88,7 +95,7 @@ class Writer:
         out[starts] = lens & 0xFF
         out[starts + 1] = lens >> 8
         text = np.frombuffer(b"".join(raws), dtype=np.uint8)
-        out[np.repeat(starts + 2 - (np.cumsum(lens) - lens), lens) + np.arange(text.size)] = text
+        out[ranges(starts + 2, lens)] = text
         out[(starts + 2 + lens)[:, None] + np.arange(width)] = rows
         self.parts.append(out)
 

@@ -1,4 +1,4 @@
-"""Records, datasets, match labels, and delimited-file ingestion.
+"""Records, datasets, pair sets (labels and candidates), and delimited files.
 
 Tokenization rules
 ------------------
@@ -220,9 +220,13 @@ def canonical_pair(a: str, b: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Known-match record pairs, stored canonically (smaller id first)."""
+    """Record pairs stored canonically (smaller id first): the known
+    matches, or a blocker's candidates (``blocking.CandidateSet`` is this
+    class). ``provenance`` holds each pair's best (signature, cosine)
+    when a blocker scored its pairs, else None."""
 
     pairs: frozenset[tuple[str, str]]
+    provenance: dict[tuple[str, str], tuple[int, float]] | None = None
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -396,34 +400,72 @@ def export(dataset: Dataset, path: str | Path, format: str = "csv", id_column: s
         raise DatasetError(f"unknown format {format!r}")
 
 
-def load_labels(path: str | Path, dataset: Dataset) -> LabelSet:
-    """Read a two-column id file (header ``id_a,id_b``) into a label set."""
+def read_pairs(path: str | Path) -> LabelSet:
+    """Read a pair file, labels or candidates, into a canonical pair set
+    (``blocking.read_candidates`` is this function).
+
+    The header starts ``id_a,id_b`` (cells stripped). Provenance is read
+    only when columns 3 and 4 are ``signature_id,cosine``; other columns
+    are ignored. Cells split on tabs when the header line holds one,
+    else on commas. ``DatasetError`` names the path for a missing file,
+    and the line too for a missing header, a row with fewer fields than
+    the columns read, a ``signature_id`` or ``cosine`` that is no number
+    and bytes that are not UTF-8 (with their byte offset).
+    """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
     fh = io.StringIO(read_text(path), newline="")
     delimiter = "\t" if "\t" in fh.readline() else ","
     fh.seek(0)
-    rows = list(csv.reader(fh, delimiter=delimiter))
-    if not rows:
-        raise DatasetError(f"{path}: empty label file")
-    header = [c.strip() for c in rows[0]]
+    reader = csv.reader(fh, delimiter=delimiter)
+    header = [c.strip() for c in next(reader, [])]
     if header[:2] != ["id_a", "id_b"]:
-        raise DatasetError(f"{path}: expected header id_a,id_b, got {header[:2]}")
-    pairs = []
-    for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) < 2:
-            raise DatasetError(f"{path}: row {rownum}: expected two columns")
-        pairs.append((row[0], row[1]))
+        raise DatasetError(f"{path}: line 1: expected header id_a,id_b, got {header[:2]}")
+    has_prov = header[2:4] == ["signature_id", "cosine"]
+    fields = 4 if has_prov else 2
+    pairs: set[tuple[str, str]] = set()
+    provenance: dict[tuple[str, str], tuple[int, float]] = {}
+    for row in reader:
+        if len(row) < fields:
+            raise DatasetError(
+                f"{path}: line {reader.line_num}: expected {','.join(header[:fields])},"
+                f" got {len(row)} field(s)"
+            )
+        pair = canonical_pair(row[0], row[1])
+        pairs.add(pair)
+        if has_prov:
+            try:
+                provenance[pair] = (int(row[2]), float(row[3]))
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: line {reader.line_num}: signature_id and cosine must be"
+                    f" numbers, got {row[2]!r} and {row[3]!r}"
+                ) from None
+    return LabelSet(frozenset(pairs), provenance if has_prov else None)
+
+
+def load_labels(path: str | Path, dataset: Dataset) -> LabelSet:
+    """The pairs of a pair file (:func:`read_pairs`) as labels of
+    ``dataset``: a self-pair or an unknown id raises ``DatasetError``
+    naming the path."""
+    pairs = read_pairs(path)
     try:
-        return make_labels(pairs, dataset)
+        return make_labels(pairs.sorted_pairs(), dataset)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def write_labels(labels: LabelSet, path: str | Path) -> None:
+def write_labels(pairs: LabelSet, path: str | Path) -> None:
+    """Write a pair file, labels or candidates, as :func:`read_pairs`
+    reads it (``blocking.write_candidates`` is this function): the sorted
+    pairs, with the ``signature_id,cosine`` columns exactly when the set
+    carries provenance."""
+    header, rows = ["id_a", "id_b"], pairs.sorted_pairs()
+    if pairs.provenance is not None:
+        header += ["signature_id", "cosine"]
+        rows = [(a, b, *pairs.provenance[a, b]) for a, b in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id_a", "id_b"])
-        for a, b in labels.sorted_pairs():
-            writer.writerow([a, b])
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -43,6 +43,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .codec import ranges
 from .data_model import AttributeValue
 from .text_embedding import EmbeddingTable
 
@@ -166,17 +167,17 @@ class PreparedBatch:
         """The values numbered ``values`` (an int array) as a batch of
         their own, over the part of the vocabulary they use."""
         starts = self.bounds[values]
-        bounds = _offsets(self.bounds[values + 1] - starts)
-        used, tokens = _first_seen(self.tokens[_ranges(starts, bounds)].tolist())
+        lengths = self.bounds[values + 1] - starts
+        used, tokens = _first_seen(self.tokens[ranges(starts, lengths)].tolist())
         used = np.array(used, dtype=np.int64)
         starts = self.offsets[used]
-        offsets = _offsets(self.offsets[used + 1] - starts)
+        counts = self.offsets[used + 1] - starts
         return PreparedBatch(
-            self.ids[_ranges(starts, offsets)],
-            offsets,
+            self.ids[ranges(starts, counts)],
+            _offsets(counts),
             None if self.const is None else self.const[used],
             tokens,
-            bounds,
+            _offsets(lengths),
         )
 
 
@@ -186,12 +187,6 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     counts.cumsum(out=offsets[1:])
     return offsets
-
-
-def _ranges(starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """``arange(starts[k], starts[k] + offsets[k + 1] - offsets[k])`` for
-    every k, back to back."""
-    return (starts - offsets[:-1]).repeat(offsets[1:] - offsets[:-1]) + np.arange(offsets[-1])
 
 
 def _first_seen(items: list) -> tuple[list, np.ndarray]:
@@ -310,9 +305,8 @@ def encode_sequences_tape(
         raise ValueError("cannot encode a missing value")
     copy_of = np.arange(len(values))  # each value's distinct sequence
     if len(values) > 1:
-        offsets = _offsets(lengths)
-        flat = batch.tokens[_ranges(starts, offsets)].tolist()
-        bounds = offsets.tolist()
+        flat = batch.tokens[ranges(starts, lengths)].tolist()
+        bounds = _offsets(lengths).tolist()
         _, copy_of = _first_seen([tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])])
         first = np.unique(copy_of, return_index=True)[1]
         starts, lengths = starts[first], lengths[first]

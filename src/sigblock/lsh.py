@@ -59,7 +59,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codec import Reader, Writer
+from .codec import Reader, Writer, ranges
 
 UNIT_TOL = 1e-6
 # Vectors are hashed 256 rows per matrix product and queries re-ranked in
@@ -407,8 +407,7 @@ class LshIndex:
         """``search`` hits of the rows ``q``, given the start and size of
         each probed bucket in ``_members``, row by row."""
         rows = np.repeat(np.arange(len(size)) // (len(size) // len(q)), size)
-        first = np.repeat(start - (np.cumsum(size) - size), size)
-        members = self._members[first + np.arange(len(first))]
+        members = self._members[ranges(start, size)]
         if signature is not None:
             keep = self._signatures[members] == signature
             rows, members = rows[keep], members[keep]

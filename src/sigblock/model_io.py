@@ -26,10 +26,11 @@ load followed by save. All floats are little-endian 32-bit. Layout::
 Reads and writes go through ``codec``. A version or magic mismatch
 fails loudly; nothing is reinterpreted. A file cut short, malformed
 text, a non-finite float, a value the model rules out (a zero dim,
-hidden size or max_tokens, a bucket count that is no power of two, a
-trainable flag other than 0 or 1, a cell kind other than 1, a smoothing rho
-outside [0, 1], a repeated pretrained token, a config snapshot not in
-the form ``save_model`` writes) or trailing bytes raise ``ValueError``
+hidden size or max_tokens, a bucket count that is no power of two,
+n-gram sizes outside 1 <= ngram_min <= ngram_max, a trainable flag
+other than 0 or 1, a cell kind other than 1, a smoothing rho outside
+[0, 1], a repeated pretrained token, a config snapshot not in the form
+``save_model`` writes) or trailing bytes raise ``ValueError``
 naming the path, the byte offset and the field. What loads re-saves to
 the same bytes.
 
@@ -107,10 +108,10 @@ def load_model(path: str | Path) -> SignatureModel:
     (m,) = r.unpack("<I", "attribute count")
     schema = tuple(r.records(m, 0, "attribute {} name", "attribute {} name")[0])
     dim, buckets, nmin, nmax = r.unpack("<IIHH", "table shape")
-    if not dim or not buckets or buckets & (buckets - 1) or nmin > nmax:
+    if not dim or not buckets or buckets & (buckets - 1) or not 1 <= nmin <= nmax:
         raise r.fail(
             f"dim {dim}, {buckets} buckets, n-grams {nmin}..{nmax}: need a positive dim,"
-            " a power-of-two bucket count and ngram_min <= ngram_max",
+            " a power-of-two bucket count and 1 <= ngram_min <= ngram_max",
             "table shape",
             r.last,
         )

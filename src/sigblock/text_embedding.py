@@ -121,6 +121,8 @@ class EmbeddingTable:
             raise ValueError("dim must be positive")
         if bucket_count & (bucket_count - 1) != 0 or bucket_count <= 0:
             raise ValueError("bucket_count must be a power of two")
+        if not 1 <= ngram_range[0] <= ngram_range[1]:
+            raise ValueError(f"ngram_range {ngram_range} must satisfy 1 <= min <= max")
         self.dim = dim
         self.bucket_count = bucket_count
         self.ngram_range = ngram_range
@@ -165,13 +167,15 @@ def load_pretrained(
 
     The dimension is fixed by the first line; a line with a different
     float count, or with an entry that is no finite number (``nan`` and
-    ``inf`` parse as floats), raises with its line number; bytes that
-    are not UTF-8 raise ``DatasetError`` naming the line and the byte.
+    ``inf`` parse as floats), raises with its line number, and a token
+    given twice raises naming both lines; bytes that are not UTF-8 raise
+    ``DatasetError`` naming the line and the byte.
     Out-of-vocabulary tokens still embed through the (untrained, frozen)
     hashed rows.
     """
     path = Path(path)
     pretrained: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
     dim: int | None = None
     with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -181,6 +185,11 @@ def load_pretrained(
                     continue
                 raise ValueError(f"{path}: line {lineno}: expected token and floats")
             token = parts[0]
+            if token in line_of:
+                raise ValueError(
+                    f"{path}: line {lineno}: token {token!r} repeats line {line_of[token]}"
+                )
+            line_of[token] = lineno
             try:
                 vec = np.array([float(x) for x in parts[1:] if x != ""], dtype=np.float64)
             except ValueError:

@@ -179,8 +179,7 @@ class Adam:
 
     Besides the parameters it holds only their two moments. A step
     works in one scratch array per parameter and in the parameter's
-    spent gradient, so it consumes ``p.grad``: call :meth:`zero_grad`
-    after it.
+    spent gradient, and then drops that gradient (``p.grad = None``).
     """
 
     def __init__(self, params: list[ad.Tensor], lr: float, betas=(0.9, 0.999), eps=1e-8):
@@ -219,9 +218,6 @@ class Adam:
             g += self.eps
             s /= g
             p.data -= s
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None
 
 
@@ -424,7 +420,6 @@ class SignatureTrainer:
                     continue
                 ad.backward(loss)
                 opt.step()
-                opt.zero_grad()
                 w_t.data[...] = project_weights(w_t.data, sorted(usable))
                 if t % cfg.log_every == 0 or t == cfg.iterations:
                     logger.info(

@@ -21,10 +21,12 @@ from sigblock.data_model import (
     AttributeValue,
     Dataset,
     DatasetError,
+    LabelSet,
     Record,
     Table,
     canonical_pair,
     make_bipartite,
+    write_labels,
 )
 from sigblock.evaluation import SynthSpec, synthesize
 from sigblock.encoder import (
@@ -505,8 +507,30 @@ class TestCandidateIO:
     def test_missing_header_names_path(self, tmp_path, body):
         path = tmp_path / "cands.csv"
         path.write_text(body, encoding="utf-8")
-        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: expected candidate"):
+        want = rf"^{re.escape(str(path))}: line 1: expected header id_a,id_b, got "
+        with pytest.raises(DatasetError, match=want):
             read_candidates(path)
+
+    def test_tab_delimited_file_reads(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        path.write_text("id_a\tid_b\tsignature_id\tcosine\nb\ta\t1\t0.85\n", encoding="utf-8")
+        back = read_candidates(path)
+        assert back.pairs == {("a", "b")} and back.provenance == {("a", "b"): (1, 0.85)}
+
+    def test_other_extra_columns_read_as_plain_pairs(self, tmp_path):
+        # only columns named signature_id,cosine are provenance
+        path = tmp_path / "cands.csv"
+        path.write_text("id_a,id_b,note,score\na,b,seen,0.5\nc,d,x,y\n", encoding="utf-8")
+        back = read_candidates(path)
+        assert back.pairs == {("a", "b"), ("c", "d")} and back.provenance is None
+
+    @pytest.mark.parametrize("provenance", [None, {("a", "b"): (0, 0.91234), ("c", "d"): (1, 0.85)}])
+    def test_labels_and_candidates_share_one_writer(self, tmp_path, provenance):
+        pairs = CandidateSet(frozenset({("c", "d"), ("a", "b")}), provenance)
+        write_candidates(pairs, tmp_path / "c.csv")
+        write_labels(pairs, tmp_path / "l.csv")
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "l.csv").read_bytes()
+        assert CandidateSet is LabelSet
 
     def test_non_utf8_names_path_line_and_byte(self, tmp_path):
         path = tmp_path / "cands.csv"

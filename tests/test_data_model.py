@@ -256,6 +256,16 @@ class TestLabels:
         write_labels(labels, f)
         assert load_labels(f, self._dataset()).pairs == labels.pairs
 
+    def test_reads_a_candidate_file_with_provenance(self, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_text("id_a,id_b,signature_id,cosine\na,b,0,0.9\nc,d,1,0.85\n", encoding="utf-8")
+        labels = load_labels(f, self._dataset())
+        assert labels.pairs == frozenset({("a", "b"), ("c", "d")})
+        # one reader: the provenance columns are checked as for candidates
+        f.write_text("id_a,id_b,signature_id,cosine\na,b,0,0.9\nc,d,1\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(f))}: line 3: expected "):
+            load_labels(f, self._dataset())
+
     def test_non_utf8_names_path_line_and_byte(self, tmp_path):
         f = tmp_path / "l.csv"
         f.write_bytes(b"id_a,id_b\na,b\nc,\xff\n")

@@ -219,6 +219,20 @@ def test_zero_encoder_size_rejected_with_offset(tiny_model_bytes, tmp_path, fiel
         load_model(path)
 
 
+def test_ngram_min_zero_rejected_with_offset(tiny_model_bytes, tmp_path):
+    # magic, version, count, "title" and "artist" with lengths: table shape
+    at = 6 + 2 + 4 + (2 + 5) + (2 + 6)
+    assert tiny_model_bytes[at + 8 : at + 12] == b"\x03\x00\x05\x00"  # n-grams 3..5
+    path = tmp_path / "ngram.bin"
+    path.write_bytes(patched(tiny_model_bytes, at + 8, b"\x00"))
+    want = (
+        rf"n-grams 0\.\.5: .* and 1 <= ngram_min <= ngram_max at byte {at}"
+        " while reading table shape"
+    )
+    with pytest.raises(ValueError, match=want):
+        load_model(path)
+
+
 def test_trainable_flag_other_than_0_or_1_rejected(tiny_model_bytes, tmp_path):
     # magic, version, count, "title" and "artist" with lengths, table shape, seed
     at = 6 + 2 + 4 + (2 + 5) + (2 + 6) + 12 + 8

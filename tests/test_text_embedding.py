@@ -110,6 +110,13 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             EmbeddingTable(dim=4, bucket_count=100)
 
+    @pytest.mark.parametrize("ngram_range", [(0, 2), (3, 2)])
+    def test_ngram_range_must_satisfy_1_le_min_le_max(self, ngram_range):
+        # (0, 2) would hash the empty n-gram; (3, 2) would save a model
+        # file that load_model refuses
+        with pytest.raises(ValueError, match=re.escape(f"ngram_range {ngram_range} must")):
+            EmbeddingTable(dim=4, bucket_count=16, ngram_range=ngram_range)
+
 
 class TestPretrained:
     def test_passthrough_and_dim(self, tmp_path):
@@ -132,6 +139,14 @@ class TestPretrained:
         f = tmp_path / "vec.txt"
         f.write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match="no vectors"):
+            load_pretrained(f)
+
+    def test_repeated_token_names_path_and_both_lines(self, tmp_path):
+        # a model file refuses a repeated token, so the text file does too
+        f = tmp_path / "vec.txt"
+        f.write_text("jones 1 2\nsmith 3 4\njones 5 6\n", encoding="utf-8")
+        want = rf"^{re.escape(str(f))}: line 3: token 'jones' repeats line 1$"
+        with pytest.raises(ValueError, match=want):
             load_pretrained(f)
 
     def test_inconsistent_dim_reports_line(self, tmp_path):

@@ -600,11 +600,11 @@ class TestAdam:
                 p.grad = None if g is None else g.copy()
             opt.step()
             assert opt.t == step + 1
+            assert all(p.grad is None for p in params)
             for k, (p, (x, m, v)) in enumerate(zip(params, want)):
                 assert p.data.tobytes() == x.tobytes(), (step, k)
                 assert opt.m[k].tobytes() == m.tobytes(), (step, k)
                 assert opt.v[k].tobytes() == v.tobytes(), (step, k)
-            opt.zero_grad()
 
     def test_zero_grad_and_moments_leave_data_bitwise(self):
         # Why a dense step over the compact table is exact: a row with no
@@ -625,7 +625,6 @@ class TestAdam:
         opt = Adam([x], lr=0.1)
         for _ in range(300):
             loss = ad.tsum(ad.mul(x, x))
-            opt.zero_grad()
             ad.backward(loss)
             opt.step()
         assert np.abs(x.data).max() < 1e-2
