@@ -4,18 +4,24 @@ A :class:`Tensor` wraps a float ndarray and records, for every derived
 value, the parent tensors and a closure that accumulates adjoints into
 them. Calling :func:`backward` on a scalar walks the recorded graph in
 reverse topological order, leaving ``grad`` arrays on every tensor that
-requires gradients. Only the operations needed by the training pipeline
-are implemented, as module functions (``add``, ``mul``, ``matmul``, ...)
-rather than operators.
+requires gradients. Only the operations the pipeline calls are
+implemented, as module functions rather than operators, one op per
+operation: :func:`add`, :func:`mul`, :func:`div`, :func:`matmul`,
+:func:`transpose`, :func:`sqrt`, :func:`tsum`, :func:`take_rows`,
+:func:`scatter_rows`, :func:`concat`, :func:`reshape`, :func:`softmax`,
+:func:`logsumexp`, :func:`embedding_bag` and :func:`bilstm`. The second
+operand of ``add`` and ``mul`` may be a constant, an array or a scalar,
+so ``x - y`` is ``add(x, mul(y, -1.0))`` and scaling is ``mul``.
 
 Two precisions run through the same functions. A tensor that requires
 gradients holds float64, so training and its finite-difference
-gradient checks stay in double precision; a constant holds float32 when
-it is given float32 (:func:`float_array`), and an op over float32
-inputs computes and returns float32: scalar constants take the dtype of
-the array they meet, on every numpy version, and the step buffers of
-:func:`bilstm` and the sums of :func:`embedding_bag` follow their
-input. Inference therefore runs in float32 from float32 parameters.
+gradient checks stay in double precision; a constant tensor holds
+float32 when it is given float32 (:func:`float_array`), and an op over
+float32 inputs computes and returns float32: a constant operand takes
+the dtype of the tensor it meets, on every numpy version, and the step
+buffers of :func:`bilstm` and the sums of :func:`embedding_bag` and
+:func:`scatter_rows` follow their input. Inference therefore runs in
+float32 from float32 parameters.
 
 Graph recording is skipped entirely when no input requires gradients, so
 the same functions double as the inference path. Each call still costs
@@ -92,8 +98,12 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _operand(a: Tensor, b) -> Tensor:
+    """``b`` as the second operand of ``a``: a tensor as it is, anything
+    else (an array or a scalar) a constant node in ``a``'s dtype, so a
+    float64 constant never widens a float32 tensor, whether numpy casts
+    scalars by value or by type (NEP 50)."""
+    return b if isinstance(b, Tensor) else _node(np.asarray(b, a.data.dtype), (), None)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -109,8 +119,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b) -> Tensor:
+    """``a + b``; ``b`` is a tensor, an array or a scalar."""
+    b = _operand(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -122,21 +133,9 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(-_unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b) -> Tensor:
+    """``a * b``; ``b`` is a tensor, an array or a scalar."""
+    b = _operand(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -148,8 +147,7 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def div(a: Tensor, b: Tensor) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
@@ -159,31 +157,6 @@ def div(a, b) -> Tensor:
             b.accumulate(_unbroadcast(-g * data / b.data, b.data.shape))
 
     return _node(data, (a, b), backward)
-
-
-def _const(a: Tensor, c):
-    """The scalar ``c`` in ``a``'s dtype, so that a float64 scalar (a numpy
-    one promotes under NEP 50) never widens a float32 tensor."""
-    return a.data.dtype.type(c)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = _const(a, c)
-    data = a.data * c
-
-    def backward(g):
-        a.accumulate(g * c)
-
-    return _node(data, (a,), backward)
-
-
-def add_const(a: Tensor, c: float) -> Tensor:
-    data = a.data + _const(a, c)
-
-    def backward(g):
-        a.accumulate(g)
-
-    return _node(data, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -261,8 +234,9 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def scatter_rows(src: Tensor, row_ids: np.ndarray, n_out: int) -> Tensor:
-    """Sum rows of ``src`` into an (n_out, d) result at positions ``row_ids``."""
-    data = _scatter_sum(row_ids, src.data, n_out)
+    """Sum rows of ``src`` into an (n_out, d) result at positions ``row_ids``,
+    in ``src``'s dtype: float32 rows sum in float64 and round once."""
+    data = _scatter_sum(row_ids, src.data, n_out).astype(src.data.dtype, copy=False)
 
     def backward(g):
         src.accumulate(g[row_ids])

@@ -21,9 +21,9 @@ import time
 from pathlib import Path
 
 from .baselines import KeySpec, key_block, minhash_block
-from .blocking import block, pe_ratio, read_candidates, unit_signatures, write_candidates
+from .blocking import block, pe_ratio, unit_signatures, write_candidates
 from .config import ConfigError, RunConfig, check_threshold, checked, load_config
-from .data_model import DatasetError, export, write_labels
+from .data_model import DatasetError, export, load_labels, write_labels
 from .encoder import token_attention
 from .evaluation import RunRecord, SynthSpec, metrics_csv, recall, summary_table, synthesize
 from .lsh import LshIndex
@@ -233,9 +233,7 @@ def cmd_eval(args) -> int:
         if "=" not in item:
             raise ConfigError(f"candidates must look like method=path: {item!r}")
         method, path = item.split("=", 1)
-        if not Path(path).exists():
-            raise ConfigError(f"no such candidate file: {path}")
-        candidates = read_candidates(path)
+        candidates = load_labels(path, dataset)
         rep = repeat_of.get(method, 0)
         repeat_of[method] = rep + 1
         runs.append(

@@ -260,11 +260,12 @@ def make_labels(pairs: Iterable[tuple[str, str]], dataset: Dataset | None = None
 
 
 def read_text(path: Path) -> str:
-    """The whole file decoded as UTF-8. Bytes that are not UTF-8 raise
-    ``DatasetError`` naming the path, the line and the byte offset."""
+    """The whole file decoded as UTF-8, less one leading byte-order mark.
+    Bytes that are not UTF-8 raise ``DatasetError`` naming the path, the
+    line and the byte offset in the file."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DatasetError(

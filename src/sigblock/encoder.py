@@ -93,6 +93,10 @@ class AttentionalEncoder:
             raise ValueError("smoothing_rho must lie in [0, 1]")
         for name in FIELDS:  # no copy, so tensors over them share memory
             setattr(self, name, ad.float_array(getattr(self, name)))
+        if self.hidden < 1 or self.max_tokens < 1:
+            raise ValueError(
+                f"hidden {self.hidden} and max_tokens {self.max_tokens} must be positive"
+            )
 
     @property
     def dim(self) -> int:
@@ -276,7 +280,7 @@ def embed_vocabulary(emb: ad.Tensor, batch: PreparedBatch) -> ad.Tensor:
     """
     vectors = ad.embedding_bag(emb, batch.ids, batch.offsets)
     if batch.const is not None:
-        vectors = ad.add(vectors, batch.const.astype(vectors.data.dtype, copy=False))
+        vectors = ad.add(vectors, batch.const)
     return vectors
 
 
@@ -351,7 +355,7 @@ def _encode_group(
     # can sum it in another order
     scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
     alpha = ad.softmax(scores, axis=1)
-    beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
+    beta = ad.add(ad.mul(alpha, rho), (1.0 - rho) / length)
     # sums over positions in order, as a running sum would
     return ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1), beta
 

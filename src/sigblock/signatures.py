@@ -82,6 +82,8 @@ class SignatureModel:
     rho to its f32 value and the signature weights to the float64
     widening of theirs; a value that is no finite f32 raises
     ``ValueError`` naming its field. Float32 arrays are kept, not copied.
+    An encoder count or a weight column count other than ``len(schema)``
+    raises ``ValueError`` naming both numbers.
     """
 
     schema: tuple[str, ...]
@@ -91,6 +93,12 @@ class SignatureModel:
     config_snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        m, columns = len(self.schema), self.weights.matrix.shape[1]
+        if len(self.encoders) != m or columns != m:
+            raise ValueError(
+                f"{m} attributes need {m} encoders and {m} weight columns,"
+                f" got {len(self.encoders)} and {columns}"
+            )
         table = self.table
         table.rows = to_f32(table.rows, "embedding rows")
         table.pretrained = {

@@ -339,7 +339,7 @@ class SignatureTrainer:
 
         sig = self._signatures_tape(w_t, usable, needed[order])
         sq = ad.tsum(ad.mul(sig, sig), axis=1, keepdims=True)
-        norm = ad.sqrt(ad.add_const(sq, _NORM_GUARD))
+        norm = ad.sqrt(ad.add(sq, _NORM_GUARD))
         unit = ad.div(sig, norm)
 
         def cosines(left: np.ndarray, right: np.ndarray) -> ad.Tensor:
@@ -352,11 +352,11 @@ class SignatureTrainer:
         neg = cosines(np.tile(at[:, :2], k), np.repeat(at[:, 2:], 2, axis=1))
         allowed = np.concatenate([live[:, :1], np.repeat(live[:, 2:], 2, axis=1)], axis=1)
         tau = self.config.temperature
-        scores = ad.scale(ad.concat([pos, neg], axis=1), 1.0 / tau)
+        scores = ad.mul(ad.concat([pos, neg], axis=1), 1.0 / tau)
         scores = ad.add(scores, np.where(allowed, 0.0, -np.inf))
         lse = ad.logsumexp(scores, axis=1)
-        total = ad.sub(ad.tsum(ad.scale(pos, 1.0 / tau)), ad.tsum(lse))
-        return ad.scale(total, -1.0 / len(slots)), len(slots)
+        total = ad.add(ad.tsum(ad.mul(pos, 1.0 / tau)), ad.mul(ad.tsum(lse), -1.0))
+        return ad.mul(total, -1.0 / len(slots)), len(slots)
 
     def _signatures_tape(
         self, w_t: ad.Tensor, usable: Sequence[int], records: np.ndarray

@@ -1,7 +1,9 @@
 """Finite-difference checks for every tape operation."""
 
+import inspect
 import warnings
 import weakref
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -47,9 +49,26 @@ def test_add_mul_broadcast():
 
 def test_sub_div():
     def build(ts):
-        return ad.tsum(ad.div(ad.sub(ts[0], ts[1]), ad.add_const(ad.mul(ts[2], ts[2]), 1.0)))
+        diff = ad.add(ts[0], ad.mul(ts[1], -1.0))
+        return ad.tsum(ad.div(diff, ad.add(ad.mul(ts[2], ts[2]), 1.0)))
 
     check_op(build, [(2, 3), (2, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+@pytest.mark.parametrize(
+    "const",
+    [0.7, np.float64(-1.5), np.linspace(-2.0, 2.0, 4), np.linspace(-2.0, 2.0, 12).reshape(3, 4)],
+    ids=["python-float", "numpy-scalar", "row", "full-array"],
+)
+def test_constant_operand(op, const):
+    check_op(lambda ts: ad.tsum(ad.mul(op(ts[0], const), ts[1])), [(3, 4), (3, 4)])
+
+
+def test_subtraction_is_addition_of_the_negation_bitwise():
+    rng = np.random.default_rng(5)
+    x, y = (ad.Tensor(rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64)) for _ in "xy")
+    assert ad.add(x, ad.mul(y, -1.0)).data.tobytes() == (x.data - y.data).tobytes()
 
 
 def test_matmul_lstm_sequence():
@@ -57,7 +76,7 @@ def test_matmul_lstm_sequence():
     # entry is so small that central-difference noise swamps it.
     def build(ts):
         x = ad.reshape(ad.matmul(ts[0], ts[1]), (2, 3, 4))
-        wx, wh = ad.scale(ts[2], 0.5), ad.scale(ts[3], 0.5)
+        wx, wh = ad.mul(ts[2], 0.5), ad.mul(ts[3], 0.5)
         states = ad.bilstm(x, wx, wh, ts[4])
         # the forward half against the backward half of every position,
         # each picked out by a product with two columns of the identity
@@ -103,7 +122,7 @@ def test_sigmoid_matches_masked_reference_bitwise():
 
 
 def test_sqrt():
-    check_op(lambda ts: ad.tsum(ad.sqrt(ad.add_const(ad.mul(ts[0], ts[0]), 0.5))), [(5,)])
+    check_op(lambda ts: ad.tsum(ad.sqrt(ad.add(ad.mul(ts[0], ts[0]), 0.5))), [(5,)])
 
 
 def test_sum_axis_keepdims():
@@ -318,7 +337,7 @@ def test_scatter_sum_is_add_at_bitwise(n, count, tail, seed):
 
 def test_grad_accumulates_over_reuse():
     x = ad.Tensor(np.array([2.0]), requires_grad=True)
-    y = ad.add(ad.mul(x, x), ad.scale(x, 3.0))  # x^2 + 3x
+    y = ad.add(ad.mul(x, x), ad.mul(x, 3.0))  # x^2 + 3x
     ad.backward(ad.tsum(y))
     assert x.grad is not None
     np.testing.assert_allclose(x.grad, [7.0])
@@ -334,8 +353,8 @@ def test_backward_frees_consumed_nodes_during_the_pass():
     # loss, then mid, then first: by the time first's backward runs, mid
     # has been consumed and nothing but the tape held it
     x = ad.Tensor(np.ones(4), requires_grad=True)
-    first = ad.scale(x, 2.0)
-    mid = ad.scale(first, 3.0)
+    first = ad.mul(x, 2.0)
+    mid = ad.mul(first, 3.0)
     loss = ad.tsum(mid)
     mid_data = weakref.ref(mid.data)
     del mid
@@ -363,3 +382,66 @@ def test_unbroadcast_shapes():
     assert ad._unbroadcast(g, (3, 4)).shape == (3, 4)
     assert ad._unbroadcast(g, (1, 4)).shape == (1, 4)
     assert float(ad._unbroadcast(g, (1, 4))[0, 0]) == 15.0
+
+
+def _f32(shape):
+    return ad.Tensor(np.random.default_rng(1).standard_normal(shape).astype(np.float32))
+
+
+# one float32 case per op: ``c`` is the constant operand, fed through
+# ``add`` or ``mul`` before (or beside) the op the case is named after
+F32_CASES = {
+    "add": lambda x, c: ad.add(x, c),
+    "mul": lambda x, c: ad.mul(x, c),
+    "div": lambda x, c: ad.div(x, ad.add(ad.mul(x, x), c)),
+    "matmul": lambda x, c: ad.matmul(ad.mul(x, c), ad.transpose(x)),
+    "transpose": lambda x, c: ad.transpose(ad.add(x, c)),
+    "sqrt": lambda x, c: ad.sqrt(ad.add(ad.mul(x, x), c)),
+    "tsum": lambda x, c: ad.tsum(ad.tsum(ad.mul(x, c), axis=1, keepdims=True)),
+    "take_rows": lambda x, c: ad.take_rows(ad.mul(x, c), np.array([2, 0, 2])),
+    "scatter_rows": lambda x, c: ad.scatter_rows(ad.mul(x, c), np.array([1, 0, 1]), 2),
+    "concat": lambda x, c: ad.concat([x, ad.add(x, c)], axis=0),
+    "reshape": lambda x, c: ad.reshape(ad.mul(x, c), (4, 3)),
+    "softmax": lambda x, c: ad.softmax(ad.mul(x, c), axis=1),
+    "logsumexp": lambda x, c: ad.logsumexp(ad.mul(x, c), axis=1),
+    "embedding_bag": lambda x, c: ad.embedding_bag(
+        ad.mul(x, c), np.array([0, 2, 1, 1]), np.array([0, 3, 3, 4])
+    ),
+    "bilstm": lambda x, c: ad.bilstm(
+        ad.reshape(ad.mul(x, c), (1, 3, 4)), _f32((2, 4, 4)), _f32((2, 1, 4)), _f32((2, 4))
+    ),
+}
+
+
+def test_float32_cases_cover_every_op():
+    public = {
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
+    }
+    assert public - {"float_array", "backward"} == set(F32_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(F32_CASES))
+@pytest.mark.parametrize(
+    "const",
+    [0.3, np.float64(0.3), np.full((3, 4), 0.3)],
+    ids=["python-float", "float64-scalar", "float64-array"],
+)
+def test_float32_inputs_make_no_float64(name, const):
+    """Every node an op over float32 tensors makes is float32, whatever
+    type its constant has: NEP 50 promotes a float32 array with a numpy
+    float64 scalar to float64, numpy 1.x does not, and a float64 array
+    promotes on both."""
+    made = []
+    node = ad._node
+
+    def recording(data, parents, backward):
+        made.append(data.dtype)
+        return node(data, parents, backward)
+
+    x = _f32((3, 4))
+    with patch.object(ad, "_node", recording):
+        out = F32_CASES[name](x, const)
+    assert out.data.dtype == np.float32
+    assert made and set(made) == {np.dtype(np.float32)}

@@ -233,6 +233,37 @@ def test_eval_non_utf8_candidates_exits_2(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: byte 13: not UTF-8")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [(["{a},{a}"], "self-pair"), (["{a},{b}", "{a},zz"], "unknown record_id 'zz'")],
+    ids=["self-pair", "unknown-id"],
+)
+def test_eval_candidates_the_dataset_rules_out_exit_2(workspace, tmp_path, capsys, rows, message):
+    root, config = workspace
+    a, b = [ln.split(",")[0] for ln in (root / "data.csv").read_text().splitlines()[1:3]]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id_a,id_b\n" + "\n".join(rows).format(a=a, b=b) + "\n", encoding="utf-8")
+    rc = main(
+        ["eval", "--config", str(config), "--candidates", f"bad={bad}",
+         "--out", str(tmp_path / "metrics.csv")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_eval_missing_candidate_file_exits_2(workspace, tmp_path, capsys):
+    _, config = workspace
+    missing = tmp_path / "none.csv"
+    rc = main(
+        ["eval", "--config", str(config), "--candidates", f"x={missing}",
+         "--out", str(tmp_path / "metrics.csv")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+
 def test_eval_repeats_make_metric_rows(workspace, tmp_path):
     _, config = workspace
     model = tmp_path / "model.bin"

@@ -73,3 +73,9 @@ def test_rho_key_sets_an_override():
     config = load_config(None, ["model.rho_title=0.5"])
     assert config.training.rho_overrides == {"title": 0.5}
     assert RunConfig().training.rho_overrides == {}
+
+
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[lsh]\nseed = 7\n", encoding="utf-8-sig")
+    assert load_config(ini).lsh.seed == 7

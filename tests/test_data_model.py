@@ -213,6 +213,17 @@ class TestIngest:
         with pytest.raises(DatasetError, match=rf"^{re.escape(f'{f}: line 3: byte {offset}: ')}"):
             ingest(f, format)
 
+    @pytest.mark.parametrize(
+        "name, format, body",
+        [("d.csv", "csv", "id,title\n1,ok\n"), ("d.jsonl", "jsonl", '{"id": "1", "title": "ok"}\n')],
+    )
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, name, format, body):
+        f = tmp_path / name
+        f.write_text(body, encoding="utf-8-sig")
+        ds = ingest(f, format)
+        assert ds.schema == ("title",)
+        assert [r.record_id for r in ds.all_records()] == ["1"]
+
 
 class TestLabels:
     def _dataset(self):
@@ -270,6 +281,15 @@ class TestLabels:
         f = tmp_path / "l.csv"
         f.write_bytes(b"id_a,id_b\na,b\nc,\xff\n")
         with pytest.raises(DatasetError, match=rf"^{re.escape(str(f))}: line 3: byte 16: "):
+            load_labels(f, self._dataset())
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        f = tmp_path / "l.csv"
+        f.write_text("id_a,id_b\na,b\n", encoding="utf-8-sig")
+        assert load_labels(f, self._dataset()).pairs == frozenset({("a", "b")})
+        # a later mark is data, and byte offsets stay those of the file
+        f.write_bytes(b"\xef\xbb\xbfid_a,id_b\na,b\nc,\xff\n")
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(f))}: line 3: byte 19: "):
             load_labels(f, self._dataset())
 
 

@@ -454,7 +454,7 @@ def encode_each_occurrence(vectors, enc, rho, batch, values):
         states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])
         scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
         alpha = ad.softmax(scores, axis=1)
-        beta = ad.add_const(ad.scale(alpha, rho), (1.0 - rho) / length)
+        beta = ad.add(ad.mul(alpha, rho), (1.0 - rho) / length)
         outputs.append(ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1))
     stacked = outputs[0] if len(outputs) == 1 else ad.concat(outputs, axis=0)
     inverse = np.empty(len(order), dtype=np.int64)

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigblock.encoder import FIELDS, AttentionalEncoder
 from sigblock.model_io import load_model, save_model
+from sigblock.signatures import SignatureModel, SignatureWeights
+from sigblock.text_embedding import EmbeddingTable
 from sigblock.training import TrainingConfig, train
 
 from conftest import duplicated_dataset
@@ -334,3 +339,88 @@ def test_untrained_model_file_is_pinned(tmp_path):
     data = path.read_bytes()
     assert len(data) == 1286
     assert hashlib.sha256(data).hexdigest() == UNTRAINED_SHA256
+
+
+def _two_attribute_model(encoders, weights):
+    return SignatureModel(("a", "b"), EmbeddingTable(2, 4, seed=1), encoders, weights)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda rng: AttentionalEncoder.initialize(2, 4, 0.5, rng, max_tokens=0),
+            r"^hidden 4 and max_tokens 0 must be positive$",
+        ),
+        (
+            lambda rng: _two_attribute_model(
+                [AttentionalEncoder.initialize(2, 1, 0.5, rng)], SignatureWeights(np.eye(2))
+            ),
+            r"^2 attributes need 2 encoders and 2 weight columns, got 1 and 2$",
+        ),
+        (
+            lambda rng: _two_attribute_model(
+                [AttentionalEncoder.initialize(2, 1, 0.5, rng) for _ in range(2)],
+                SignatureWeights(np.ones((1, 3))),
+            ),
+            r"^2 attributes need 2 encoders and 2 weight columns, got 2 and 3$",
+        ),
+    ],
+    ids=["max-tokens-zero", "one-encoder-two-attributes", "three-columns-two-attributes"],
+)
+def test_a_model_load_would_refuse_fails_at_build(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(np.random.default_rng(0))
+
+
+@st.composite
+def small_models(draw):
+    """Small models of every shape ``save_model`` writes: one hidden size
+    and token cap for all encoders, each encoder's dim the table's."""
+    m, dim, hidden = (draw(st.integers(1, 3)) for _ in range(3))
+    nmin = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tokens = draw(st.lists(st.text(max_size=3), max_size=2, unique=True))
+    table = EmbeddingTable(
+        dim,
+        2 ** draw(st.integers(0, 3)),
+        (nmin, nmin + draw(st.integers(0, 2))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        trainable=draw(st.booleans()),
+        pretrained={t: rng.standard_normal(dim) for t in tokens},
+    )
+    max_tokens = draw(st.integers(1, 5))
+    rhos = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    encoders = [AttentionalEncoder.initialize(dim, hidden, r, rng, max_tokens) for r in rhos]
+    return SignatureModel(
+        schema=tuple(draw(st.lists(st.text(max_size=3), min_size=m, max_size=m, unique=True))),
+        table=table,
+        encoders=encoders,
+        weights=SignatureWeights(rng.standard_normal((draw(st.integers(0, 3)), m))),
+        config_snapshot=draw(st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models())
+def test_saved_models_round_trip_bitwise(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("round") / "m.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    loaded = load_model(path)
+    save_model(loaded, path)
+    assert path.read_bytes() == data
+
+    def bits(array):
+        return array.dtype, array.shape, array.tobytes()
+
+    assert loaded.schema == model.schema and loaded.config_snapshot == model.config_snapshot
+    assert bits(loaded.table.rows) == bits(model.table.rows)
+    assert list(loaded.table.pretrained) == list(model.table.pretrained)
+    for token, vector in model.table.pretrained.items():
+        assert bits(loaded.table.pretrained[token]) == bits(vector)
+    assert bits(loaded.weights.matrix) == bits(model.weights.matrix)
+    for got, want in zip(loaded.encoders, model.encoders, strict=True):
+        assert got.smoothing_rho == want.smoothing_rho and got.max_tokens == want.max_tokens
+        for name in FIELDS:
+            assert bits(getattr(got, name)) == bits(getattr(want, name))

@@ -198,9 +198,9 @@ class TestInferenceDtype:
     def test_scalar_constants_take_the_tensor_dtype(self):
         narrow = ad.Tensor(np.ones(2, dtype=np.float32))
         for c in (0.3, np.float64(0.3)):
-            assert ad.scale(narrow, c).data.dtype == np.float32
-            assert ad.add_const(narrow, c).data.dtype == np.float32
-        assert ad.scale(ad.Tensor(np.ones(2)), np.float32(0.5)).data.dtype == np.float64
+            assert ad.mul(narrow, c).data.dtype == np.float32
+            assert ad.add(narrow, c).data.dtype == np.float32
+        assert ad.mul(ad.Tensor(np.ones(2)), np.float32(0.5)).data.dtype == np.float64
 
     @pytest.mark.parametrize("rho", [0.3, np.float64(0.3), 1.0, np.float64(0.0)])
     def test_every_intermediate_is_float32(self, rho):

@@ -171,6 +171,11 @@ class TestPretrained:
         with pytest.raises(DatasetError, match=want):
             load_pretrained(f)
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        f = tmp_path / "vec.txt"
+        f.write_text("hello 1 2\nworld 3 4\n", encoding="utf-8-sig")
+        assert list(load_pretrained(f).pretrained) == ["hello", "world"]
+
 
 # ASCII, the boundary markers, two- and three-byte UTF-8 and astral-plane
 # characters (four bytes, a surrogate pair in UTF-16)
