@@ -13,15 +13,16 @@ operation: :func:`add`, :func:`mul`, :func:`div`, :func:`matmul`,
 operand of ``add`` and ``mul`` may be a constant, an array or a scalar,
 so ``x - y`` is ``add(x, mul(y, -1.0))`` and scaling is ``mul``.
 
-Two precisions run through the same functions. A tensor that requires
-gradients holds float64, so training and its finite-difference
-gradient checks stay in double precision; a constant tensor holds
-float32 when it is given float32 (:func:`float_array`), and an op over
-float32 inputs computes and returns float32: a constant operand takes
-the dtype of the tensor it meets, on every numpy version, and the step
-buffers of :func:`bilstm` and the sums of :func:`embedding_bag` and
-:func:`scatter_rows` follow their input. Inference therefore runs in
-float32 from float32 parameters.
+Every op computes in the dtype of its inputs, and a gradient takes
+the dtype of its tensor. A :class:`Tensor` keeps float32 data as
+float32, whether or not it requires gradients (:func:`float_array`);
+a constant operand takes the dtype of the tensor it meets, on every
+numpy version; the step buffers of :func:`bilstm` and the sums of
+:func:`embedding_bag`, :func:`take_rows` and :func:`scatter_rows`
+follow their input; and :func:`backward` seeds the loss gradient in
+the loss's dtype. So training and inference run in float32 from
+float32 parameters, and the finite-difference gradient checks run the
+same ops in float64 from float64 copies.
 
 Graph recording is skipped entirely when no input requires gradients, so
 the same functions double as the inference path. Each call still costs
@@ -49,14 +50,15 @@ def float_array(data) -> np.ndarray:
 class Tensor:
     """Node in the computation graph: a value plus adjoint bookkeeping.
 
-    A tensor that requires gradients holds float64 (float32 data is
-    widened to a float64 copy); a constant keeps float32 data as it is.
+    Float32 data stays float32, shared rather than copied, and any other
+    data becomes float64 (:func:`float_array`); a gradient takes the
+    tensor's dtype.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64) if requires_grad else float_array(data)
+        self.data = float_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -64,7 +66,7 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -209,18 +211,20 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def _scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Rows ``values[i]`` summed into an (n, ...) zero array at ``index[i]``.
+    """Rows ``values[i]`` summed into an (n, ...) zero array at ``index[i]``,
+    in ``values``' dtype.
 
     One flattened ``np.bincount``, which adds in input order starting from
     zero, so every sum is bitwise the one an element-by-element loop
-    gives. ``index`` holds non-negative row numbers below ``n``.
+    gives; it adds in float64, so float32 rows are rounded once, at the
+    end. ``index`` holds non-negative row numbers below ``n``.
     """
     width = int(np.prod(values.shape[1:], dtype=np.int64))
     flat = np.asarray(index, dtype=np.int64)
     if width != 1:
         flat = (flat[:, None] * width + np.arange(width)).reshape(-1)
     out = np.bincount(flat, weights=values.reshape(-1), minlength=n * width)
-    return out.reshape((n,) + values.shape[1:])
+    return out.astype(values.dtype, copy=False).reshape((n,) + values.shape[1:])
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -234,9 +238,8 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def scatter_rows(src: Tensor, row_ids: np.ndarray, n_out: int) -> Tensor:
-    """Sum rows of ``src`` into an (n_out, d) result at positions ``row_ids``,
-    in ``src``'s dtype: float32 rows sum in float64 and round once."""
-    data = _scatter_sum(row_ids, src.data, n_out).astype(src.data.dtype, copy=False)
+    """Sum rows of ``src`` into an (n_out, d) result at positions ``row_ids``."""
+    data = _scatter_sum(row_ids, src.data, n_out)
 
     def backward(g):
         src.accumulate(g[row_ids])
@@ -390,8 +393,9 @@ def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     Step k runs forward position k beside backward position L - 1 - k as
     stacked (2, n, .) @ (2, ., 4H) products. numpy makes the same BLAS
     call for each item of a stack as for that matrix alone, so each
-    direction gets the bits it would get on its own. The step buffers
-    take the dtype of ``x``, so float32 inputs step in float32.
+    direction gets the bits it would get on its own. Every buffer of
+    both passes takes the dtype of ``x``, so float32 inputs step and
+    backpropagate in float32.
 
     One tape node stands for the whole sequence. It keeps the gates and
     cell states of every step only when an input requires gradients; its
@@ -408,9 +412,9 @@ def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     # step k writes forward position k and backward position L - 1 - k
     data = np.empty((length, n, 2 * hidden), dtype)
     if track:
-        gates = np.empty((length, 2, n, 4 * hidden))  # i, f, g, o per step
-        cells = np.zeros((length + 1, 2, n, hidden))  # cells[k] enters step k
-        tanh_c = np.empty((length, 2, n, hidden))
+        gates = np.empty((length, 2, n, 4 * hidden), dtype)  # i, f, g, o per step
+        cells = np.zeros((length + 1, 2, n, hidden), dtype)  # cells[k] enters step k
+        tanh_c = np.empty((length, 2, n, hidden), dtype)
     # step buffers, reused, and views of their gate blocks, made once: new
     # temporaries of both directions every step would add to the peak
     # memory of a large batch
@@ -446,12 +450,12 @@ def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
     def backward(gout):
         # the gradient reaching each direction's state after step k
-        g_steps = np.empty((length, 2, n, hidden))
+        g_steps = np.empty((length, 2, n, hidden), dtype)
         g_steps[:, 0] = gout[:, :, :hidden]
         g_steps[:, 1] = gout[::-1, :, hidden:]
-        dz = np.empty((2, length, n, 4 * hidden))
-        dh = np.zeros((2, n, hidden))
-        dc = np.zeros((2, n, hidden))
+        dz = np.empty((2, length, n, 4 * hidden), dtype)
+        dh = np.zeros((2, n, hidden), dtype)
+        dc = np.zeros((2, n, hidden), dtype)
         wh_t = wh.data.transpose(0, 2, 1)
         for k in range(length - 1, -1, -1):
             gk = gates[k]
@@ -472,13 +476,13 @@ def bilstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         flat = dz.reshape(2, length * n, 4 * hidden)
         if wx.requires_grad:
             # each direction's inputs in its step order
-            xs = np.empty((2, length, n, dim))
+            xs = np.empty((2, length, n, dim), dtype)
             xs[0] = x.data.transpose(1, 0, 2)
             xs[1] = xs[0, ::-1]
             wx.accumulate(xs.reshape(2, length * n, dim).transpose(0, 2, 1) @ flat)
         if wh.requires_grad:
             # each direction's state entering each step, in step order
-            h_in = np.zeros((2, length, n, hidden))
+            h_in = np.zeros((2, length, n, hidden), dtype)
             h_in[0, 1:] = data[:-1, :, :hidden]
             h_in[1, 1:] = data[:0:-1, :, hidden:]
             wh.accumulate(h_in.reshape(2, length * n, hidden).transpose(0, 2, 1) @ flat)
@@ -515,7 +519,8 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones((), dtype=np.float64)
+    # a float64 seed would widen every gradient of a float32 loss (NEP 50)
+    loss.grad = np.ones((), dtype=loss.data.dtype)
     while topo:
         node = topo.pop()
         if node._backward is not None and node.grad is not None:

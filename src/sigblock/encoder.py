@@ -30,9 +30,11 @@ gradients through it; blocking, single-record signatures and
 run the same routines on tensors that do not require gradients, so they
 record nothing.
 
-Every routine computes in the dtype of the arrays it is given: float64
-in training, float32 for the encoders and table of a
-``signatures.SignatureModel``, which holds the f32 values of its file.
+Every routine computes in the dtype of the arrays it is given. A
+``signatures.SignatureModel`` and the trainer both round their encoders
+and table to the f32 values of a model file when they are built, so
+inference and training run in float32; the gradient checks run on
+float64 copies.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .codec import ranges
+from .codec import ranges, to_f32
 from .data_model import AttributeValue
 from .text_embedding import EmbeddingTable
 
@@ -105,6 +107,15 @@ class AttentionalEncoder:
     @property
     def hidden(self) -> int:
         return self.wh.shape[1]
+
+    def round_to_f32(self, label: str) -> None:
+        """Round, in place, every field to a float32 array and rho to its
+        f32 value, as a model file stores them. A float32 field is kept,
+        not copied; a value that is no finite f32 raises ``ValueError``
+        naming ``label`` and the field."""
+        for name in FIELDS:
+            setattr(self, name, to_f32(getattr(self, name), f"{label} {name}"))
+        self.smoothing_rho = to_f32(self.smoothing_rho, f"{label} rho").item()
 
     def blocks(self) -> Iterator[tuple[str, np.ndarray]]:
         """(name, view) of each parameter block, in ``BLOCKS`` order."""
@@ -260,13 +271,7 @@ def prepare_sequence(
 def encoder_tensors(encoder: AttentionalEncoder, requires_grad: bool) -> dict[str, ad.Tensor]:
     """The encoder's fields ``wx``, ``wh``, ``b`` and ``attn`` as new
     tensors sharing their memory, so an in-place optimizer step on a
-    tensor is a step on the encoder. A tensor that requires gradients
-    holds float64, so a float32 encoder, such as a model's, raises
-    ``ValueError`` then: the step would update a widened copy."""
-    if requires_grad:
-        narrow = [name for name in FIELDS if getattr(encoder, name).dtype != np.float64]
-        if narrow:
-            raise ValueError(f"cannot train an encoder whose {', '.join(narrow)} are not float64")
+    tensor is a step on the encoder."""
     return {name: ad.Tensor(getattr(encoder, name), requires_grad) for name in FIELDS}
 
 

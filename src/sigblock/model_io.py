@@ -73,16 +73,7 @@ def save_model(model: SignatureModel, path: str | Path) -> None:
     vectors = np.array(list(table.pretrained.values()), dtype=np.float64)
     vectors = to_f32(vectors.reshape(len(table.pretrained), table.dim), "pretrained vectors")
     w.records(list(table.pretrained), vectors, "pretrained token")
-    hidden = model.encoders[0].hidden
-    max_tokens = model.encoders[0].max_tokens
-    shapes = [(enc.hidden, enc.max_tokens) for enc in model.encoders]
-    if len(set(shapes)) > 1:  # the file holds one encoder shape for all
-        raise ValueError(f"encoder shape: encoders differ in (hidden, max_tokens): {shapes}")
-    dims = [enc.dim for enc in model.encoders]
-    if set(dims) != {table.dim}:  # the file takes every encoder's dim from the table
-        raise ValueError(
-            f"encoder shape: encoder dims {dims} differ from the table dim {table.dim}"
-        )
+    hidden, max_tokens = model.encoder_shape()  # checked again: fields are mutable
     w.pack("<IIB", "encoder shape", hidden, max_tokens, _LSTM_CELL)
     for a, enc in enumerate(model.encoders):
         w.pack("<f", f"encoder {a} rho", enc.smoothing_rho)

@@ -12,8 +12,8 @@ schema attribute, whose embeddings :func:`encoder.encode_sequences_tape`
 returns as (values, d) rows, and the (S, m) signature weight matrix.
 Building one rounds every parameter to the f32 value the model file
 stores, so inference reads a model as it is and a model encodes
-bitwise like its saved copy; float64 parameters exist only inside
-training.
+bitwise like its saved copy. Training computes in float32 from the
+same values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .codec import to_f32
 from .data_model import Dataset, Record
-from .encoder import FIELDS, AttentionalEncoder
+from .encoder import AttentionalEncoder
 from .text_embedding import EmbeddingTable
 
 SUPPORT_EPS = 1e-3
@@ -51,7 +51,9 @@ class SignatureWeights:
 
 
 def prune_support(row: np.ndarray, eps: float = SUPPORT_EPS) -> np.ndarray:
-    """Zero entries at or below ``eps`` and renormalize to unit L2 norm."""
+    """Zero entries at or below ``eps`` and renormalize to unit L2 norm,
+    in float64 whatever the dtype of ``row``."""
+    row = np.asarray(row, dtype=np.float64)
     out = np.where(row > eps, row, 0.0)
     peak = out.max()
     if peak <= 0.0:
@@ -83,7 +85,8 @@ class SignatureModel:
     widening of theirs; a value that is no finite f32 raises
     ``ValueError`` naming its field. Float32 arrays are kept, not copied.
     An encoder count or a weight column count other than ``len(schema)``
-    raises ``ValueError`` naming both numbers.
+    raises ``ValueError`` naming both numbers, and so do encoders a model
+    file cannot hold (:meth:`encoder_shape`).
     """
 
     schema: tuple[str, ...]
@@ -99,16 +102,30 @@ class SignatureModel:
                 f"{m} attributes need {m} encoders and {m} weight columns,"
                 f" got {len(self.encoders)} and {columns}"
             )
+        self.encoder_shape()
         table = self.table
         table.rows = to_f32(table.rows, "embedding rows")
         table.pretrained = {
             t: to_f32(v, f"pretrained vector {t!r}") for t, v in table.pretrained.items()
         }
         for a, enc in enumerate(self.encoders):
-            for name in FIELDS:
-                setattr(enc, name, to_f32(getattr(enc, name), f"encoder {a} {name}"))
-            enc.smoothing_rho = to_f32(enc.smoothing_rho, f"encoder {a} rho").item()
+            enc.round_to_f32(f"encoder {a}")
         self.weights.matrix = to_f32(self.weights.matrix, "signature weights").astype(np.float64)
+
+    def encoder_shape(self) -> tuple[int, int]:
+        """The (hidden, max_tokens) all encoders share, which a model file
+        stores once. Encoders that differ in it, or an encoder whose dim
+        is not the table's, which the file takes for every encoder,
+        raise ``ValueError``."""
+        shapes = [(enc.hidden, enc.max_tokens) for enc in self.encoders]
+        if len(set(shapes)) > 1:
+            raise ValueError(f"encoder shape: encoders differ in (hidden, max_tokens): {shapes}")
+        dims = [enc.dim for enc in self.encoders]
+        if set(dims) != {self.table.dim}:
+            raise ValueError(
+                f"encoder shape: encoder dims {dims} differ from the table dim {self.table.dim}"
+            )
+        return shapes[0]
 
     @property
     def num_signatures(self) -> int:

@@ -11,7 +11,8 @@ file; mapped tokens return their pretrained vector unchanged while
 unseen tokens fall back to the hashed n-gram sum.
 
 A new table holds float64 rows and pretrained vectors; the table of a
-``signatures.SignatureModel`` holds their f32 values as float32.
+``signatures.SignatureModel`` holds their f32 values as float32, and
+so do the rows of a table a trainer is built with.
 
 The encoder reaches the table once per batch, with the batch's distinct
 tokens (``encoder.prepare_values``): :meth:`EmbeddingTable.batch_bucket_ids`

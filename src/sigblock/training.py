@@ -48,6 +48,12 @@ logger = logging.getLogger(__name__)
 _NORM_GUARD = 1e-30  # keeps zero-norm signatures from poisoning the graph
 
 
+def _f32(value: float) -> float:
+    """``value`` rounded to float32, overflow giving inf."""
+    with np.errstate(over="ignore"):
+        return float(np.float32(value))
+
+
 @dataclass
 class TrainingConfig:
     """All knobs for one training run; persisted with the model."""
@@ -76,13 +82,19 @@ class TrainingConfig:
             raise ValueError("iterations, batch_size, and negatives must be positive")
         if self.max_signatures is not None and self.max_signatures <= 0:
             raise ValueError("max_signatures must be positive when set")
-        # written as ``not 0 < x < inf`` so that NaN fails too
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not 0.0 < self.adam_eps < math.inf:
-            raise ValueError(f"adam_eps must be finite and positive, got {self.adam_eps}")
-        if not 0.0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
+        # written as ``not 0 < x < inf`` so that NaN fails too; training
+        # computes in float32, where a value that rounds to 0 or inf
+        # trains to NaN
+        for key in ("learning_rate", "adam_eps", "temperature"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and positive, got {value}")
+            if not 0.0 < _f32(value) < math.inf:
+                raise ValueError(f"{key} must round to a finite, nonzero float32, got {value}")
+        if not _f32(1.0 / self.temperature) < math.inf:
+            raise ValueError(
+                f"temperature must have an inverse that is finite in float32, got {self.temperature}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.log_every < 1:
@@ -224,11 +236,13 @@ class Adam:
 class SignatureTrainer:
     """Holds the in-training state: parameter tensors, caches, rng streams.
 
-    The table holds the f32 values of the model file: building a trainer
-    rounds ``table.rows`` in place, a given table too, and a value that
-    is no finite f32 raises ``ValueError`` then. Training works in
-    float64 only on the rows some value reaches (``emb_t``), their two
-    Adam moments and one step's tape; no gradient outlives its step.
+    Training computes in float32 from the f32 values of the model file:
+    building a trainer rounds ``table.rows`` in place, a given table
+    too, and its encoders, and a value that is no finite f32 raises
+    ``ValueError`` then. It trains the rows some value reaches as
+    ``emb_t``, the encoders in place through ``enc_t`` and the
+    signature weights, all float32, as are their Adam moments and each
+    step's tape; no gradient outlives its step.
     """
 
     def __init__(
@@ -283,24 +297,21 @@ class SignatureTrainer:
         self.rng_batch = np.random.Generator(np.random.PCG64(s_batch))
         self.rng_neg = np.random.Generator(np.random.PCG64(s_neg))
 
+        for a, enc in enumerate(self.encoders):
+            enc.round_to_f32(f"encoder {a}")
+        table.rows = to_f32(table.rows, "embedding rows")
         # every value of every record at vocabulary level, its bucket ids
         # renumbered to positions in `reachable`, the sorted table rows
         # some value names: the trainer optimises those rows as the
-        # compact float64 `emb_t`, since no other row can ever get a
-        # gradient, and writes them back to the table when it is done
+        # compact `emb_t`, since no other row can ever get a gradient,
+        # and writes them back to the table when it is done
         batch = prepare_values(
             table, [r.attributes for r in self.records], [e.max_tokens for e in self.encoders]
         )
         self.reachable, local = np.unique(batch.ids, return_inverse=True)
         self.prepared_values = replace(batch, ids=local)
         self.presence = batch.lengths.reshape(self.n, self.m) > 0
-        self.emb_t = ad.Tensor(
-            table.rows[self.reachable].astype(np.float64, copy=False),
-            requires_grad=table.trainable,
-        )
-        # only once `emb_t` holds the float64 rows: rounding first would
-        # start training from the f32 values
-        table.rows = to_f32(table.rows, "embedding rows")
+        self.emb_t = ad.Tensor(table.rows[self.reachable], requires_grad=table.trainable)
         self.enc_t = [encoder_tensors(e, requires_grad=True) for e in self.encoders]
 
     def prepared(self, rec_idx: int, attr: int) -> PreparedBatch | None:
@@ -400,7 +411,9 @@ class SignatureTrainer:
         rows: list[np.ndarray] = []
         for s in range(1, max_s + 1):
             w0 = project_weights(np.ones(self.m), sorted(usable))
-            w_t = ad.Tensor(w0.copy(), requires_grad=True)
+            # float32 like every parameter: a float64 `w_t` would widen
+            # the tape from the weighting on
+            w_t = ad.Tensor(w0.astype(np.float32), requires_grad=True)
             params = self.signature_parameters(usable, w_t)
             opt = Adam(params, cfg.learning_rate, cfg.adam_betas, cfg.adam_eps)
             for t in range(1, cfg.iterations + 1):
@@ -443,7 +456,7 @@ class SignatureTrainer:
             if not usable:
                 break
         weights = SignatureWeights(np.stack(rows))
-        self.table.rows[self.reachable] = to_f32(self.emb_t.data, "embedding rows")
+        self.table.rows[self.reachable] = self.emb_t.data
         return SignatureModel(
             schema=tuple(self.dataset.schema),
             table=self.table,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from sigblock import autodiff as ad
 from sigblock.data_model import (
     AttributeValue,
     Dataset,
@@ -108,6 +109,19 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+def widen(trainer) -> None:
+    """Rebind ``trainer.emb_t`` and ``trainer.enc_t`` as float64 copies of
+    the trainer's float32 parameter tensors, so its loss and gradients
+    compute in float64, as a finite-difference gradient check needs. The
+    copies share no memory with the table or the encoders."""
+
+    def wide(t: ad.Tensor) -> ad.Tensor:
+        return ad.Tensor(t.data.astype(np.float64), requires_grad=t.requires_grad)
+
+    trainer.emb_t = wide(trainer.emb_t)
+    trainer.enc_t = [{name: wide(t) for name, t in enc.items()} for enc in trainer.enc_t]
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from sigblock.evaluation import (
 from sigblock.lsh import LshIndex, LshParams, random_rotations, rho_exponent
 from sigblock.training import SignatureTrainer, TrainingConfig, selection_probability, train
 
-from conftest import duplicated_dataset, relative_error
+from conftest import duplicated_dataset, relative_error, widen
 
 
 # --------------------------------------------------------------------------
@@ -119,6 +119,7 @@ def _gradient_instance(seed: int):
         log_every=10_000,
     )
     tr = SignatureTrainer(ds, labels, cfg)
+    widen(tr)  # the check differentiates in float64
     rng = np.random.default_rng(seed + 1000)
     w = ad.Tensor(
         np.abs(rng.standard_normal(2)) + 0.1, requires_grad=True

@@ -600,9 +600,9 @@ class TestVocabularyFrontEnd:
             seed=3,
             pretrained={"jones": rng.standard_normal(dim), "mrs.": rng.standard_normal(dim)},
         )
+        # one token cap for both attributes, as a model file stores it
         encoders = [
-            AttentionalEncoder.initialize(dim, 3, rho, rng, max_tokens=cap)
-            for rho, cap in ((1.0, 2), (0.4, 5))
+            AttentionalEncoder.initialize(dim, 3, rho, rng, max_tokens=3) for rho in (1.0, 0.4)
         ]
         weights = SignatureWeights(np.array([[1.0, 0.0], [0.6, 0.8]]))
         return SignatureModel(("title", "artist"), table, encoders, weights)
@@ -610,9 +610,10 @@ class TestVocabularyFrontEnd:
     def test_mixed_batch_matches_batches_of_one_and_oracle(self):
         model = self.mixed_model()
         records = [
-            # pretrained and hashed tokens in one value, a repeat cut at 2
+            # pretrained and hashed tokens in one value, a repeat, and a
+            # pretrained token cut off at 3
             record("r0", "me jones me mrs.", "jones dylan jones"),
-            # "jones" again, in the attribute cut at 5 and past the cut
+            # "mrs." again, kept this time, and "jones" past the cut
             record("r1", "", "me and mrs. jones remix jones"),
             record("r2", "dylan", ""),
             record("r3", "", ""),

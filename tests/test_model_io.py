@@ -365,8 +365,31 @@ def _two_attribute_model(encoders, weights):
             ),
             r"^2 attributes need 2 encoders and 2 weight columns, got 2 and 3$",
         ),
+        (
+            lambda rng: _two_attribute_model(
+                [
+                    AttentionalEncoder.initialize(2, 1, 0.5, rng),
+                    AttentionalEncoder.initialize(2, 2, 0.5, rng),
+                ],
+                SignatureWeights(np.eye(2)),
+            ),
+            r"^encoder shape: encoders differ in \(hidden, max_tokens\): \[\(1, 64\), \(2, 64\)\]$",
+        ),
+        (
+            lambda rng: _two_attribute_model(
+                [AttentionalEncoder.initialize(d, 1, 0.5, rng) for d in (2, 3)],
+                SignatureWeights(np.eye(2)),
+            ),
+            r"^encoder shape: encoder dims \[2, 3\] differ from the table dim 2$",
+        ),
     ],
-    ids=["max-tokens-zero", "one-encoder-two-attributes", "three-columns-two-attributes"],
+    ids=[
+        "max-tokens-zero",
+        "one-encoder-two-attributes",
+        "three-columns-two-attributes",
+        "encoders-of-two-shapes",
+        "encoder-dim-off-the-table",
+    ],
 )
 def test_a_model_load_would_refuse_fails_at_build(build, message):
     with pytest.raises(ValueError, match=message):

@@ -1,10 +1,11 @@
-"""Float32 inference beside float64 training.
+"""Float32 inference and float32 training.
 
 Inference encodes in float32 from every parameter rounded as the model
 file stores it, so a model built in the process and its saved copy
-block alike to the byte. Training stays float64. The float64 encode
-path the library ran before inference moved to float32 is kept here as
-the oracle: :func:`signature_matrix_at` with float64.
+block alike to the byte. Training computes in float32 from those same
+values. The float64 encode path the library ran before inference moved
+to float32 is kept here as the oracle: :func:`signature_matrix_at` with
+float64.
 """
 
 import os
@@ -149,7 +150,10 @@ class TestSavedCopy:
         assert weights.astype(np.float32).astype(np.float64).tobytes() == weights.tobytes()
 
 
-class TestTrainingStaysFloat64:
+class TestTrainingDtype:
+    """Training computes in float32 from the f32 values of the model
+    file; a tensor keeps the dtype it is given."""
+
     @pytest.mark.parametrize("trainable", [True, False])
     def test_loaded_table_trains_like_its_float64_widening(self, tmp_path, trainable):
         dataset, labels = corpus(entities=40)
@@ -175,19 +179,23 @@ class TestTrainingStaysFloat64:
         save_model(train(dataset, labels, cfg, table=wide), tmp_path / "wide.bin")
         assert (tmp_path / "narrow.bin").read_bytes() == (tmp_path / "wide.bin").read_bytes()
 
-    def test_float32_encoder_refuses_gradients(self, tmp_path):
+    def test_float32_encoder_trains_in_place(self, tmp_path):
         dataset, _ = corpus(entities=20)
         enc = saved_copy(hand_model(dataset), tmp_path / "model.bin").encoders[0]
-        with pytest.raises(ValueError, match="not float64"):
-            encoder_tensors(enc, requires_grad=True)
-        tensors = encoder_tensors(enc, requires_grad=False)
-        assert all(np.shares_memory(tensors[name].data, getattr(enc, name)) for name in FIELDS)
+        for requires_grad in (True, False):
+            tensors = encoder_tensors(enc, requires_grad=requires_grad)
+            assert all(tensors[name].data is getattr(enc, name) for name in FIELDS)
+            assert {tensors[name].data.dtype for name in FIELDS} == {np.dtype(np.float32)}
 
-    def test_gradient_tensors_hold_float64(self):
+    def test_tensors_and_gradients_keep_their_dtype(self):
         narrow = np.ones(3, dtype=np.float32)
-        assert ad.Tensor(narrow).data.dtype == np.float32
-        assert ad.Tensor(narrow, requires_grad=True).data.dtype == np.float64
-        assert ad.Tensor(np.arange(3)).data.dtype == np.float64
+        assert ad.Tensor(narrow).data is narrow
+        assert ad.Tensor(narrow, requires_grad=True).data is narrow
+        assert ad.Tensor(np.arange(3), requires_grad=True).data.dtype == np.float64
+        for dtype in (np.float32, np.float64):
+            x = ad.Tensor(np.ones(3, dtype=dtype), requires_grad=True)
+            x.accumulate(np.ones(3, dtype=np.float64 if dtype == np.float32 else np.float32))
+            assert x.grad.dtype == dtype
 
 
 class TestInferenceDtype:

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sigblock.training import (
     train,
 )
 
-from conftest import F32_EPS, bucket_ids, duplicated_dataset, relative_error
+from conftest import F32_EPS, bucket_ids, duplicated_dataset, relative_error, widen
 
 
 class TestSelectionProbability:
@@ -271,7 +272,8 @@ class TestBatchLoss:
         ]
         id_negs = [[tr.records[u].record_id for u in us] for us in negs]
         public = minibatch_loss(model, id_pairs, id_negs, 0, ds, tau=tr.config.temperature)
-        # the trainer's loss is float64, the public one encodes in float32
+        # both encode in float32; the trainer's float64 weights then widen
+        # its sums, and the public loss sums in float64 from its vectors
         assert abs(float(loss.data) - public) <= 16 * F32_EPS * abs(public)
 
     def test_matches_public_minibatch_loss(self):
@@ -333,7 +335,9 @@ class TestTrainingGradient:
     @staticmethod
     def gradcheck(tr, batch, negs) -> dict[str, np.ndarray]:
         """Analytic gradients of the batch loss against central finite
-        differences on 40 coordinates per parameter; returns them."""
+        differences on 40 coordinates per parameter, in float64 on the
+        trainer's widened tensors; returns them."""
+        widen(tr)
         w = ad.Tensor(np.array([0.6, 0.8]), requires_grad=True)
         params = {"w": w, "emb": tr.emb_t}
         for j in (0, 1):
@@ -457,6 +461,29 @@ class TestTrain:
             train(ds, labels, small_config(adam_eps=eps))
 
 
+    @pytest.mark.parametrize(
+        "settings_, message",
+        [
+            ({"learning_rate": 1e39}, "learning_rate must round to a finite, nonzero float32"),
+            ({"adam_eps": 1e-50}, "adam_eps must round to a finite, nonzero float32"),
+            ({"temperature": 1e-40}, "temperature must have an inverse that is finite in float32"),
+        ],
+        ids=["learning_rate", "adam_eps", "temperature"],
+    )
+    def test_settings_must_survive_float32(self, monkeypatch, settings_, message):
+        # each of these trained to NaN in float32, and failed only after
+        # training, with "pruning removed every entry of a signature row"
+        ds, labels = two_attr_dataset(seed=9)
+        (value,) = settings_.values()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("values prepared")
+
+        monkeypatch.setattr(training, "prepare_values", no_work)
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {value}")):
+            train(ds, labels, small_config(**settings_))
+
+
 def gappy_dataset(seed=0):
     """Two attributes, one value in five missing, so some of every value's
     rows stay unreachable."""
@@ -488,12 +515,11 @@ class TestCompactTable:
                     want.update(bucket_ids(tr.table, t).tolist())
         assert tr.reachable.tolist() == sorted(want)
         assert len(want) < tr.table.bucket_count
-        # the table holds the f32 rounding of the float64 rows `emb_t`
-        # starts from, and those are the seeded draw
+        # the table and `emb_t` hold the f32 rounding of the seeded draw
         assert tr.table.rows.dtype == np.float32
-        assert tr.table.rows[tr.reachable].tobytes() == tr.emb_t.data.astype(np.float32).tobytes()
+        assert tr.table.rows[tr.reachable].tobytes() == tr.emb_t.data.tobytes()
         drawn = EmbeddingTable(12, 2**12, (3, 5), tr.table.seed).rows
-        assert tr.emb_t.data.tobytes() == drawn[tr.reachable].tobytes()
+        assert tr.emb_t.data.tobytes() == drawn[tr.reachable].astype(np.float32).tobytes()
 
     def test_pretrained_tokens_reach_no_rows(self):
         ds, labels = gappy_dataset(seed=12)
@@ -561,6 +587,106 @@ class TestTrainerMemory:
             SignatureTrainer(ds, labels, small_config(), table=table)
 
 
+class TestFloat32Training:
+    """The trainer computes in float32 from end to end; its gradient
+    checks widen copies of its tensors to float64 (``widen``)."""
+
+    def test_one_step_makes_only_float32(self, monkeypatch):
+        # a float64 seed, weight vector or buffer would widen the tape
+        ds, labels = gappy_dataset(seed=17)
+        tr = SignatureTrainer(ds, labels, small_config(iterations=1, max_signatures=1))
+        nodes, grads, state = [], [], []
+        node, accumulate, accumulate_rows = ad._node, ad.Tensor.accumulate, ad.Tensor.accumulate_rows
+        step = Adam.step
+
+        def recording_node(data, parents, backward):
+            nodes.append(data.dtype)
+            return node(data, parents, backward)
+
+        def recording_accumulate(self, g):
+            grads.append(np.asarray(g).dtype)
+            accumulate(self, g)
+
+        def recording_accumulate_rows(self, rows, g):
+            grads.append(g.dtype)
+            accumulate_rows(self, rows, g)
+
+        def recording_step(opt):
+            state.extend(a.dtype for p in opt.params for a in (p.data, p.grad))
+            step(opt)
+            state.extend(a.dtype for a in opt.m + opt.v)
+
+        monkeypatch.setattr(ad, "_node", recording_node)
+        monkeypatch.setattr(ad.Tensor, "accumulate", recording_accumulate)
+        monkeypatch.setattr(ad.Tensor, "accumulate_rows", recording_accumulate_rows)
+        monkeypatch.setattr(Adam, "step", recording_step)
+        tr.train()
+        f32 = {np.dtype(np.float32)}
+        assert len(nodes) > 50 and set(nodes) == f32
+        assert len(grads) > 50 and set(grads) == f32
+        assert len(state) > 20 and set(state) == f32
+
+    def test_rows_without_gradient_keep_their_seeded_value(self, monkeypatch):
+        # a row whose gradient and moments are 0 moves by lr * 0 / (0 + eps)
+        ds, labels = gappy_dataset(seed=18)
+        cfg = small_config(iterations=3, batch_size=2, negatives=2, max_signatures=1)
+        tr = SignatureTrainer(ds, labels, cfg)
+        seeded = tr.emb_t.data.copy()
+        opts = []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args):
+                super().__init__(*args)
+                opts.append(self)
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        model = tr.train()
+        (opt,) = opts
+        k = next(i for i, p in enumerate(opt.params) if p is tr.emb_t)
+        still = ~(opt.m[k].any(axis=1) | opt.v[k].any(axis=1))
+        assert 0 < still.sum() < len(still)
+        trained = model.table.rows[tr.reachable]
+        assert trained[still].tobytes() == seeded[still].tobytes()
+        assert not np.array_equal(trained[~still], seeded[~still])
+
+    @pytest.mark.parametrize("seed", [0, 16])
+    def test_gradient_matches_the_float64_gradient(self, seed):
+        # over 20 seeded batches like these the gradients differed by at
+        # most 31 float32 epsilons of a gradient's largest entry (the
+        # LSTM bias; the others at most 8.4) and the losses by at most
+        # 2.0 epsilons; seed 16 gave the 31
+        ds, labels = gappy_dataset(seed=seed)
+        tr = SignatureTrainer(
+            ds, labels, small_config(batch_size=16, rho_overrides={"noise0": 0.5})
+        )
+        rng = np.random.default_rng(seed)
+        batch = [tr.pairs[i] for i in rng.permutation(len(tr.pairs))[:16]]
+        negs = [sample_negatives(tr.n, a, b, 4, rng) for a, b in batch]
+        w = np.array([0.6, 0.8], dtype=np.float32)
+
+        def loss_and_gradients(w_t):
+            params = {"w": w_t, "emb": tr.emb_t}
+            for j in (0, 1):
+                params.update({f"e{j}.{n}": t for n, t in tr.enc_t[j].items()})
+            loss, _ = tr.batch_loss(w_t, [0, 1], batch, negs)
+            ad.backward(loss)
+            grads = {name: t.grad for name, t in params.items()}
+            for t in params.values():
+                t.grad = None
+            return float(loss.data), grads
+
+        narrow_loss, narrow = loss_and_gradients(ad.Tensor(w.copy(), requires_grad=True))
+        widen(tr)
+        wide_loss, wide = loss_and_gradients(ad.Tensor(w.astype(np.float64), requires_grad=True))
+        assert {g.dtype for g in narrow.values()} == {np.dtype(np.float32)}
+        assert {g.dtype for g in wide.values()} == {np.dtype(np.float64)}
+        assert abs(narrow_loss - wide_loss) <= 4 * F32_EPS * abs(wide_loss)
+        for name, g in wide.items():
+            scale = np.abs(g).max()
+            assert scale > 0, name
+            assert np.abs(narrow[name] - g).max() <= 64 * F32_EPS * scale, name
+
+
 def reference_adam_step(opt, data, grads):
     """One step of the out-of-place formula ``Adam.step`` must equal
     bitwise, on copies of ``data`` and of the moments."""
@@ -610,15 +736,17 @@ class TestAdam:
         # Why a dense step over the compact table is exact: a row with no
         # gradient and zero moments moves by lr * 0 / (0 + eps) = 0.
         rng = np.random.default_rng(0)
-        data = rng.standard_normal((5, 4)) * 10.0 ** rng.uniform(-8, 8, (5, 4))
-        data[0, 0] = -0.0
-        x = ad.Tensor(data.copy(), requires_grad=True)
-        opt = Adam([x], lr=0.1)
-        for _ in range(3):
-            x.grad = np.zeros_like(x.data)
-            opt.step()
-            assert x.data.tobytes() == data.tobytes()
-        assert not opt.m[0].any() and not opt.v[0].any()
+        drawn = rng.standard_normal((5, 4)) * 10.0 ** rng.uniform(-8, 8, (5, 4))
+        for dtype in (np.float64, np.float32):
+            data = drawn.astype(dtype)
+            data[0, 0] = -0.0
+            x = ad.Tensor(data.copy(), requires_grad=True)
+            opt = Adam([x], lr=0.1)
+            for _ in range(3):
+                x.grad = np.zeros_like(x.data)
+                opt.step()
+                assert x.data.tobytes() == data.tobytes()
+            assert not opt.m[0].any() and not opt.v[0].any()
 
     def test_descends_quadratic(self):
         x = ad.Tensor(np.array([5.0, -3.0]), requires_grad=True)
