@@ -5,7 +5,10 @@ emits one hidden state per position (forward and backward halves
 concatenated). The hidden states are scored against a learned attention
 vector, softmaxed, and smoothed toward the uniform weight ``1/l`` by a
 coefficient ``rho`` in [0, 1]; the attribute embedding is the weighted
-average of the raw token vectors under those smoothed weights.
+average of the raw token vectors under those smoothed weights. An
+attribute with ``rho = 0`` is therefore the plain mean of its token
+vectors, and its encoder runs no LSTM and no attention: with the
+default training config that is every attribute but the primary one.
 
 An :class:`AttentionalEncoder` holds its parameters as four arrays:
 ``wx`` (2, d, 4H), ``wh`` (2, H, 4H) and ``b`` (2, 4H), forward
@@ -80,7 +83,10 @@ class AttentionalEncoder:
     LSTM weights of the forward direction, then the backward one;
     ``attn`` (2H,) is the attention vector. ``dim`` and ``hidden`` are
     read off these shapes. A field given as float32, as a model's are,
-    stays float32; any other becomes float64.
+    stays float32; any other becomes float64. At ``smoothing_rho`` 0 the
+    weights are uniform and none of the four fields is read: the
+    embedding is the mean of the token vectors, and training leaves the
+    fields as they were drawn.
     """
 
     wx: np.ndarray
@@ -351,16 +357,25 @@ def _encode_group(
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """Encode n sequences of one length L, ``tokens`` (n, L) holding their
     rows of ``vectors``: the (n, d) embeddings and the (n, L) smoothed
-    attention weights. ``attn_col`` is ``enc["attn"]`` as a column."""
+    attention weights. ``attn_col`` is ``enc["attn"]`` as a column. At
+    rho 0 the weights are the constant 1/L and no BiLSTM runs."""
     n, length = tokens.shape
     v3 = ad.reshape(ad.take_rows(vectors, tokens.reshape(-1)), (n, length, vectors.data.shape[1]))
-    states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])  # (length, n, 2H)
-    # one (n, 2H) @ (2H, 1) product per position, stacked; the scores
-    # are then copied to C order, because a softmax over a strided row
-    # can sum it in another order
-    scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
-    alpha = ad.softmax(scores, axis=1)
-    beta = ad.add(ad.mul(alpha, rho), (1.0 - rho) / length)
+    if rho == 0.0:  # -0.0 too; a subnormal rho takes the full path
+        # rho * alpha + (1 - rho) / L with a finite softmax alpha >= 0:
+        # alpha * 0 is a zero, and a zero plus the constant's rounding of
+        # 1/L is that rounding. So the weights are 1/L in alpha's dtype,
+        # bit for bit, and the BiLSTM and the scores need not run
+        dtype = np.result_type(vectors.data, attn_col.data)
+        beta = ad.Tensor(np.full((n, length), 1.0 / length, dtype))
+    else:
+        states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])  # (length, n, 2H)
+        # one (n, 2H) @ (2H, 1) product per position, stacked; the scores
+        # are then copied to C order, because a softmax over a strided row
+        # can sum it in another order
+        scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
+        alpha = ad.softmax(scores, axis=1)
+        beta = ad.add(ad.mul(alpha, rho), (1.0 - rho) / length)
     # sums over positions in order, as a running sum would
     return ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1), beta
 

@@ -242,7 +242,8 @@ class SignatureTrainer:
     ``ValueError`` then. It trains the rows some value reaches as
     ``emb_t``, the encoders in place through ``enc_t`` and the
     signature weights, all float32, as are their Adam moments and each
-    step's tape; no gradient outlives its step.
+    step's tape; no gradient outlives its step. An encoder whose rho is
+    0 is not trained: no forward pass reads it.
     """
 
     def __init__(
@@ -312,7 +313,11 @@ class SignatureTrainer:
         self.prepared_values = replace(batch, ids=local)
         self.presence = batch.lengths.reshape(self.n, self.m) > 0
         self.emb_t = ad.Tensor(table.rows[self.reachable], requires_grad=table.trainable)
-        self.enc_t = [encoder_tensors(e, requires_grad=True) for e in self.encoders]
+        # an encoder at rho 0 is read by no forward pass, so it gets no
+        # gradient and no optimizer state
+        self.enc_t = [
+            encoder_tensors(e, requires_grad=e.smoothing_rho != 0.0) for e in self.encoders
+        ]
 
     def prepared(self, rec_idx: int, attr: int) -> PreparedBatch | None:
         """The value as a batch of one, its ids numbered as rows of
@@ -399,7 +404,7 @@ class SignatureTrainer:
     def signature_parameters(self, usable: Sequence[int], w_t: ad.Tensor) -> list[ad.Tensor]:
         params: list[ad.Tensor] = [w_t]
         for j in sorted(usable):
-            params.extend(self.enc_t[j][name] for name in self.enc_t[j])
+            params.extend(t for t in self.enc_t[j].values() if t.requires_grad)
         if self.table.trainable:
             params.append(self.emb_t)
         return params

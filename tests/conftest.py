@@ -111,6 +111,20 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
+def encode_group_oracle(vectors, tokens, enc, attn_col, rho):
+    """``encoder._encode_group`` with no rho-0 shortcut: the BiLSTM, the
+    scores and the softmax run at every rho, and the attention is then
+    smoothed by it, ``alpha * rho + (1 - rho) / L``. Same signature and
+    results as ``_encode_group``."""
+    n, length = tokens.shape
+    v3 = ad.reshape(ad.take_rows(vectors, tokens.reshape(-1)), (n, length, vectors.data.shape[1]))
+    states = ad.bilstm(v3, enc["wx"], enc["wh"], enc["b"])
+    scores = ad.transpose(ad.reshape(ad.matmul(states, attn_col), (length, n)))
+    alpha = ad.softmax(scores, axis=1)
+    beta = ad.add(ad.mul(alpha, rho), (1.0 - rho) / length)
+    return ad.tsum(ad.mul(ad.reshape(beta, (n, length, 1)), v3), axis=1), beta
+
+
 def widen(trainer) -> None:
     """Rebind ``trainer.emb_t`` and ``trainer.enc_t`` as float64 copies of
     the trainer's float32 parameter tensors, so its loss and gradients

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigblock import autodiff as ad
+from sigblock import encoder
 from sigblock.data_model import AttributeValue
 from sigblock.encoder import (
     BLOCKS,
@@ -24,7 +25,7 @@ from sigblock.encoder import (
 )
 from sigblock.text_embedding import EmbeddingTable
 
-from conftest import F32_EPS, bucket_ids, relative_error, token_vector
+from conftest import F32_EPS, bucket_ids, encode_group_oracle, relative_error, token_vector
 
 
 def make_encoder(dim=6, hidden=4, rho=1.0, seed=0):
@@ -337,6 +338,70 @@ class TestTapeConsistency:
         value = AttributeValue(("mrs.", "jones", "remix"))
         want, _ = oracle(enc, token_vectors(table, value))
         np.testing.assert_allclose(embed(enc, table, value), want, atol=1e-12)
+
+
+class TestRhoZero:
+    """At rho 0 the encoder runs no BiLSTM and gives, bit for bit, what the
+    BiLSTM path gives once its attention is multiplied by 0."""
+
+    # lengths 1 to 12, repeats included; 8 and more positions sum pairwise
+    VALUES = [words(4), words(1, "a"), words(12, "b"), words(4), words(3, "c"), words(9, "d")]
+
+    def run(self, rho, table_dtype=np.float32, encoder_dtype=np.float32):
+        """The embeddings, the gradient of ``sum(out * probe)`` to the
+        token vectors, and each value's ``token_attention`` weights."""
+        table = EmbeddingTable(dim=6, bucket_count=64, seed=4)
+        table.rows = table.rows.astype(table_dtype)
+        enc = make_encoder(rho=rho, seed=11)
+        for name in ("wx", "wh", "b", "attn"):
+            setattr(enc, name, getattr(enc, name).astype(encoder_dtype))
+        batch = prepare_values(table, [(v,) for v in self.VALUES], [enc.max_tokens])
+        embedded = embed_vocabulary(ad.Tensor(table.rows), batch).data
+        vectors = ad.Tensor(embedded, requires_grad=True)
+        out = encode_sequences_tape(
+            vectors, encoder_tensors(enc, True), rho, batch, np.arange(len(self.VALUES))
+        )
+        probe = np.random.default_rng(3).standard_normal(out.data.shape)
+        ad.backward(ad.tsum(ad.mul(out, probe)))
+        weights = [np.array([w for _, w in token_attention(enc, table, v)]) for v in self.VALUES]
+        return out.data, vectors.grad, weights
+
+    # float32 and float64, and a float32 table under a float64 encoder,
+    # whose attention and embeddings are float64
+    @pytest.mark.parametrize(
+        "dtypes",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+        ids=["float32", "float64", "mixed"],
+    )
+    @pytest.mark.parametrize("rho", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_matches_the_bilstm_path_bitwise(self, monkeypatch, dtypes, rho):
+        out, grad, weights = self.run(rho, *dtypes)
+        monkeypatch.setattr(encoder, "_encode_group", encode_group_oracle)
+        want, want_grad, want_weights = self.run(rho, *dtypes)
+        assert out.dtype == want.dtype == np.result_type(*dtypes)
+        assert grad.dtype == want_grad.dtype == dtypes[0]
+        assert out.tobytes() == want.tobytes()
+        assert [w.tobytes() for w in weights] == [w.tobytes() for w in want_weights]
+        # the BiLSTM path adds its zero gradients to the direct ones, so
+        # only the sign of a zero may differ
+        assert np.array_equal(grad, want_grad)
+
+    # the smallest positive f32 rho runs the BiLSTM once per length group
+    # (VALUES has five lengths), then once per value in token_attention
+    @pytest.mark.parametrize(
+        "rho, runs", [(0.0, 0), (-0.0, 0), (float(np.float32(1e-45)), 5 + len(VALUES))]
+    )
+    def test_bilstm_runs_only_where_rho_is_not_zero(self, monkeypatch, rho, runs):
+        calls = []
+        bilstm = ad.bilstm
+
+        def counted(*args):
+            calls.append(args[0].data.shape)
+            return bilstm(*args)
+
+        monkeypatch.setattr(ad, "bilstm", counted)
+        self.run(rho)
+        assert len(calls) == runs
 
 
 class TestEncoderTensors:

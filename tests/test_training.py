@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigblock import autodiff as ad
-from sigblock import training
+from sigblock import encoder, training
 from sigblock.data_model import AttributeValue, Dataset, LabelSet, Record, Table
+from sigblock.model_io import save_model
 from sigblock.text_embedding import EmbeddingTable
 from sigblock.training import (
     Adam,
@@ -24,7 +25,14 @@ from sigblock.training import (
     train,
 )
 
-from conftest import F32_EPS, bucket_ids, duplicated_dataset, relative_error, widen
+from conftest import (
+    F32_EPS,
+    bucket_ids,
+    duplicated_dataset,
+    encode_group_oracle,
+    relative_error,
+    widen,
+)
 
 
 class TestSelectionProbability:
@@ -685,6 +693,59 @@ class TestFloat32Training:
             scale = np.abs(g).max()
             assert scale > 0, name
             assert np.abs(narrow[name] - g).max() <= 64 * F32_EPS * scale, name
+
+
+class TestRhoZeroEncoders:
+    """An encoder at rho 0 runs no BiLSTM and is not trained."""
+
+    # gappy_dataset's rho are 1 and 0 by default; the override sets both to 0
+    OVERRIDES = pytest.mark.parametrize(
+        "overrides, rhos", [({}, [1.0, 0.0]), ({"info0": 0.0}, [0.0, 0.0])], ids=["one", "both"]
+    )
+
+    @OVERRIDES
+    def test_model_bytes_equal_the_bilstm_path(self, monkeypatch, tmp_path, overrides, rhos):
+        ds, labels = gappy_dataset(seed=20)
+        cfg = small_config(iterations=6, rho_overrides=overrides)
+        model = train(ds, labels, cfg)
+        assert [e.smoothing_rho for e in model.encoders] == rhos
+        save_model(model, tmp_path / "skip.bin")
+        monkeypatch.setattr(encoder, "_encode_group", encode_group_oracle)
+        save_model(train(ds, labels, cfg), tmp_path / "oracle.bin")
+        assert (tmp_path / "skip.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+
+    @OVERRIDES
+    def test_adam_holds_no_rho_zero_encoder_and_no_dead_tensor(
+        self, monkeypatch, overrides, rhos
+    ):
+        ds, labels = gappy_dataset(seed=20)
+        cfg = small_config(iterations=3, max_signatures=1, rho_overrides=overrides)
+        tr = SignatureTrainer(ds, labels, cfg)
+        frozen = [j for j, rho in enumerate(rhos) if rho == 0.0]
+        drawn = [[t.data.copy() for t in tr.enc_t[j].values()] for j in frozen]
+        opts, first_step = [], []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args):
+                super().__init__(*args)
+                opts.append(self)
+
+            def step(self):
+                if self.t == 0:
+                    first_step.extend(p.grad is not None for p in self.params)
+                super().step()
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        model = tr.train()
+        (opt,) = opts
+        # the weights, the rows and the four tensors of each rho-1 encoder
+        assert len(opt.params) == 2 + 4 * (len(rhos) - len(frozen))
+        assert all(first_step) and len(first_step) == len(opt.params)
+        held = {id(p) for p in opt.params}
+        for j, fields in zip(frozen, drawn):
+            assert not held & {id(t) for t in tr.enc_t[j].values()}
+            trained = [getattr(model.encoders[j], name) for name in tr.enc_t[j]]
+            assert [f.tobytes() for f in trained] == [f.tobytes() for f in fields]
 
 
 def reference_adam_step(opt, data, grads):
